@@ -22,6 +22,7 @@ from .errors import (
     IllegalOutcomeError,
     UnknownVertexError,
 )
+from .kernel import compress, mask_indices
 
 
 class Player(Enum):
@@ -147,38 +148,6 @@ def leq_left(a: Outcome, b: Outcome) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Bitmask helpers
-
-def compress_mask(mask: int, removed: int) -> int:
-    """Drop the bit positions set in ``removed`` and close the gaps."""
-    out = 0
-    shift = 0
-    pos = 0
-    rest = mask
-    while rest >> pos:
-        bit = 1 << pos
-        if removed & bit:
-            shift += 1
-        elif rest & bit:
-            out |= 1 << (pos - shift)
-        pos += 1
-    return out
-
-
-def mask_indices(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
-def _edge_sort_key(mask: int) -> tuple[int, ...]:
-    return mask_indices(mask)
-
-
-# ---------------------------------------------------------------------------
 # Game
 
 @dataclass(frozen=True)
@@ -233,7 +202,7 @@ class Game:
 
 def canonical_masks(masks: Iterable[int]) -> tuple[int, ...]:
     """Deduplicate and sort edge masks into the canonical storage order."""
-    return tuple(sorted(set(masks), key=_edge_sort_key))
+    return tuple(sorted(set(masks), key=mask_indices))
 
 
 def new_game(vertices: Iterable[str],
@@ -338,8 +307,8 @@ def update(game: Game,
         raise AlreadyWonError(Player.RIGHT) from None
     removed = vl | vr
     verts = tuple(v for i, v in enumerate(game.vertices) if not removed >> i & 1)
-    blue = [compress_mask(m, removed) for m in blue]
-    red = [compress_mask(m, removed) for m in red]
+    blue = [compress(m, removed) for m in blue]
+    red = [compress(m, removed) for m in red]
     return game_from_masks(verts, blue, red)
 
 

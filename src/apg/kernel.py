@@ -1,0 +1,238 @@
+"""Mask-level state operations shared by every exact search.
+
+A state is ``(n, blue, red)``: ``n`` free vertices indexed ``0..n-1`` and
+the live edges of each color as bitmasks over them, each tuple deduplicated
+and sorted by integer value.  The functions here are pure; the solver, the
+canonical-Right search in ``reductions`` and ``ops.prunable_moves`` all
+call them, so each rule is written once.
+
+Per-node costs are kept low by reading each edge's bit positions from a
+bounded cache (:func:`bits`) and by working on whole masks where a vertex
+loop would compare every pair.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from typing import TYPE_CHECKING, Iterable, Optional
+
+if TYPE_CHECKING:
+    from .core import Game
+
+State = tuple[int, tuple[int, ...], tuple[int, ...]]
+
+# Residual states are renumbered, so few distinct edge masks recur: the SAT
+# gadget searches meet about 500.  The bound keeps the cache to a few MB on
+# inputs that meet many more.
+BITS_CACHE_SIZE = 1 << 13
+
+
+def mask_indices(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+bits = lru_cache(maxsize=BITS_CACHE_SIZE)(mask_indices)
+bits.__doc__ = "Cached :func:`mask_indices`, for edge masks met at every node."
+
+
+def compress(mask: int, removed: int) -> int:
+    """Drop the bit positions set in ``removed`` and close the gaps."""
+    while removed:
+        low = removed & -removed
+        below = low - 1
+        mask = (mask & below) | ((mask >> 1) & ~below)
+        removed = (removed >> 1) & ~below
+    return mask
+
+
+def state_of_game(game: Game) -> State:
+    return (game.n, tuple(sorted(game.blue)), tuple(sorted(game.red)))
+
+
+def unit_mask(masks: Iterable[int]) -> int:
+    """Vertices forming a one-vertex edge among ``masks``."""
+    units = 0
+    for m in masks:
+        if m & (m - 1) == 0:
+            units |= m
+    return units
+
+
+def unit_positions(masks: Iterable[int]) -> list[int]:
+    return [m.bit_length() - 1 for m in masks if m & (m - 1) == 0]
+
+
+def signatures(n: int, edges: Iterable[int]) -> list[int]:
+    """Per-vertex bitmap over the edge list: bit j is set when edge j holds
+    the vertex."""
+    sigs = [0] * n
+    j = 1
+    for m in edges:
+        for i in bits(m):
+            sigs[i] |= j
+        j <<= 1
+    return sigs
+
+
+def child(state: State, mover: int, i: int) -> Optional[State]:
+    """State after the mover picks vertex ``i``; None when the pick fills an
+    edge of the mover's color.
+
+    Removing a bit position that a mask lacks is strictly increasing on
+    such masks, so edges not through ``i`` stay distinct and sorted; only
+    the mover's edges through ``i`` can collide or move.
+    """
+    n, blue, red = state
+    bit = 1 << i
+    low = bit - 1
+    hi = ~low
+    own, other = (blue, red) if mover == 0 else (red, blue)
+    new_own = []
+    hit = False
+    for m in own:
+        if m & bit:
+            m ^= bit
+            if m == 0:
+                return None
+            hit = True
+        new_own.append((m & low) | ((m >> 1) & hi))
+    own_t = tuple(sorted(set(new_own))) if hit else tuple(new_own)
+    other_t = tuple([(m & low) | ((m >> 1) & hi) for m in other if not m & bit])
+    if mover == 0:
+        return (n - 1, own_t, other_t)
+    return (n - 1, other_t, own_t)
+
+
+def dead_pair_reduce(state: State) -> State:
+    """Remove vertices carried by no edge, in pairs (parity is preserved by
+    keeping one when their count is odd).  A cheap special case of twin
+    removal; edge masks keep their relative order under the renumbering."""
+    n, blue, red = state
+    used = 0
+    for m in blue:
+        used |= m
+    for m in red:
+        used |= m
+    dead = ((1 << n) - 1) & ~used
+    count = dead.bit_count()
+    if count < 2:
+        return state
+    if count & 1:
+        dead &= ~(dead & -dead)
+        count -= 1
+    return (n - count,
+            tuple(compress(m, dead) for m in blue),
+            tuple(compress(m, dead) for m in red))
+
+
+def twin_reduce(state: State) -> State:
+    """Remove twin pairs until every vertex signature is distinct.
+
+    Twins are non-unit vertices in exactly the same edges; each pair is one
+    pick by each player, so both vertices go and every edge holding them
+    dies.  A unit vertex's own edge makes its signature unique, so equal
+    signatures never involve a unit.
+    """
+    # Twin pairs are removed a whole sweep at a time: within one signature
+    # class the removals commute (killing one pair's edges leaves the rest of
+    # the class identical), and distinct classes do not interact.
+    while True:
+        n, blue, red = state
+        if n < 2:
+            return state
+        sigs = signatures(n, blue + red)
+        if len(set(sigs)) == n:
+            return state
+        # Pair each class's members in index order; an odd one out stays.
+        unpaired: dict[int, int] = {}
+        removed = 0
+        for i, s in enumerate(sigs):
+            j = unpaired.pop(s, None)
+            if j is None:
+                unpaired[s] = i
+            else:
+                removed |= (1 << j) | (1 << i)
+        blue = tuple(sorted({compress(m, removed) for m in blue if not m & removed}))
+        red = tuple(sorted({compress(m, removed) for m in red if not m & removed}))
+        state = (n - removed.bit_count(), blue, red)
+
+
+def _pruned(n: int, cover: list[int], units: int) -> int:
+    # ``cover[i]`` is the AND of the edges holding i: the j whose signature
+    # contains i's.  i is pruned when such a non-unit j != i exists that
+    # either comes first or is not dominated back (a strict domination).
+    out = 0
+    others = ((1 << n) - 1) & ~units
+    for i in range(n):
+        bit = 1 << i
+        js = cover[i] & others & ~bit
+        if not js:
+            continue
+        if js & (bit - 1):
+            out |= bit
+            continue
+        while js:  # every j here is above i
+            low = js & -js
+            if not cover[low.bit_length() - 1] & bit:
+                out |= bit
+                break
+            js ^= low
+    return out
+
+
+def _covers(state: State) -> tuple[list[int], list[int], int]:
+    # One pass over the edge bits gives each vertex's cover mask (the AND of
+    # the edges holding it), its ordering score and the unit vertices.
+    n, blue, red = state
+    full = (1 << n) - 1
+    cover = [full] * n
+    score = [0] * n
+    units = 0
+    for m in blue + red:
+        if m & (m - 1) == 0:
+            units |= m
+        w = 3 if m.bit_count() == 2 else 1
+        for i in bits(m):
+            cover[i] &= m
+            score[i] += w
+    return cover, score, units
+
+
+def prunable_mask(state: State) -> int:
+    """Dominated vertices safe to skip together: strict dominations plus all
+    but the lowest-indexed member of each mutual class.
+
+    Vertex i is dominated by j when neither is a unit and every edge holding
+    i holds j.  A unit's own edge leaves it dominated by nothing.
+    """
+    cover, _, units = _covers(state)
+    return _pruned(state[0], cover, units)
+
+
+def candidates(state: State, prune: bool) -> list[int]:
+    """The mover's candidate picks in search order.
+
+    With ``prune`` the :func:`prunable_mask` vertices are left out.  On more
+    than six vertices the rest are ordered by descending score (3 per
+    two-vertex edge, 1 per other edge through the vertex), ties by index.
+    """
+    n = state[0]
+    order = n > 6
+    if not (prune or order):
+        return list(range(n))
+    cover, score, units = _covers(state)
+    if prune:
+        pruned = _pruned(n, cover, units)
+        cand = [i for i in range(n) if not pruned >> i & 1]
+    else:
+        cand = list(range(n))
+    if order and len(cand) > 2:
+        # A stable sort keeps equal scores in index order.
+        cand.sort(key=score.__getitem__, reverse=True)
+    return cand

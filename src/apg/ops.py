@@ -14,32 +14,11 @@ from .core import (
     Hypergraph,
     Pairing,
     Player,
-    compress_mask,
     game_from_masks,
     mask_indices,
 )
 from .errors import EmptyEdgeError, TooLargeError
-
-
-def _unit_vertex_mask(game: Game) -> int:
-    """Bitmask of vertices that appear as a one-vertex edge of either color."""
-    mask = 0
-    for m in game.blue:
-        if m.bit_count() == 1:
-            mask |= m
-    for m in game.red:
-        if m.bit_count() == 1:
-            mask |= m
-    return mask
-
-
-def _membership_signatures(game: Game) -> list[int]:
-    """Per-vertex bitmap over the (blue, red) edge list: which edges contain it."""
-    sigs = [0] * game.n
-    for j, m in enumerate(game.blue + game.red):
-        for i in mask_indices(m):
-            sigs[i] |= 1 << j
-    return sigs
+from .kernel import compress, prunable_mask, signatures, state_of_game, unit_mask
 
 
 def twin_reduce(game: Game) -> tuple[Game, list[tuple[str, str]]]:
@@ -56,8 +35,8 @@ def twin_reduce(game: Game) -> tuple[Game, list[tuple[str, str]]]:
     """
     log: list[tuple[str, str]] = []
     while True:
-        units = _unit_vertex_mask(game)
-        sigs = _membership_signatures(game)
+        units = unit_mask(game.blue + game.red)
+        sigs = signatures(game.n, game.blue + game.red)
         pair = None
         by_sig: dict[int, int] = {}
         for i in range(game.n):
@@ -74,8 +53,8 @@ def twin_reduce(game: Game) -> tuple[Game, list[tuple[str, str]]]:
         removed = (1 << i) | (1 << j)
         log.append((game.vertices[i], game.vertices[j]))
         verts = tuple(v for k, v in enumerate(game.vertices) if not removed >> k & 1)
-        blue = [compress_mask(m, removed) for m in game.blue if not m & removed]
-        red = [compress_mask(m, removed) for m in game.red if not m & removed]
+        blue = [compress(m, removed) for m in game.blue if not m & removed]
+        red = [compress(m, removed) for m in game.red if not m & removed]
         game = game_from_masks(verts, blue, red)
 
 
@@ -89,8 +68,8 @@ def dominated_moves(game: Game, mover: Player) -> frozenset[str]:
     pruning with it must keep one representative per twin class.
     """
     del mover  # the domination condition is mover-independent
-    units = _unit_vertex_mask(game)
-    sigs = _membership_signatures(game)
+    units = unit_mask(game.blue + game.red)
+    sigs = signatures(game.n, game.blue + game.red)
     out = []
     for i in range(game.n):
         if units >> i & 1:
@@ -112,23 +91,7 @@ def prunable_moves(game: Game) -> frozenset[str]:
     twins every vertex except the lowest-indexed one is included, so at least
     one optimal representative always survives.
     """
-    units = _unit_vertex_mask(game)
-    sigs = _membership_signatures(game)
-    out = []
-    for i in range(game.n):
-        if units >> i & 1:
-            continue
-        si = sigs[i]
-        for j in range(game.n):
-            if j == i or units >> j & 1:
-                continue
-            sj = sigs[j]
-            if si & ~sj:
-                continue
-            if si != sj or j < i:
-                out.append(game.vertices[i])
-                break
-    return frozenset(out)
+    return game.names_of(prunable_mask(state_of_game(game)))
 
 
 def greedy_move(game: Game, player: Player) -> tuple[str, str] | None:
@@ -141,9 +104,9 @@ def greedy_move(game: Game, player: Player) -> tuple[str, str] | None:
 
     Requires a game with no one-vertex edges.
     """
-    if _unit_vertex_mask(game):
+    if unit_mask(game.blue + game.red):
         raise ValueError("greedy_move is defined only when no edge has size 1")
-    sigs = _membership_signatures(game)
+    sigs = signatures(game.n, game.blue + game.red)
     own = game.blue if player is Player.LEFT else game.red
     for m in own:
         if m.bit_count() != 2:

@@ -31,6 +31,7 @@ from .errors import (
     TooLargeError,
 )
 from .gadgets import butterfly
+from .kernel import child, dead_pair_reduce, state_of_game
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +513,6 @@ def solve_against_canonical_right(game: Game,
     """
     if any(m.bit_count() > 3 for m in game.blue) or any(m.bit_count() > 2 for m in game.red):
         raise EdgeTooLargeError("needs blue edges of size <= 3 and red of size <= 2")
-    from .solver import _child, _dead_pair_reduce, state_of_game
 
     memo: dict[tuple, bool] = {}
     nodes = 0
@@ -527,7 +527,7 @@ def solve_against_canonical_right(game: Game,
         nodes += 1
         if nodes > node_limit:
             raise ResourceLimitError(nodes, node_limit)
-        state = _dead_pair_reduce(state)
+        state = dead_pair_reduce(state)
         n, blue, red = state
         if n == 0:
             return True  # draw by exhaustion
@@ -544,13 +544,13 @@ def solve_against_canonical_right(game: Game,
         candidates = sorted(red_units) if red_units else range(n)
         result = False
         for i in candidates:
-            after_left = _child(state, 0, i)
+            after_left = child(state, 0, i)
             assert after_left is not None  # no blue units here
             if after_left[0] == 0:
                 result = True  # the board ran out without a Right reply
                 break
             r = _canonical_right_index(after_left[0], after_left[1], after_left[2])
-            after_right = _child(after_left, 1, r)
+            after_right = child(after_left, 1, r)
             if after_right is None:
                 continue  # Right's reply fills a red edge; this line loses
             if left_survives(after_right):

@@ -4,7 +4,9 @@ Values are computed by two mutually recursive boolean questions from the
 mover's perspective ("can the mover win?", "can the mover avoid losing?"),
 asked in that order, with draws as the default.  Positions are canonicalized
 (vertices renumbered, twin pairs removed) before memo lookup so that
-transposed move orders collapse.
+transposed move orders collapse.  The mask-level state operations (child
+states, twin and dead-pair reduction, domination, move order) live in
+``kernel.py``; this module holds the memo, the node budget and the queries.
 
 Pruning used by default, each individually toggleable:
   * immediate win on a one-vertex edge of the mover's color;
@@ -33,8 +35,27 @@ from .core import (
     status,
 )
 from .errors import ResourceLimitError
+from .kernel import (
+    State,
+    candidates,
+    child,
+    compress,
+    dead_pair_reduce,
+    prunable_mask,
+    signatures,
+    state_of_game,
+    twin_reduce,
+    unit_positions,
+)
 
-State = tuple[int, tuple[int, ...], tuple[int, ...]]
+# The kernel's functions under the names earlier callers imported.
+_compress = compress
+_child = child
+_state_sigs = signatures
+_unit_positions = unit_positions
+_dead_pair_reduce = dead_pair_reduce
+_twin_reduce_state = twin_reduce
+_prunable_mask = prunable_mask
 
 _WIN, _DRAW, _LOSS = 1, 0, -1
 
@@ -86,143 +107,6 @@ class Trace:
         return [s.vertex for s in self.steps if s.player is player]
 
 
-def state_of_game(game: Game) -> State:
-    return (game.n, tuple(sorted(game.blue)), tuple(sorted(game.red)))
-
-
-def _compress(mask: int, removed: int) -> int:
-    while removed:
-        low = removed & -removed
-        below = low - 1
-        mask = (mask & below) | ((mask >> 1) & ~below)
-        removed = (removed >> 1) & ~below
-    return mask
-
-
-def _child(state: State, mover: int, i: int) -> Optional[State]:
-    """State after the mover picks vertex ``i``; None when the pick fills an
-    edge of the mover's color."""
-    n, blue, red = state
-    bit = 1 << i
-    low = bit - 1
-    hi = ~low
-    own, other = (blue, red) if mover == 0 else (red, blue)
-    new_own = set()
-    for m in own:
-        if m & bit:
-            m &= ~bit
-            if m == 0:
-                return None
-        new_own.add((m & low) | ((m >> 1) & hi))
-    new_other = set()
-    for m in other:
-        if not m & bit:
-            new_other.add((m & low) | ((m >> 1) & hi))
-    own_t = tuple(sorted(new_own))
-    other_t = tuple(sorted(new_other))
-    if mover == 0:
-        return (n - 1, own_t, other_t)
-    return (n - 1, other_t, own_t)
-
-
-def _state_sigs(n: int, blue: tuple[int, ...], red: tuple[int, ...]) -> list[int]:
-    sigs = [0] * n
-    j = 1
-    for m in blue + red:
-        while m:
-            lowb = m & -m
-            sigs[lowb.bit_length() - 1] |= j
-            m ^= lowb
-        j <<= 1
-    return sigs
-
-
-def _unit_positions(masks: Iterable[int]) -> list[int]:
-    return [m.bit_length() - 1 for m in masks if m & (m - 1) == 0]
-
-
-def _dead_pair_reduce(state: State) -> State:
-    """Remove vertices carried by no edge, in pairs (parity is preserved by
-    keeping one when their count is odd).  A cheap special case of twin
-    removal; edge masks keep their relative order under the renumbering."""
-    n, blue, red = state
-    used = 0
-    for m in blue:
-        used |= m
-    for m in red:
-        used |= m
-    dead = ((1 << n) - 1) & ~used
-    count = dead.bit_count()
-    if count < 2:
-        return state
-    if count & 1:
-        dead &= ~(dead & -dead)
-        count -= 1
-    return (n - count,
-            tuple(_compress(m, dead) for m in blue),
-            tuple(_compress(m, dead) for m in red))
-
-
-def _twin_reduce_state(state: State) -> State:
-    # Twin pairs are removed a whole sweep at a time: within one signature
-    # class the removals commute (killing one pair's edges leaves the rest of
-    # the class identical), and distinct classes do not interact.
-    while True:
-        n, blue, red = state
-        if n < 2:
-            return state
-        units = 0
-        for m in blue:
-            if m & (m - 1) == 0:
-                units |= m
-        for m in red:
-            if m & (m - 1) == 0:
-                units |= m
-        sigs = _state_sigs(n, blue, red)
-        groups: dict[int, list[int]] = {}
-        for i in range(n):
-            if not units >> i & 1:
-                groups.setdefault(sigs[i], []).append(i)
-        removed = 0
-        for members in groups.values():
-            for i in members[:len(members) & ~1]:
-                removed |= 1 << i
-        if not removed:
-            return state
-        blue = tuple(sorted({_compress(m, removed) for m in blue if not m & removed}))
-        red = tuple(sorted({_compress(m, removed) for m in red if not m & removed}))
-        state = (n - removed.bit_count(), blue, red)
-
-
-def _prunable_mask(state: State) -> int:
-    """Dominated vertices safe to skip together: strict dominations plus all
-    but the lowest-indexed member of each mutual class."""
-    n, blue, red = state
-    units = 0
-    for m in blue:
-        if m & (m - 1) == 0:
-            units |= m
-    for m in red:
-        if m & (m - 1) == 0:
-            units |= m
-    sigs = _state_sigs(n, blue, red)
-    out = 0
-    for i in range(n):
-        if units >> i & 1:
-            continue
-        si = sigs[i]
-        for j in range(n):
-            if j == i or units >> j & 1:
-                continue
-            sj = sigs[j]
-            if si & ~sj:
-                continue
-            if si != sj or j < i:
-                out |= 1 << i
-                break
-    return out
-
-
 class Solver:
     """Holds the memo tables, configuration and counters for exact search."""
 
@@ -245,30 +129,10 @@ class Solver:
         if depth > self._max_depth:
             self._max_depth = depth
 
-    def _candidates(self, state: State) -> Iterable[int]:
-        n, blue, red = state
-        if self.config.use_domination:
-            pruned = _prunable_mask(state)
-            cand = [i for i in range(n) if not pruned >> i & 1]
-        else:
-            cand = list(range(n))
-        if n > 6 and len(cand) > 2:
-            score = [0] * n
-            for m in blue + red:
-                size = m.bit_count()
-                w = 3 if size == 2 else 1
-                mm = m
-                while mm:
-                    lowb = mm & -mm
-                    score[lowb.bit_length() - 1] += w
-                    mm ^= lowb
-            cand.sort(key=lambda i: (-score[i], i))
-        return cand
-
     def _eval(self, state: State, mover: int, want_win: bool, depth: int) -> bool:
         self._tick(depth)
         if self.config.use_twin_reduction:
-            state = _twin_reduce_state(state)
+            state = twin_reduce(state)
         n, blue, red = state
         memo = self._memo_win if want_win else self._memo_avoid
         key = (mover, state)
@@ -279,30 +143,30 @@ class Solver:
 
         own, other = (blue, red) if mover == 0 else (red, blue)
         result: Optional[bool] = None
-        candidates: Optional[Iterable[int]] = None
+        moves: Optional[Iterable[int]] = None
 
         if n == 0:
             result = not want_win  # draw by exhaustion
         elif any(m & (m - 1) == 0 for m in own):
             result = True  # fill a one-vertex edge now
         elif self.config.use_forced_moves:
-            threats = _unit_positions(other)
+            threats = unit_positions(other)
             if len(set(threats)) >= 2:
                 result = False  # cannot block two distinct unit threats
             elif threats:
-                candidates = threats[:1]
+                moves = threats[:1]
 
         if result is None:
-            if candidates is None:
-                candidates = self._candidates(state)
+            if moves is None:
+                moves = candidates(state, self.config.use_domination)
             result = False
             opp = 1 - mover
-            for i in candidates:
-                child = _child(state, mover, i)
-                if child is None:
+            for i in moves:
+                after = child(state, mover, i)
+                if after is None:
                     result = True  # the pick fills an edge of the mover's color
                     break
-                if not self._eval(child, opp, not want_win, depth + 1):
+                if not self._eval(after, opp, not want_win, depth + 1):
                     result = True
                     break
 
@@ -329,6 +193,7 @@ class Solver:
         return GameResult.RIGHT_WIN
 
     def _begin(self) -> tuple[int, int, float]:
+        self._max_depth = 0
         return self._nodes, self._hits, time.perf_counter()
 
     def _finish(self, mark: tuple[int, int, float]) -> None:
@@ -341,12 +206,6 @@ class Solver:
         )
 
     # -- public queries ----------------------------------------------------
-
-    def solve_masks(self, n: int, blue: Iterable[int], red: Iterable[int],
-                    first_player: Player) -> GameResult:
-        state = (n, tuple(sorted(set(blue))), tuple(sorted(set(red))))
-        mover = 0 if first_player is Player.LEFT else 1
-        return self._to_game_result(self._result_for_mover(state, mover), first_player)
 
     def solve(self, game: Game, first_player: Player) -> GameResult:
         """Game value under optimal play with the given first player."""
@@ -373,16 +232,20 @@ class Solver:
 
     def move_value(self, position: Position, vertex: str) -> GameResult:
         """Value of one candidate move from a position, for the side to move."""
-        game = position.updated_game()
-        state = state_of_game(game)
-        mover = 0 if position.to_move is Player.LEFT else 1
-        i = game.index_of(vertex)
-        child = _child(state, mover, i)
-        if child is None:
-            value = _WIN
-        else:
-            value = -self._result_for_mover(child, 1 - mover)
-        return self._to_game_result(value, position.to_move)
+        mark = self._begin()
+        try:
+            game = position.updated_game()
+            state = state_of_game(game)
+            mover = 0 if position.to_move is Player.LEFT else 1
+            i = game.index_of(vertex)
+            after = child(state, mover, i)
+            if after is None:
+                value = _WIN
+            else:
+                value = -self._result_for_mover(after, 1 - mover)
+            return self._to_game_result(value, position.to_move)
+        finally:
+            self._finish(mark)
 
     def best_move(self, position: Position) -> tuple[str, GameResult]:
         """A move achieving the position's value.
@@ -400,10 +263,10 @@ class Solver:
             fallback = None
             value = self._result_for_mover(state, mover)
             for i in range(game.n):
-                child = _child(state, mover, i)
-                if child is None:
+                after = child(state, mover, i)
+                if after is None:
                     return game.vertices[i], self._to_game_result(_WIN, position.to_move)
-                if fallback is None and -self._result_for_mover(child, 1 - mover) == value:
+                if fallback is None and -self._result_for_mover(after, 1 - mover) == value:
                     fallback = game.vertices[i]
             if fallback is None:
                 raise AssertionError("no move achieves the computed value")
@@ -421,7 +284,7 @@ class Solver:
             mover = pos.to_move
             vertex, value = self.best_move(pos)
             updated = pos.updated_game()
-            threats = _unit_positions(
+            threats = unit_positions(
                 updated.red if mover is Player.LEFT else updated.blue)
             if value == (GameResult.LEFT_WIN if mover is Player.LEFT
                          else GameResult.RIGHT_WIN):
@@ -460,18 +323,18 @@ class Solver:
             elif n == 0:
                 result = INFINITE_DELAY
             else:
-                threats = set(_unit_positions(other))
+                threats = set(unit_positions(other))
                 if len(threats) >= 2:
                     result = INFINITE_DELAY  # the antagonist fills next turn
                 else:
-                    candidates = sorted(threats) if threats else range(n)
+                    moves = sorted(threats) if threats else range(n)
                     result = INFINITE_DELAY
-                    for i in candidates:
-                        child = _child(state, prot, i)
-                        if child is None:
+                    for i in moves:
+                        after = child(state, prot, i)
+                        if after is None:
                             result = 0.0
                             break
-                        v = self._delay_eval(child, prot, False, depth + 1)
+                        v = self._delay_eval(after, prot, False, depth + 1)
                         if v < result:
                             result = v
                         if result == 0.0:
@@ -485,9 +348,9 @@ class Solver:
                 for i in range(n):
                     if result == INFINITE_DELAY:
                         break
-                    child = _child(state, 1 - prot, i)
-                    assert child is not None
-                    v = self._delay_eval(child, prot, True, depth + 1)
+                    after = child(state, 1 - prot, i)
+                    assert after is not None
+                    v = self._delay_eval(after, prot, True, depth + 1)
                     if v > result:
                         result = v
 
@@ -507,6 +370,8 @@ class Solver:
         try:
             state = state_of_game(game)
             prot = 0 if protagonist is Player.LEFT else 1
+            if self._result_for_mover(state, prot) != _WIN:
+                return INFINITE_DELAY
             value = self._delay_eval(state, prot, True, 0)
             assert value == INFINITE_DELAY or value < max(game.n, 1), \
                 "a finite delay can never reach the vertex-count cap"

@@ -22,6 +22,7 @@ from apg import (
     win_in_k,
 )
 from apg.gadgets import outcome_exemplar, random_game, rng_for
+from apg.reductions import CnfFormula, sat_draw_game
 from apg.solver import UNION_OUTCOMES
 
 from oracles import brute_delay, brute_result
@@ -184,6 +185,27 @@ def test_stats_invariant():
     assert st.elapsed >= 0.0
 
 
+def test_max_depth_covers_one_query():
+    fresh = Solver()
+    fresh.solve(butterfly(), L)
+    assert fresh.last_stats.max_depth == 3
+    s = Solver()
+    s.solve(sat_draw_game(CnfFormula(3, ((1, 2, 3),))).game, L)
+    assert s.last_stats.max_depth > 3
+    s.solve(butterfly(), L)
+    assert s.last_stats.max_depth == 3
+
+
+def test_move_value_records_its_stats():
+    s = Solver()
+    s.outcome(butterfly())
+    before = s.last_stats
+    pos = Position.start(butterfly(), L)
+    s.move_value(pos, pos.game.vertices[1])
+    assert s.last_stats is not before
+    assert s.last_stats.nodes_expanded > 0
+
+
 def test_node_budget():
     s = Solver(SolverConfig(node_limit=3))
     with pytest.raises(ResourceLimitError):
@@ -239,6 +261,30 @@ def test_delay_finite_iff_first_player_win():
             finite = s.delay(g, prot) != math.inf
             wins = s.solve(g, prot) is (LW if prot is L else RW)
             assert finite == wins, g
+
+
+def test_delay_finite_iff_first_player_win_on_rank3_boards_and_hubs():
+    # The delay skips its search when the protagonist cannot win moving
+    # first; brute force confirms both the skipped and the searched values.
+    rng = rng_for(33, "delay-rank3")
+    games = []
+    for _ in range(40):
+        verts = [f"v{i}" for i in range(rng.randint(6, 8))]
+        games.append(new_game(
+            verts,
+            [rng.sample(verts, 3) for _ in range(len(verts) // 2)],
+            [rng.sample(verts, 3) for _ in range(len(verts) // 2)]))
+    games += [win_in_k(k, color) for k in range(1, 5) for color in (L, R)]
+    seen = set()
+    s = Solver()
+    for g in games:
+        for prot in (L, R):
+            d = s.delay(g, prot)
+            wins = s.solve(g, prot) is (LW if prot is L else RW)
+            assert (d != math.inf) == wins, g
+            assert d == brute_delay(g, prot), g
+            seen.add(wins)
+    assert seen == {True, False}
 
 
 # -- union outcome table ---------------------------------------------------------------
