@@ -287,6 +287,12 @@ def run(argv: Optional[list[str]] = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        # The searches recurse once per move, so a game with more moves than
+        # the interpreter's recursion limit allows is out of resources too.
+        print(f"error: the search went deeper than the recursion limit "
+              f"({sys.getrecursionlimit()})", file=sys.stderr)
+        return 3
     except ApgParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64

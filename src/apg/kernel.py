@@ -2,9 +2,9 @@
 
 A state is ``(n, blue, red)``: ``n`` free vertices indexed ``0..n-1`` and
 the live edges of each color as bitmasks over them, each tuple deduplicated
-and sorted by integer value.  The functions here are pure; the solver, the
-canonical-Right search in ``reductions`` and ``ops.prunable_moves`` all
-call them, so each rule is written once.
+and sorted by integer value.  The functions here are pure; the solver (its
+queries and the canonical-Right search), ``reductions.canonical_right_move``
+and ``ops.prunable_moves`` all call them, so each rule is written once.
 
 Per-node costs are kept low by reading each edge's bit positions from a
 bounded cache (:func:`bits`) and by working on whole masks where a vertex
@@ -236,3 +236,31 @@ def candidates(state: State, prune: bool) -> list[int]:
         # A stable sort keeps equal scores in index order.
         cand.sort(key=score.__getitem__, reverse=True)
     return cand
+
+
+def canonical_right_index(state: State) -> int:
+    """Right's priority pick in a blue<=3 / red<=2 game.
+
+    Fill a red unit if there is one; otherwise block Left's only blue unit
+    if there is exactly one; otherwise take the lowest vertex shared by two
+    red pairs (the centre of an intact red path of two edges); otherwise
+    vertex 0.
+    """
+    _, blue, red = state
+    red_unit_mask = 0
+    seen = 0
+    shared = 0
+    for m in red:
+        if m & (m - 1) == 0:
+            red_unit_mask |= m
+        elif m.bit_count() == 2:
+            shared |= seen & m
+            seen |= m
+    if red_unit_mask:
+        return (red_unit_mask & -red_unit_mask).bit_length() - 1
+    blue_unit_mask = unit_mask(blue)
+    if blue_unit_mask and blue_unit_mask & (blue_unit_mask - 1) == 0:
+        return blue_unit_mask.bit_length() - 1
+    if shared:
+        return (shared & -shared).bit_length() - 1
+    return 0

@@ -1,6 +1,10 @@
 """Compilers from CNF/QBF formulas to achievement games, plus the brute-force
 logic oracles and the fixed Right strategy they are checked against.
 
+The strategy's rule is ``kernel.canonical_right_index`` and the search
+against it is ``Solver.survives_canonical_right``; this module names the
+strategy's moves and maps the search's answer to ``CanonicalRightResult``.
+
 Each builder returns the game together with a provenance map from formula
 symbols to vertex names, covering every vertex exactly once.
 """
@@ -26,12 +30,12 @@ from .errors import (
     BadClauseSizeError,
     EdgeTooLargeError,
     OddVarCountError,
-    ResourceLimitError,
     ScriptViolationError,
     TooLargeError,
 )
 from .gadgets import butterfly
-from .kernel import child, dead_pair_reduce, state_of_game
+from .kernel import canonical_right_index, state_of_game
+from .solver import Solver, SolverConfig
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +271,8 @@ def qbf_game(psi: QbfFormula) -> ReductionOutput:
     stages, Left at even ones) selects a truth value; the leftover
     right-side vertex per stage records the valuation.  Blue butterflies over
     those leftovers force Right's replies while Left completes an unsatisfied
-    clause edge in the endgame.
+    clause edge in the endgame.  Each clause edge spans three valuation
+    vertices (see ``_spread_clause``), except in two-variable formulas.
     """
     n2 = psi.num_vars
     verts: list[str] = []
@@ -349,10 +354,34 @@ def qbf_game(psi: QbfFormula) -> ReductionOutput:
             # every valuation; giving it an edge over the valuation-recording
             # vertices would instead hand Left spurious mid-script threats.
             continue
-        blue.append(sorted({clause_vertex(l) for l in clause}))
+        for spread in _spread_clause(clause, n2):
+            blue.append(sorted({clause_vertex(l) for l in spread}))
 
     out = _finish(verts, blue, red, prov)
     assert all(m.bit_count() <= 3 for m in out.game.blue + out.game.red)
+    return out
+
+
+def _spread_clause(clause: Clause, num_vars: int) -> list[tuple[Literal, ...]]:
+    """Clauses over three distinct variables whose conjunction is ``clause``.
+
+    A clause over fewer distinct variables would compile to a blue edge of
+    fewer than three vertices, which hands Left wins that Falsifier does not
+    have (``QbfFormula(4, ((3, 4, 4),))`` is a Satisfier win, yet its plain
+    gadget is a Left win).  With at least four variables such a clause is
+    widened by the lowest variables it lacks, in both polarities:
+    ``(a, b, b)`` becomes ``(a | b | c) & (a | b | -c)``.  With two
+    variables no clause has three distinct ones, and the plain compilation
+    stands.
+    """
+    lits = tuple(dict.fromkeys(clause))
+    if num_vars < 4 or len(lits) == 3:
+        return [lits]
+    used = {abs(lit) for lit in lits}
+    extra = [v for v in range(1, num_vars + 1) if v not in used][:3 - len(lits)]
+    out = [lits]
+    for v in extra:
+        out = [c + (sign * v,) for c in out for sign in (1, -1)]
     return out
 
 
@@ -456,32 +485,6 @@ def maker_maker_embedding(game: Game) -> tuple[Hypergraph, str, str]:
 # ---------------------------------------------------------------------------
 # The fixed Right strategy and exploration against it
 
-def _canonical_right_index(n: int, blue: tuple[int, ...], red: tuple[int, ...]) -> int:
-    """Index of Right's priority move on a residual game (see
-    canonical_right_move)."""
-    del n
-    red_unit_mask = 0
-    seen = 0
-    shared = 0
-    for m in red:
-        if m & (m - 1) == 0:
-            red_unit_mask |= m
-        elif m.bit_count() == 2:
-            shared |= seen & m
-            seen |= m
-    if red_unit_mask:
-        return (red_unit_mask & -red_unit_mask).bit_length() - 1
-    blue_unit_mask = 0
-    for m in blue:
-        if m & (m - 1) == 0:
-            blue_unit_mask |= m
-    if blue_unit_mask and blue_unit_mask & (blue_unit_mask - 1) == 0:
-        return blue_unit_mask.bit_length() - 1
-    if shared:
-        return (shared & -shared).bit_length() - 1
-    return 0
-
-
 def canonical_right_move(position: Position) -> str:
     """Right's deterministic priority move in a blue<=3 / red<=2 game.
 
@@ -494,7 +497,7 @@ def canonical_right_move(position: Position) -> str:
     updated = position.updated_game()
     if updated.n == 0:
         raise ValueError("no vertices left to pick")
-    i = _canonical_right_index(updated.n, updated.blue, updated.red)
+    i = canonical_right_index(state_of_game(updated))
     return updated.vertices[i]
 
 
@@ -509,56 +512,11 @@ def solve_against_canonical_right(game: Game,
 
     Left moves first.  If some Left line ends in a draw or a Left win the
     answer is LeftNonLosing; since the canonical strategy is a winning one
-    whenever Right has any, exhausting every line proves RightWins.
+    whenever Right has any, exhausting every line proves RightWins.  The
+    search is :meth:`Solver.survives_canonical_right` under a fresh solver;
+    it raises EdgeTooLargeError unless blue edges have size <= 3 and red
+    edges size <= 2, and ResourceLimitError past ``node_limit`` nodes.
     """
-    if any(m.bit_count() > 3 for m in game.blue) or any(m.bit_count() > 2 for m in game.red):
-        raise EdgeTooLargeError("needs blue edges of size <= 3 and red of size <= 2")
-
-    memo: dict[tuple, bool] = {}
-    nodes = 0
-
-    def left_survives(state) -> bool:
-        # Left to move on the residual game.  The node's value equals "Left
-        # has a non-losing strategy moving first here" (surviving the fixed
-        # strategy refutes every Right strategy, and the fixed strategy wins
-        # whenever any does), so it is preserved by twin removal and by
-        # renumbering, both of which collapse transpositions.
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_limit:
-            raise ResourceLimitError(nodes, node_limit)
-        state = dead_pair_reduce(state)
-        n, blue, red = state
-        if n == 0:
-            return True  # draw by exhaustion
-        hit = memo.get(state)
-        if hit is not None:
-            return hit
-        if any(m & (m - 1) == 0 for m in blue):
-            memo[state] = True  # Left fills a blue edge now
-            return True
-        red_units = {m.bit_length() - 1 for m in red if m & (m - 1) == 0}
-        if len(red_units) >= 2:
-            memo[state] = False  # whatever Left picks, a red unit survives
-            return False
-        candidates = sorted(red_units) if red_units else range(n)
-        result = False
-        for i in candidates:
-            after_left = child(state, 0, i)
-            assert after_left is not None  # no blue units here
-            if after_left[0] == 0:
-                result = True  # the board ran out without a Right reply
-                break
-            r = _canonical_right_index(after_left[0], after_left[1], after_left[2])
-            after_right = child(after_left, 1, r)
-            if after_right is None:
-                continue  # Right's reply fills a red edge; this line loses
-            if left_survives(after_right):
-                result = True
-                break
-        memo[state] = result
-        return result
-
-    survived = left_survives(state_of_game(game))
+    survived = Solver(SolverConfig(node_limit=node_limit)).survives_canonical_right(game)
     return (CanonicalRightResult.LEFT_NON_LOSING if survived
             else CanonicalRightResult.RIGHT_WINS)

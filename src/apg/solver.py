@@ -5,8 +5,12 @@ mover's perspective ("can the mover win?", "can the mover avoid losing?"),
 asked in that order, with draws as the default.  Positions are canonicalized
 (vertices renumbered, twin pairs removed) before memo lookup so that
 transposed move orders collapse.  The mask-level state operations (child
-states, twin and dead-pair reduction, domination, move order) live in
-``kernel.py``; this module holds the memo, the node budget and the queries.
+states, twin and dead-pair reduction, domination, move order, the canonical
+Right strategy) live in ``kernel.py``; this module holds the memo, the node
+budget and the queries.  Besides the game values it answers one question
+with Right's moves fixed: whether Left survives the canonical Right strategy
+(:meth:`Solver.survives_canonical_right`), which the SAT reductions use to
+prove unsatisfiable gadgets Right wins.
 
 Pruning used by default, each individually toggleable:
   * immediate win on a one-vertex edge of the mover's color;
@@ -34,10 +38,11 @@ from .core import (
     outcome_from_results,
     status,
 )
-from .errors import ResourceLimitError
+from .errors import EdgeTooLargeError, ResourceLimitError
 from .kernel import (
     State,
     candidates,
+    canonical_right_index,
     child,
     compress,
     dead_pair_reduce,
@@ -115,6 +120,7 @@ class Solver:
         self._memo_win: dict[tuple[int, State], bool] = {}
         self._memo_avoid: dict[tuple[int, State], bool] = {}
         self._memo_delay: dict[tuple[int, int, State], float] = {}
+        self._memo_canon: dict[State, bool] = {}
         self._nodes = 0
         self._hits = 0
         self._max_depth = 0
@@ -170,11 +176,55 @@ class Solver:
                     result = True
                     break
 
-        if (self.config.memo_max_vertices is None
-                or n <= self.config.memo_max_vertices):
-            if len(memo) >= self.config.memo_flush_entries:
+        self._store(memo, key, result, n)
+        return result
+
+    def _store(self, memo: dict, key, result: bool, n: int) -> None:
+        config = self.config
+        if config.memo_max_vertices is None or n <= config.memo_max_vertices:
+            if len(memo) >= config.memo_flush_entries:
                 memo.clear()
             memo[key] = result
+
+    def _survive_eval(self, state: State, depth: int) -> bool:
+        # Left to move, Right replying with canonical_right_index.  The node's
+        # value equals "Left has a non-losing strategy moving first here"
+        # (surviving the fixed strategy refutes every Right strategy, and the
+        # fixed strategy wins whenever any does), so it is preserved by
+        # dead-pair removal and renumbering, which collapse transpositions,
+        # and a dominated Left move can be skipped as in _eval.
+        self._tick(depth)
+        if self.config.use_twin_reduction:
+            state = dead_pair_reduce(state)
+        n, blue, red = state
+        if n == 0:
+            return True  # draw by exhaustion
+        cached = self._memo_canon.get(state)
+        if cached is not None:
+            self._hits += 1
+            return cached
+        if any(m & (m - 1) == 0 for m in blue):
+            result = True  # Left fills a blue edge now
+        else:
+            red_units = set(unit_positions(red))
+            if len(red_units) >= 2:
+                result = False  # whatever Left picks, a red unit survives
+            else:
+                moves = (sorted(red_units) if red_units
+                         else candidates(state, self.config.use_domination))
+                result = False
+                for i in moves:
+                    after_left = child(state, 0, i)
+                    assert after_left is not None  # no blue units here
+                    if after_left[0] == 0:
+                        result = True  # the board ran out before Right's reply
+                        break
+                    after_right = child(after_left, 1, canonical_right_index(after_left))
+                    # None: Right's reply fills a red edge, so this line loses.
+                    if after_right is not None and self._survive_eval(after_right, depth + 1):
+                        result = True
+                        break
+        self._store(self._memo_canon, state, result, n)
         return result
 
     def _result_for_mover(self, state: State, mover: int) -> int:
@@ -198,22 +248,41 @@ class Solver:
 
     def _finish(self, mark: tuple[int, int, float]) -> None:
         n0, h0, t0 = mark
-        self.last_stats = SolveStats(
-            nodes_expanded=self._nodes - n0,
-            memo_hits=self._hits - h0,
-            max_depth=self._max_depth,
-            elapsed=time.perf_counter() - t0,
-        )
+        # Positional arguments: keywords double the cost, which shows on the
+        # batteries' millions of queries on states of a few vertices.
+        self.last_stats = SolveStats(self._nodes - n0, self._hits - h0,
+                                     self._max_depth, time.perf_counter() - t0)
 
     # -- public queries ----------------------------------------------------
 
     def solve(self, game: Game, first_player: Player) -> GameResult:
         """Game value under optimal play with the given first player."""
+        return self.solve_state(state_of_game(game), first_player)
+
+    def solve_state(self, state: State, first_player: Player) -> GameResult:
+        """:meth:`solve` on a mask-level state ``(n, blue, red)``, each edge
+        tuple deduplicated and sorted (see ``kernel``)."""
         mark = self._begin()
         try:
             mover = 0 if first_player is Player.LEFT else 1
-            value = self._result_for_mover(state_of_game(game), mover)
+            value = self._result_for_mover(state, mover)
             return self._to_game_result(value, first_player)
+        finally:
+            self._finish(mark)
+
+    def survives_canonical_right(self, game: Game) -> bool:
+        """Whether Left, moving first, avoids losing when Right always plays
+        the canonical strategy (``kernel.canonical_right_index``).
+
+        Needs blue edges of size <= 3 and red edges of size <= 2.  There the
+        canonical strategy wins whenever Right has a winning strategy, so
+        False proves that Right wins with Left moving first.
+        """
+        if any(m.bit_count() > 3 for m in game.blue) or any(m.bit_count() > 2 for m in game.red):
+            raise EdgeTooLargeError("needs blue edges of size <= 3 and red of size <= 2")
+        mark = self._begin()
+        try:
+            return self._survive_eval(state_of_game(game), 0)
         finally:
             self._finish(mark)
 

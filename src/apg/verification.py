@@ -102,14 +102,6 @@ def iter_22_states(n: int) -> Iterable[tuple[int, tuple[int, ...], tuple[int, ..
             yield (n, blue, red)
 
 
-def _mover_result_to_game_result(value: int, mover: int) -> GameResult:
-    if value == 0:
-        return DR
-    if (value > 0) == (mover == 0):
-        return LW
-    return RW
-
-
 _FORBIDDEN = {(RW, LW), (DR, LW), (RW, DR)}
 
 
@@ -136,10 +128,7 @@ def outcome_legality(seed: int = 0,
     for n in range(exhaustive_max_vertices + 1):
         for state in iter_22_states(n):
             report.checked += 1
-            rl = solver._result_for_mover(state, 0)
-            rr = solver._result_for_mover(state, 1)
-            pair = (_mover_result_to_game_result(rl, 0),
-                    _mover_result_to_game_result(rr, 1))
+            pair = (solver.solve_state(state, L), solver.solve_state(state, R))
             if pair in _FORBIDDEN:
                 report.fail(f"illegal outcome {pair} for {state}")
     rng = rng_for(seed, "outcome-legality")
@@ -174,10 +163,9 @@ def poly22_agreement(seed: int = 0,
     for n in range(exhaustive_max_vertices + 1):
         for state in iter_22_states(n):
             report.checked += 1
-            for mover, player in ((0, L), (1, R)):
+            for player in (L, R):
                 got = solve22_masks(state[0], list(state[1]), list(state[2]), player)
-                want = _mover_result_to_game_result(
-                    solver._result_for_mover(state, mover), mover)
+                want = solver.solve_state(state, player)
                 if got != want:
                     report.fail(f"{state} first={player}: poly {got} vs solver {want}")
     rng = rng_for(seed, "poly22-random")
@@ -186,10 +174,9 @@ def poly22_agreement(seed: int = 0,
         for _ in range(trials):
             state = random_22_state(rng, max_vertices=14, exact=exact)
             report.checked += 1
-            for mover, player in ((0, L), (1, R)):
+            for player in (L, R):
                 got = solve22_masks(state[0], list(state[1]), list(state[2]), player)
-                want = _mover_result_to_game_result(
-                    big._result_for_mover(state, mover), mover)
+                want = big.solve_state(state, player)
                 if got != want:
                     report.fail(f"{state} first={player}: poly {got} vs solver {want}")
     report.info["seed"] = seed

@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -143,6 +144,25 @@ def test_resource_limit_exit_code(butterfly_file, monkeypatch):
     monkeypatch.setenv("APG_NODE_LIMIT", "2")
     code, _ = invoke(["solve", butterfly_file, "--first", "left"])
     assert code == 3
+
+
+def test_deep_search_exit_code(tmp_path, capsys):
+    # A game with more moves than the recursion limit allows frames must exit
+    # 3 with one error line, not 1 with a traceback.  The limit is lowered for
+    # the test so that a short chain reaches it quickly.
+    n = 400
+    path = tmp_path / "chain.apg"
+    path.write_text("".join(f"{'blue' if i % 2 == 0 else 'red'} v{i} v{i + 1}\n"
+                            for i in range(n - 1)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        code, out = invoke(["solve", str(path), "--first", "left", "--algo", "search"])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_roundtrip_through_cli(tmp_path, butterfly_file):

@@ -14,8 +14,10 @@ from apg import (
     Position,
     QbfFormula,
     QbfWinner,
+    ResourceLimitError,
     ScriptViolationError,
     Solver,
+    SolverConfig,
     butterfly,
     canonical_right_move,
     check_forced_script,
@@ -41,6 +43,10 @@ RWINS = CanonicalRightResult.RIGHT_WINS
 
 def all_sign_clauses():
     return tuple((a, b, c) for a in (1, -1) for b in (2, -2) for c in (3, -3))
+
+
+# An unsatisfiable formula with repeated literals, on 3 variables.
+U3A = CnfFormula(3, ((1, 2, 2), (1, -2, -2), (-1, 3, 3), (-1, -3, -3)))
 
 
 # -- formulas and DIMACS ----------------------------------------------------------
@@ -133,7 +139,10 @@ def test_draw_gadget_never_left_win():
 
 def test_draw_gadget_unsat_loses():
     g = sat_draw_game(CnfFormula(3, all_sign_clauses())).game
-    assert solve_against_canonical_right(g) is RWINS
+    s = Solver()
+    assert not s.survives_canonical_right(g)
+    # Pinned so that a change to the search's pruning or order shows.
+    assert s.last_stats.nodes_expanded == 236_848
 
 
 def test_canonical_right_priorities():
@@ -160,6 +169,68 @@ def test_canonical_right_answers_literal_pick():
 def test_canonical_right_exploration_trivial_draw():
     g = new_game(["a", "b"], [], [["a", "b"]])
     assert solve_against_canonical_right(g) is NONLOSS
+
+
+def random_blue3_red2_game(rng, max_vertices=12):
+    n = rng.randint(1, max_vertices)
+    verts = [f"v{i}" for i in range(n)]
+
+    def edges(sizes):
+        return [rng.sample(verts, min(rng.choice(sizes), n))
+                for _ in range(rng.randint(0, n))]
+
+    return new_game(verts, edges((2, 3, 3)), edges((1, 2, 2)))
+
+
+@pytest.mark.parametrize("use_domination", [True, False])
+def test_canonical_right_agrees_with_full_search(use_domination):
+    # Surviving the canonical Right strategy is the same as not losing with
+    # Left first, on every blue<=3 / red<=2 board.  Each board gets a fresh
+    # solver, so no search is cut short by an earlier board's memo.
+    rng = rng_for(41, "canonical-right")
+    full = Solver()
+    right_wins = 0
+    for _ in range(1000):
+        g = random_blue3_red2_game(rng)
+        want = full.solve(g, L) is not RW
+        s = Solver(SolverConfig(use_domination=use_domination))
+        assert s.survives_canonical_right(g) == want, g
+        right_wins += not want
+    assert right_wins > 200  # both answers are exercised
+
+
+def test_canonical_right_pinned_nodes():
+    s = Solver()
+    assert not s.survives_canonical_right(sat_draw_game(U3A).game)
+    assert s.last_stats.nodes_expanded == 3_660
+
+
+def test_canonical_right_tiny_memo():
+    tiny = Solver(SolverConfig(memo_flush_entries=2))
+    full = Solver()
+    u2c = sat_draw_game(CnfFormula(2, ((1, 1, 2), (1, 1, -2), (-1, -1, 2), (-1, -1, -2))))
+    assert not tiny.survives_canonical_right(u2c.game)
+    assert not full.survives_canonical_right(u2c.game)
+    # The flushes cost the tiny memo its transpositions.
+    assert tiny.last_stats.nodes_expanded > full.last_stats.nodes_expanded
+    phi3 = CnfFormula(3, ((1, 2, 3), (-1, -2, 3), (1, -2, -3)))
+    assert tiny.survives_canonical_right(sat_draw_game(phi3).game)
+    rng = rng_for(43, "canonical-right-memo")
+    for _ in range(200):
+        g = random_blue3_red2_game(rng)
+        assert tiny.survives_canonical_right(g) == Solver().survives_canonical_right(g)
+
+
+def test_canonical_right_node_budget():
+    g = sat_draw_game(U3A).game
+    with pytest.raises(ResourceLimitError):
+        solve_against_canonical_right(g, node_limit=100)
+    assert solve_against_canonical_right(g, node_limit=3_660) is RWINS
+
+
+def test_canonical_right_edge_size_check():
+    with pytest.raises(EdgeTooLargeError):
+        solve_against_canonical_right(new_game(["a", "b", "c"], [], [["a", "b", "c"]]))
 
 
 # -- the win gadget ---------------------------------------------------------------------
@@ -226,6 +297,23 @@ def test_qbf_gadget_four_variable_spot_checks():
         out = qbf_game(psi)
         assert out.game.n == 4 * 11 + 1 == 45
         assert (s.solve(out.game, R) is GameResult.LEFT_WIN) == falsifier_wins
+
+
+def test_qbf_gadget_repeated_literals():
+    # A clause over fewer than three distinct variables must not compile to
+    # a short clause edge, which makes these two Satisfier wins LeftWin.
+    s = Solver()
+    for clauses in (((3, 4, 4),), ((3, 3, 2),)):
+        psi = QbfFormula(4, clauses)
+        assert qbf_brute(psi) is QbfWinner.SATISFIER
+        assert s.solve(qbf_game(psi).game, R) is not LW
+    rng = rng_for(5, "qbf-repeats")
+    for _ in range(20):
+        clauses = tuple(tuple(rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(3))
+                        for _ in range(rng.randint(1, 3)))
+        psi = QbfFormula(4, clauses)
+        falsifier_wins = qbf_brute(psi) is QbfWinner.FALSIFIER
+        assert (s.solve(qbf_game(psi).game, R) is LW) == falsifier_wins, clauses
 
 
 def test_forced_script_detects_tampering():
