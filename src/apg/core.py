@@ -155,8 +155,9 @@ class Game:
     """An achievement positional game.
 
     ``vertices`` fixes the index order; ``blue`` and ``red`` hold one bitmask
-    per edge, deduplicated and in a canonical order, so equal games compare
-    and hash equal.
+    per edge, deduplicated and sorted by integer value, so equal games
+    compare and hash equal and ``(n, blue, red)`` is already a mask-kernel
+    state (``kernel.state_of_game``).
     """
 
     vertices: tuple[str, ...]
@@ -201,8 +202,8 @@ class Game:
 
 
 def canonical_masks(masks: Iterable[int]) -> tuple[int, ...]:
-    """Deduplicate and sort edge masks into the canonical storage order."""
-    return tuple(sorted(set(masks), key=mask_indices))
+    """Deduplicate edge masks and sort them by integer value, as kernel states do."""
+    return tuple(sorted(set(masks)))
 
 
 def new_game(vertices: Iterable[str],

@@ -2,9 +2,10 @@
 
 A state is ``(n, blue, red)``: ``n`` free vertices indexed ``0..n-1`` and
 the live edges of each color as bitmasks over them, each tuple deduplicated
-and sorted by integer value.  The functions here are pure; the solver (its
-queries and the canonical-Right search), ``reductions.canonical_right_move``
-and ``ops.prunable_moves`` all call them, so each rule is written once.
+and sorted by integer value, as ``Game`` stores them.  The functions here
+are pure; the solver (its queries and the canonical-Right search),
+``reductions.canonical_right_move`` and the domination queries of ``ops``
+all call them, so each rule is written once.
 
 Per-node costs are kept low by reading each edge's bit positions from a
 bounded cache (:func:`bits`) and by working on whole masks where a vertex
@@ -52,7 +53,8 @@ def compress(mask: int, removed: int) -> int:
 
 
 def state_of_game(game: Game) -> State:
-    return (game.n, tuple(sorted(game.blue)), tuple(sorted(game.red)))
+    """A game's edges are stored in the kernel's order, so no sort is needed."""
+    return (game.n, game.blue, game.red)
 
 
 def unit_mask(masks: Iterable[int]) -> int:
@@ -163,27 +165,29 @@ def twin_reduce(state: State) -> State:
         state = (n - removed.bit_count(), blue, red)
 
 
-def _pruned(n: int, cover: list[int], units: int) -> int:
-    # ``cover[i]`` is the AND of the edges holding i: the j whose signature
-    # contains i's.  i is pruned when such a non-unit j != i exists that
-    # either comes first or is not dominated back (a strict domination).
-    out = 0
+def _domination(n: int, cover: list[int], units: int) -> tuple[int, int]:
+    # The dominated and the prunable vertices.  ``cover[i]`` is the AND of
+    # the edges holding i: the j whose signature contains i's.  A dominated
+    # i is prunable when such a non-unit j != i comes first or is not
+    # dominated back (a strict domination).
     others = ((1 << n) - 1) & ~units
+    dominated = pruned = 0
     for i in range(n):
         bit = 1 << i
         js = cover[i] & others & ~bit
         if not js:
             continue
+        dominated |= bit
         if js & (bit - 1):
-            out |= bit
+            pruned |= bit
             continue
         while js:  # every j here is above i
             low = js & -js
             if not cover[low.bit_length() - 1] & bit:
-                out |= bit
+                pruned |= bit
                 break
             js ^= low
-    return out
+    return dominated, pruned
 
 
 def _covers(state: State) -> tuple[list[int], list[int], int]:
@@ -204,15 +208,22 @@ def _covers(state: State) -> tuple[list[int], list[int], int]:
     return cover, score, units
 
 
-def prunable_mask(state: State) -> int:
-    """Dominated vertices safe to skip together: strict dominations plus all
-    but the lowest-indexed member of each mutual class.
+def dominated_mask(state: State) -> int:
+    """Vertices dominated by another vertex.
 
-    Vertex i is dominated by j when neither is a unit and every edge holding
-    i holds j.  A unit's own edge leaves it dominated by nothing.
+    Vertex i is dominated by j != i when neither is a unit and every edge
+    holding i holds j.  A unit's own edge leaves it dominated by nothing.
     """
     cover, _, units = _covers(state)
-    return _pruned(state[0], cover, units)
+    return _domination(state[0], cover, units)[0]
+
+
+def prunable_mask(state: State) -> int:
+    """Dominated vertices safe to skip together (see :func:`dominated_mask`):
+    strict dominations plus all but the lowest-indexed member of each mutual
+    class."""
+    cover, _, units = _covers(state)
+    return _domination(state[0], cover, units)[1]
 
 
 def candidates(state: State, prune: bool) -> list[int]:
@@ -228,7 +239,7 @@ def candidates(state: State, prune: bool) -> list[int]:
         return list(range(n))
     cover, score, units = _covers(state)
     if prune:
-        pruned = _pruned(n, cover, units)
+        pruned = _domination(n, cover, units)[1]
         cand = [i for i in range(n) if not pruned >> i & 1]
     else:
         cand = list(range(n))

@@ -18,7 +18,7 @@ from .core import (
     mask_indices,
 )
 from .errors import EmptyEdgeError, TooLargeError
-from .kernel import compress, prunable_mask, signatures, state_of_game, unit_mask
+from .kernel import compress, dominated_mask, prunable_mask, signatures, state_of_game, unit_mask
 
 
 def twin_reduce(game: Game) -> tuple[Game, list[tuple[str, str]]]:
@@ -68,20 +68,7 @@ def dominated_moves(game: Game, mover: Player) -> frozenset[str]:
     pruning with it must keep one representative per twin class.
     """
     del mover  # the domination condition is mover-independent
-    units = unit_mask(game.blue + game.red)
-    sigs = signatures(game.n, game.blue + game.red)
-    out = []
-    for i in range(game.n):
-        if units >> i & 1:
-            continue
-        si = sigs[i]
-        for j in range(game.n):
-            if j == i or units >> j & 1:
-                continue
-            if si & ~sigs[j] == 0:
-                out.append(game.vertices[i])
-                break
-    return frozenset(out)
+    return game.names_of(dominated_mask(state_of_game(game)))
 
 
 def prunable_moves(game: Game) -> frozenset[str]:
@@ -100,7 +87,8 @@ def greedy_move(game: Game, player: Player) -> tuple[str, str] | None:
     Looks for an edge {u, v} of the player's color such that every edge
     containing u also contains v.  Picking v turns the edge into the single
     threat {u}, forcing the opponent to answer u, and the exchange loses
-    nothing.  Returns (vertex_to_pick, forced_answer) or None.
+    nothing.  Takes the first such edge in stored order (ascending mask
+    value, see ``Game``).  Returns (vertex_to_pick, forced_answer) or None.
 
     Requires a game with no one-vertex edges.
     """

@@ -1,13 +1,14 @@
 """Polynomial decision procedure for games whose edges all have size <= 2.
 
-The Left-win question is answered directly; the full win/draw/loss value
-comes from running the same decision on the color-swapped game and combining
-the two answers (they can never both say "win").
+The Left-win question is answered on a :class:`Graph2` of the pair edges;
+the full win/draw/loss value comes from asking it again with the colors
+swapped and combining the two answers (they can never both say "win").
 
 Pipeline for "does Left win with a given first player":
   1. resolve one-vertex edges: a unit of the mover's color wins, two distinct
-     units of the other color lose, a single one forces the mover's pick;
-     repeat until both edge sets are graphs;
+     units of the other color lose, a single one forces the mover's pick,
+     which turns the mover's pairs through it into units; repeat until none
+     is left, so both edge sets are graphs;
   2. if Left is to move, Left wins iff the blue graph has two edges sharing a
      vertex (a P3): the shared vertex creates an unstoppable double threat,
      and without one the blue edges form a matching that Right can pair off;
@@ -24,10 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import Iterable, Optional, Union
 
-from .core import Game, GameResult, Player, mask_indices
+from .core import Game, GameResult, Player
 from .errors import EdgeTooLargeError, InvalidPathError
+
+_MOVER = {Player.LEFT: 0, Player.RIGHT: 1}
+_WINS = (GameResult.LEFT_WIN, GameResult.RIGHT_WIN)
 
 
 class PathKind(Enum):
@@ -81,10 +85,52 @@ class Reduced:
     to_move: Player
 
 
-def _check_sizes(blue, red) -> None:
-    for m in list(blue) + list(red):
-        if m.bit_count() > 2:
-            raise EdgeTooLargeError("this procedure needs all edges of size <= 2")
+def _resolve(blue: Iterable[int], red: Iterable[int],
+             mover: int) -> tuple[Optional[GameResult], Graph2, int]:
+    """Play out the forced picks from these edge masks, each size-checked
+    before any decision.  Units are kept per color (0 blue, 1 red) beside
+    the graph of the pair edges, and a pick costs the picked vertex's
+    degree.  Returns the decided result or None, the graph and the mover."""
+    adjs: tuple[dict[int, set[int]], dict[int, set[int]]] = ({}, {})
+    units = (set(), set())
+    for color, masks in ((0, blue), (1, red)):
+        adj = adjs[color]
+        for m in masks:
+            if m & (m - 1) == 0:
+                units[color].add(m.bit_length() - 1)
+                continue
+            if m.bit_count() > 2:
+                raise EdgeTooLargeError("this procedure needs all edges of size <= 2")
+            a = (m & -m).bit_length() - 1
+            b = m.bit_length() - 1
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+    blue_adj, red_adj = adjs
+    alive = blue_adj.keys() | red_adj.keys()
+    for adj in adjs:
+        for v in alive - adj.keys():
+            adj[v] = set()
+    g = Graph2(alive, blue_adj, red_adj)
+    while True:
+        if units[mover]:
+            return _WINS[mover], g, mover  # fill a one-vertex edge now
+        threats = units[1 - mover]
+        if len(threats) >= 2:
+            return _WINS[1 - mover], g, mover  # only one can be blocked
+        if not threats:
+            return None, g, mover
+        # The mover must take the threat v: the opponent's edges through v
+        # die, and the mover's pairs through v shrink to units.
+        v = threats.pop()
+        units[mover].update(adjs[mover].get(v, ()))
+        for adj in adjs:
+            for w in adj.pop(v, ()):
+                adj[w].discard(v)
+                if not blue_adj[w] and not red_adj[w]:
+                    alive.discard(w)  # its last edge went with v
+                    del blue_adj[w], red_adj[w]
+        alive.discard(v)
+        mover = 1 - mover
 
 
 def preprocess_units(game: Game, first_player: Player) -> Union[Decided, Reduced]:
@@ -96,55 +142,10 @@ def preprocess_units(game: Game, first_player: Player) -> Union[Decided, Reduced
     recurses on the residual game.  Otherwise returns the two graphs with the
     player then to move.
     """
-    _check_sizes(game.blue, game.red)
-    return _preprocess_masks(game.n, list(game.blue), list(game.red), first_player)
-
-
-def _preprocess_masks(n: int, blue: list[int], red: list[int],
-                      mover: Player) -> Union[Decided, Reduced]:
-    while True:
-        own, other = (blue, red) if mover is Player.LEFT else (red, blue)
-        own_units = {m for m in own if m.bit_count() == 1}
-        other_units = {m for m in other if m.bit_count() == 1}
-        if own_units:
-            win = GameResult.LEFT_WIN if mover is Player.LEFT else GameResult.RIGHT_WIN
-            return Decided(win)
-        if len(other_units) >= 2:
-            win = GameResult.LEFT_WIN if mover is Player.RIGHT else GameResult.RIGHT_WIN
-            return Decided(win)
-        if len(other_units) == 1:
-            bit = next(iter(other_units))
-            new_own = []
-            for m in own:
-                m &= ~bit  # at most shrinks to size 1; never empties (no own units)
-                new_own.append(m)
-            new_other = [m for m in other if not m & bit]
-            own, other = sorted(set(new_own)), sorted(set(new_other))
-            if mover is Player.LEFT:
-                blue, red = own, other
-            else:
-                red, blue = own, other
-            n -= 1  # vertex counts no longer matter beyond the graphs
-            mover = mover.opponent
-            continue
-        return Reduced(_masks_to_graph2_relabeled(blue, red), mover)
-
-
-def _masks_to_graph2_relabeled(blue: list[int], red: list[int]) -> Graph2:
-    used = 0
-    for m in blue + red:
-        used |= m
-    verts = mask_indices(used)
-    g = Graph2(set(verts), {v: set() for v in verts}, {v: set() for v in verts})
-    for m in blue:
-        a, b = mask_indices(m)
-        g.blue_adj[a].add(b)
-        g.blue_adj[b].add(a)
-    for m in red:
-        a, b = mask_indices(m)
-        g.red_adj[a].add(b)
-        g.red_adj[b].add(a)
-    return g
+    decided, g2, mover = _resolve(game.blue, game.red, _MOVER[first_player])
+    if decided is not None:
+        return Decided(decided)
+    return Reduced(g2, Player.RIGHT if mover else Player.LEFT)
 
 
 def left_to_move_rule(g2: Graph2) -> bool:
@@ -238,21 +239,19 @@ def right_to_move_rule(g2: Graph2) -> bool:
     return True
 
 
-def _left_wins_masks(n: int, blue: list[int], red: list[int],
-                     first_player: Player) -> bool:
-    step = _preprocess_masks(n, blue, red, first_player)
-    if isinstance(step, Decided):
-        return step.result is GameResult.LEFT_WIN
-    if step.to_move is Player.LEFT:
-        return left_to_move_rule(step.graph)
-    return right_to_move_rule(step.graph)
-
-
-def solve22_masks(n: int, blue: list[int], red: list[int],
+def solve22_masks(n: int, blue: Iterable[int], red: Iterable[int],
                   first_player: Player) -> GameResult:
-    _check_sizes(blue, red)
-    left = _left_wins_masks(n, list(blue), list(red), first_player)
-    right = _left_wins_masks(n, list(red), list(blue), first_player.opponent)
+    """:func:`solve22` on edge masks (``n`` is not needed).  The forced picks
+    are the same with the colors swapped, so they are resolved once; the
+    rule run on the swapped graph says whether Right wins."""
+    decided, g2, mover = _resolve(blue, red, _MOVER[first_player])
+    if decided is not None:
+        return decided
+    mirror = Graph2(g2.alive, g2.red_adj, g2.blue_adj)  # the rules never modify it
+    if mover == 0:
+        left, right = left_to_move_rule(g2), right_to_move_rule(mirror)
+    else:
+        left, right = right_to_move_rule(g2), left_to_move_rule(mirror)
     if left and right:
         raise AssertionError("both players cannot have winning strategies")
     if left:
@@ -268,4 +267,4 @@ def solve22(game: Game, first_player: Player) -> GameResult:
     Runs the Left-win decision and its color-swapped mirror; at most one can
     answer "win", and neither means a draw.
     """
-    return solve22_masks(game.n, list(game.blue), list(game.red), first_player)
+    return solve22_masks(game.n, game.blue, game.red, first_player)

@@ -44,23 +44,11 @@ from .kernel import (
     candidates,
     canonical_right_index,
     child,
-    compress,
     dead_pair_reduce,
-    prunable_mask,
-    signatures,
     state_of_game,
     twin_reduce,
     unit_positions,
 )
-
-# The kernel's functions under the names earlier callers imported.
-_compress = compress
-_child = child
-_state_sigs = signatures
-_unit_positions = unit_positions
-_dead_pair_reduce = dead_pair_reduce
-_twin_reduce_state = twin_reduce
-_prunable_mask = prunable_mask
 
 _WIN, _DRAW, _LOSS = 1, 0, -1
 
@@ -179,7 +167,7 @@ class Solver:
         self._store(memo, key, result, n)
         return result
 
-    def _store(self, memo: dict, key, result: bool, n: int) -> None:
+    def _store(self, memo: dict, key, result, n: int) -> None:
         config = self.config
         if config.memo_max_vertices is None or n <= config.memo_max_vertices:
             if len(memo) >= config.memo_flush_entries:
@@ -423,7 +411,7 @@ class Solver:
                     if v > result:
                         result = v
 
-        self._memo_delay[key] = result
+        self._store(self._memo_delay, key, result, n)
         return result
 
     def delay(self, game: Game, protagonist: Player) -> Delay:

@@ -164,7 +164,7 @@ def poly22_agreement(seed: int = 0,
         for state in iter_22_states(n):
             report.checked += 1
             for player in (L, R):
-                got = solve22_masks(state[0], list(state[1]), list(state[2]), player)
+                got = solve22_masks(*state, player)
                 want = solver.solve_state(state, player)
                 if got != want:
                     report.fail(f"{state} first={player}: poly {got} vs solver {want}")
@@ -175,7 +175,7 @@ def poly22_agreement(seed: int = 0,
             state = random_22_state(rng, max_vertices=14, exact=exact)
             report.checked += 1
             for player in (L, R):
-                got = solve22_masks(state[0], list(state[1]), list(state[2]), player)
+                got = solve22_masks(*state, player)
                 want = big.solve_state(state, player)
                 if got != want:
                     report.fail(f"{state} first={player}: poly {got} vs solver {want}")

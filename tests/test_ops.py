@@ -103,20 +103,34 @@ def test_prunable_subset_keeps_twin_representative():
     assert prunable_moves(g) == {"b"}  # the lowest-indexed twin survives
 
 
-def test_prunable_matches_solver_internal_rule():
+def _pairwise_domination(g):
+    """Reference: (dominated, prunable) vertex sets by comparing every pair."""
+    units = {next(iter(e)) for e in g.blue_edges | g.red_edges if len(e) == 1}
+    holding = {v: {e for e in g.blue_edges | g.red_edges if v in e} for v in g.vertices}
+
+    def dominators(u):
+        return [v for v in g.vertices if v != u and u not in units and v not in units
+                and all(v in e for e in holding[u])]
+
+    dominated = {u for u in g.vertices if dominators(u)}
+    index = g.vertices.index
+    prunable = {u for u in dominated
+                if any(index(v) < index(u) or u not in dominators(v) for v in dominators(u))}
+    return dominated, prunable
+
+
+def test_domination_matches_pairwise_reference():
     import random
 
+    from apg.gadgets import random_game
     from apg.ops import prunable_moves
-    from apg.solver import _prunable_mask, state_of_game
 
     rng = random.Random(5150)
-    from apg.gadgets import random_game
-
     for _ in range(200):
         g = random_game(rng, max_vertices=7, max_edge_size=3)
-        mask = _prunable_mask(state_of_game(g))
-        from_state = {g.vertices[i] for i in range(g.n) if mask >> i & 1}
-        assert from_state == prunable_moves(g), g
+        dominated, prunable = _pairwise_domination(g)
+        assert dominated_moves(g, L) == dominated == dominated_moves(g, R), g
+        assert prunable_moves(g) == prunable, g
 
 
 # -- greedy forcing move -------------------------------------------------------

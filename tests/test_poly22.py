@@ -218,6 +218,42 @@ def test_random_alignment_medium_games():
             assert solve22(g, first) == solver.solve(g, first), g
 
 
+def _forcing_chain(n, unit, first_pair, tail=None):
+    """A unit of color ``unit`` on v0, then the pair edges v0v1, v1v2, ...
+    in alternating colors from ``first_pair``; ``tail`` adds a P3 of that
+    color on three fresh vertices, whose value depends on who moves after
+    the forced picks."""
+    verts = [f"v{i}" for i in range(n)]
+    edges = {L: [], R: []}
+    edges[unit].append([verts[0]])
+    color = first_pair
+    for i in range(n - 1):
+        edges[color].append([verts[i], verts[i + 1]])
+        color = color.opponent
+    if tail is not None:
+        verts += ["x", "y", "z"]
+        edges[tail] += [["x", "y"], ["y", "z"]]
+    return new_game(verts, edges[L], edges[R])
+
+
+def test_alternating_forcing_chains_match_solver():
+    solver = Solver()
+    for n in range(2, 15):
+        for unit, first_pair, tail, first in itertools.product(
+                (L, R), (L, R), (None, L, R), (L, R)):
+            g = _forcing_chain(n, unit, first_pair, tail)
+            assert solve22(g, first) == solver.solve(g, first), g
+
+
+def test_long_forcing_chain():
+    # Left first must block the red unit v0, and each pick turns the
+    # picker's pair through it into the next forced threat: the 3,000 picks
+    # leave Left to move beside the blue P3, which Left wins.  One vertex
+    # more leaves Right to move, who takes its centre: a draw.
+    assert solve22(_forcing_chain(3000, R, L, L), L) is LW
+    assert solve22(_forcing_chain(3001, R, L, L), L) is DR
+
+
 def _graph2_as_game(g2):
     verts = sorted(g2.alive)
     names = [f"v{i}" for i in verts]

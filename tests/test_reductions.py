@@ -322,7 +322,9 @@ def test_forced_script_detects_tampering():
 
     out = qbf_game(QbfFormula(2, ((1, 1, 2),)))
     g = out.game
-    tampered = game_from_masks(g.vertices, g.blue, g.red[1:])
+    dropped = g.mask_of(("tL1", "tR1", "v1"))
+    assert dropped in g.red
+    tampered = game_from_masks(g.vertices, g.blue, [m for m in g.red if m != dropped])
     with pytest.raises(ScriptViolationError):
         check_forced_script(ReductionOutput(tampered, out.provenance), "tt")
 

@@ -243,6 +243,15 @@ def test_delay_right_protagonist():
     assert brute_delay(g, R) == 1
 
 
+def test_delay_memo_obeys_the_memo_bounds():
+    s = Solver(SolverConfig(memo_flush_entries=2, memo_max_vertices=0))
+    assert s.delay(win_in_k(4), L) == 3
+    assert all(state[0] == 0 for _, _, state in s._memo_delay)
+    s = Solver(SolverConfig(memo_flush_entries=2))
+    assert s.delay(win_in_k(4), L) == 3
+    assert 0 < len(s._memo_delay) <= 2
+
+
 def test_delay_agrees_with_brute_on_random_games():
     rng = rng_for(31, "delay-brute")
     s = Solver()
