@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from typing import Optional
 
 from . import verification
@@ -98,8 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", choices=("lemmas", "table3", "poly22", "reductions"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1000)
-
-    sub.add_parser("bench", help="small timing report")
     return parser
 
 
@@ -236,36 +233,6 @@ def _cmd_verify(args) -> int:
     return 0 if failed == 0 else 2
 
 
-def _cmd_bench(args) -> int:
-    del args
-    solver = _solver()
-    t0 = time.perf_counter()
-    solver.outcome(butterfly())
-    _emit([("bench_butterfly_outcome_ms", round(1000 * (time.perf_counter() - t0), 2))])
-    from .gadgets import random_game, rng_for
-
-    rng = rng_for(0, "bench")
-    games = [random_game(rng, max_vertices=10, max_edge_size=3) for _ in range(200)]
-    t0 = time.perf_counter()
-    for g in games:
-        solver.solve(g, Player.LEFT)
-    dt = time.perf_counter() - t0
-    _emit([("bench_random_solves", 200),
-           ("bench_random_solve_ms_avg", round(1000 * dt / 200, 3))])
-    rng = rng_for(1, "bench22")
-    games22 = [random_game(rng, max_vertices=12, max_edge_size=2) for _ in range(500)]
-    t0 = time.perf_counter()
-    for g in games22:
-        solve22(g, Player.LEFT)
-    dt = time.perf_counter() - t0
-    _emit([("bench_poly22_solves", 500),
-           ("bench_poly22_solve_ms_avg", round(1000 * dt / 500, 3))])
-    t0 = time.perf_counter()
-    solver.delay(win_in_k(4), Player.LEFT)
-    _emit([("bench_delay_w4_ms", round(1000 * (time.perf_counter() - t0), 2))])
-    return 0
-
-
 _COMMANDS = {
     "solve": _cmd_solve,
     "outcome": _cmd_outcome,
@@ -275,7 +242,6 @@ _COMMANDS = {
     "reduce": _cmd_reduce,
     "embed": _cmd_embed,
     "verify": _cmd_verify,
-    "bench": _cmd_bench,
 }
 
 

@@ -10,6 +10,16 @@ all call them, so each rule is written once.
 Per-node costs are kept low by reading each edge's bit positions from a
 bounded cache (:func:`bits`) and by working on whole masks where a vertex
 loop would compare every pair.
+
+Twin reduction is local in the search.  The touched mask of a pick
+(:func:`touched_mask`) holds the other vertices of the opponent's edges
+through it, which the pick kills.  When the parent is twin-free, every
+twin pair of the child holds a touched vertex, because the mover's edges
+through the pick only shrink, and ``e - {i}`` tells two vertices other
+than ``i`` apart exactly when ``e`` did.  ``twin_reduce(child, touched)``
+then equals ``twin_reduce(child)``; passing the mask of a parent that is
+not twin-free gives a wrong state.  The mask is its own function, so the
+searches that never twin-reduce do not pay for it.
 """
 
 from __future__ import annotations
@@ -22,9 +32,10 @@ if TYPE_CHECKING:
 
 State = tuple[int, tuple[int, ...], tuple[int, ...]]
 
-# Residual states are renumbered, so few distinct edge masks recur: the SAT
-# gadget searches meet about 500.  The bound keeps the cache to a few MB on
-# inputs that meet many more.
+# Residual states are renumbered, so few distinct masks recur: the edge
+# masks, and the parts of them that twin_reduce reads, number about 5,000 in
+# the `gadgets` and `boards` benchmark searches.  The bound keeps the cache
+# to a few MB on inputs that meet many more.
 BITS_CACHE_SIZE = 1 << 13
 
 
@@ -39,7 +50,8 @@ def mask_indices(mask: int) -> tuple[int, ...]:
 
 
 bits = lru_cache(maxsize=BITS_CACHE_SIZE)(mask_indices)
-bits.__doc__ = "Cached :func:`mask_indices`, for edge masks met at every node."
+bits.__doc__ = ("Cached :func:`mask_indices`, for the edge masks and their parts "
+                "met at every node.")
 
 
 def compress(mask: int, removed: int) -> int:
@@ -111,6 +123,19 @@ def child(state: State, mover: int, i: int) -> Optional[State]:
     return (n - 1, other_t, own_t)
 
 
+def touched_mask(state: State, mover: int, i: int) -> int:
+    """The touched mask of :func:`child`'s state: the other vertices of the
+    opponent's edges through ``i``, which the pick kills, numbered as in
+    the child.  Only those can gain a twin (see :func:`twin_reduce`)."""
+    bit = 1 << i
+    touched = 0
+    for m in (state[2] if mover == 0 else state[1]):
+        if m & bit:
+            touched |= m
+    low = bit - 1
+    return (touched & low) | ((touched >> 1) & ~low)  # drops i itself
+
+
 def dead_pair_reduce(state: State) -> State:
     """Remove vertices carried by no edge, in pairs (parity is preserved by
     keeping one when their count is odd).  A cheap special case of twin
@@ -133,36 +158,94 @@ def dead_pair_reduce(state: State) -> State:
             tuple(compress(m, dead) for m in red))
 
 
-def twin_reduce(state: State) -> State:
-    """Remove twin pairs until every vertex signature is distinct.
+def twin_reduce(state: State, touched: Optional[int] = None) -> State:
+    """Remove twin pairs until no two vertices are twins.
 
     Twins are non-unit vertices in exactly the same edges; each pair is one
     pick by each player, so both vertices go and every edge holding them
-    dies.  A unit vertex's own edge makes its signature unique, so equal
-    signatures never involve a unit.
+    dies.  Two vertices with edges are twins exactly when their cover masks
+    (the AND of the edges holding each) are equal; a unit's cover is the
+    unit alone, so units never pair.  Vertices in no edge are twins of each
+    other.
+
+    Every twin pair must hold a vertex of ``touched`` (default: all
+    vertices); :func:`touched_mask` gives such a mask for the child of a
+    twin-free state.  Only the covers of the touched vertices and of the
+    vertices inside those covers, where any twin of theirs lies, are built.
     """
-    # Twin pairs are removed a whole sweep at a time: within one signature
-    # class the removals commute (killing one pair's edges leaves the rest of
-    # the class identical), and distinct classes do not interact.
-    while True:
-        n, blue, red = state
-        if n < 2:
-            return state
-        sigs = signatures(n, blue + red)
-        if len(set(sigs)) == n:
-            return state
+    n, blue, red = state
+    if touched is None:
+        touched = (1 << n) - 1
+    # Twin pairs are removed a whole sweep at a time: within one class the
+    # removals commute (killing one pair's edges leaves the rest of the
+    # class identical), and distinct classes do not interact.  After a
+    # sweep, the survivors differed pairwise, and only a killed edge can
+    # have told two of them apart, so the survivors of the killed edges
+    # are the next touched mask.
+    while n >= 2 and touched:
+        edges = blue + red
+        cover = [-1] * n
+        for m in edges:
+            if m & touched:
+                for i in bits(m & touched):
+                    cover[i] &= m
+        if touched == (1 << n) - 1:
+            # Every cover is built, and the vertices in no edge share -1.
+            if len(set(cover)) == n:
+                break
+            span = touched
+        else:
+            span = 0
+            lonely = False
+            for i in bits(touched):
+                c = cover[i]
+                if c == -1:
+                    lonely = True  # a touched vertex in no edge
+                else:
+                    span |= c
+            rest = span & ~touched
+            if rest:
+                for m in edges:
+                    if m & rest:
+                        for i in bits(m & rest):
+                            cover[i] &= m
+            if lonely:
+                used = 0
+                for m in edges:
+                    used |= m
+                span |= ((1 << n) - 1) & ~used  # the vertices in no edge
         # Pair each class's members in index order; an odd one out stays.
         unpaired: dict[int, int] = {}
         removed = 0
-        for i, s in enumerate(sigs):
-            j = unpaired.pop(s, None)
+        for i in bits(span):
+            c = cover[i]
+            j = unpaired.pop(c, None)
             if j is None:
-                unpaired[s] = i
+                unpaired[c] = i
             else:
                 removed |= (1 << j) | (1 << i)
-        blue = tuple(sorted({compress(m, removed) for m in blue if not m & removed}))
-        red = tuple(sorted({compress(m, removed) for m in red if not m & removed}))
-        state = (n - removed.bit_count(), blue, red)
+        if not removed:
+            break
+        killed = 0
+        for m in edges:
+            if m & removed:
+                killed |= m
+        blue = [m for m in blue if not m & removed]
+        red = [m for m in red if not m & removed]
+        touched = killed & ~removed
+        # Drop the removed positions, the highest first so that the lower
+        # ones stay put.  The kept edges miss them all, so they stay
+        # distinct and ordered: no sort is needed.
+        for b in reversed(bits(removed)):
+            low = (1 << b) - 1
+            hi = ~low
+            blue = [(m & low) | ((m >> 1) & hi) for m in blue]
+            red = [(m & low) | ((m >> 1) & hi) for m in red]
+            touched = (touched & low) | ((touched >> 1) & hi)
+        blue, red = tuple(blue), tuple(red)
+        n -= removed.bit_count()
+        state = (n, blue, red)
+    return state
 
 
 def _domination(n: int, cover: list[int], units: int) -> tuple[int, int]:

@@ -219,14 +219,17 @@ def right_to_move_rule(g2: Graph2) -> bool:
     if g2.red_has_p3():
         return False
     g2 = g2.copy()
-    while True:
+    # Each deletion preserves the value, so a pass scans on after one, and
+    # passes repeat until one deletes nothing.
+    deleted = True
+    while deleted:
+        deleted = False
         for u in sorted(g2.alive):
-            probe = classify(g2, u)
-            if probe.kind is PathKind.EVEN:
-                reduce_type3(g2, probe.path)
-                break
-        else:
-            break
+            if u in g2.alive:
+                probe = classify(g2, u)
+                if probe.kind is PathKind.EVEN:
+                    reduce_type3(g2, probe.path)
+                    deleted = True
     if not g2.alive:
         return False  # the game ends in a draw
     for u in sorted(g2.alive):

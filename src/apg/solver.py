@@ -46,6 +46,7 @@ from .kernel import (
     child,
     dead_pair_reduce,
     state_of_game,
+    touched_mask,
     twin_reduce,
     unit_positions,
 )
@@ -123,10 +124,13 @@ class Solver:
         if depth > self._max_depth:
             self._max_depth = depth
 
-    def _eval(self, state: State, mover: int, want_win: bool, depth: int) -> bool:
+    def _eval(self, state: State, mover: int, want_win: bool, depth: int,
+              touched: Optional[int] = None) -> bool:
+        # ``touched`` is the parent's ``touched_mask`` for the pick when the
+        # parent node was twin-free, else None (see ``kernel.twin_reduce``).
         self._tick(depth)
         if self.config.use_twin_reduction:
-            state = twin_reduce(state)
+            state = twin_reduce(state, touched)
         n, blue, red = state
         memo = self._memo_win if want_win else self._memo_avoid
         key = (mover, state)
@@ -160,7 +164,8 @@ class Solver:
                 if after is None:
                     result = True  # the pick fills an edge of the mover's color
                     break
-                if not self._eval(after, opp, not want_win, depth + 1):
+                if not self._eval(after, opp, not want_win, depth + 1,
+                                  touched_mask(state, mover, i)):
                     result = True
                     break
 
@@ -276,14 +281,15 @@ class Solver:
 
     def outcome(self, game: Game) -> Outcome:
         """The pair of values (Left starts, Right starts), checked for legality."""
+        return outcome_from_results(*self.outcome_state(state_of_game(game)))
+
+    def outcome_state(self, state: State) -> tuple[GameResult, GameResult]:
+        """The values of a mask-level state with Left and with Right first,
+        as one query: ``last_stats`` covers both."""
         mark = self._begin()
         try:
-            state = state_of_game(game)
-            left_starts = self._to_game_result(
-                self._result_for_mover(state, 0), Player.LEFT)
-            right_starts = self._to_game_result(
-                self._result_for_mover(state, 1), Player.RIGHT)
-            return outcome_from_results(left_starts, right_starts)
+            return (self._to_game_result(self._result_for_mover(state, 0), Player.LEFT),
+                    self._to_game_result(self._result_for_mover(state, 1), Player.RIGHT))
         finally:
             self._finish(mark)
 

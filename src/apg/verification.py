@@ -128,7 +128,7 @@ def outcome_legality(seed: int = 0,
     for n in range(exhaustive_max_vertices + 1):
         for state in iter_22_states(n):
             report.checked += 1
-            pair = (solver.solve_state(state, L), solver.solve_state(state, R))
+            pair = solver.outcome_state(state)
             if pair in _FORBIDDEN:
                 report.fail(f"illegal outcome {pair} for {state}")
     rng = rng_for(seed, "outcome-legality")
@@ -163,9 +163,8 @@ def poly22_agreement(seed: int = 0,
     for n in range(exhaustive_max_vertices + 1):
         for state in iter_22_states(n):
             report.checked += 1
-            for player in (L, R):
+            for player, want in zip((L, R), solver.outcome_state(state)):
                 got = solve22_masks(*state, player)
-                want = solver.solve_state(state, player)
                 if got != want:
                     report.fail(f"{state} first={player}: poly {got} vs solver {want}")
     rng = rng_for(seed, "poly22-random")

@@ -194,8 +194,3 @@ def test_gadget_size_guard_exit_code(tmp_path):
     code, _ = invoke(["gadget", "wk", "--k", "9", "-o", str(tmp_path / "w.apg")])
     assert code == 64
 
-
-def test_bench_runs():
-    code, out = invoke(["bench"])
-    assert code == 0
-    assert "bench_butterfly_outcome_ms" in out

@@ -15,6 +15,7 @@ from apg.kernel import (
     prunable_mask,
     signatures,
     state_of_game,
+    touched_mask,
     twin_reduce,
 )
 from apg.reductions import CnfFormula, sat_draw_game, sat_win_game
@@ -114,21 +115,27 @@ def test_candidates_are_unpruned_vertices_by_score():
 @pytest.mark.parametrize("states", [exhaustive_states, lambda: random_states(4, 1500)],
                          ids=["exhaustive", "random"])
 def test_child_matches_update(states):
+    # The touched mask is the other vertices of the opponent's edges through
+    # the pick, the edges the pick kills, as indices of the child.
     for state in states():
         game = as_game(state)
-        for i in range(state[0]):
-            for mover, picks in ((0, ([game.vertices[i]], [])),
-                                 (1, ([], [game.vertices[i]]))):
+        for i, v in enumerate(game.vertices):
+            for mover, picks, dying in ((0, ([v], []), game.red_edges),
+                                        (1, ([], [v]), game.blue_edges)):
                 try:
-                    want = state_of_game(update(game, *picks))
+                    after = update(game, *picks)
                 except AlreadyWonError:
-                    want = None
-                assert child(state, mover, i) == want, (state, mover, i)
+                    assert child(state, mover, i) is None, (state, mover, i)
+                    continue
+                assert child(state, mover, i) == state_of_game(after), (state, mover, i)
+                touched = after.mask_of(set().union(*(e for e in dying if v in e)) - {v})
+                assert touched_mask(state, mover, i) == touched, (state, mover, i)
 
 
 def test_twin_reduce_reaches_a_fixed_point():
     for state in all_states():
         reduced = twin_reduce(state)
+        assert reduced == reference_twin_reduce(state), state
         n, blue, red = reduced
         assert blue == tuple(sorted(set(blue))) and red == tuple(sorted(set(red)))
         sigs = signatures(n, blue + red)
@@ -136,6 +143,76 @@ def test_twin_reduce_reaches_a_fixed_point():
         assert twin_reduce(reduced) == reduced
         # pairs are removed, so the move parity is kept
         assert (state[0] - n) % 2 == 0
+
+
+def reference_twin_reduce(state):
+    """Twin removal by whole-board signatures: every sweep pairs each class
+    of equal signatures in index order, until all signatures differ."""
+    while True:
+        n, blue, red = state
+        sigs = signatures(n, blue + red)
+        units = {m.bit_length() - 1 for m in blue + red if m.bit_count() == 1}
+        first = {}
+        removed = 0
+        for i, sig in enumerate(sigs):
+            if i in units:
+                continue
+            if sig in first:
+                removed |= 1 << first.pop(sig) | 1 << i
+            else:
+                first[sig] = i
+        if not removed:
+            return state
+        state = (n - removed.bit_count(),
+                 tuple(sorted({compress(m, removed) for m in blue if not m & removed})),
+                 tuple(sorted({compress(m, removed) for m in red if not m & removed})))
+
+
+def twin_free_children(states):
+    """Every child of the twin-free form of each state, with its touched
+    mask."""
+    for state in states:
+        parent = reference_twin_reduce(state)
+        for mover in (0, 1):
+            for i in range(parent[0]):
+                after = child(parent, mover, i)
+                if after is not None:
+                    yield after, touched_mask(parent, mover, i)
+
+
+def test_twin_reduce_from_touched_matches_full():
+    # Children that gain twins beside units, dead vertices or through a
+    # second sweep must all occur, or the local search is not exercised.
+    seen = {"twins": 0, "units": 0, "dead": 0, "resweep": 0}
+    states = itertools.chain(exhaustive_states(), random_states(31, 4000))
+    for state, touched in twin_free_children(states):
+        full = reference_twin_reduce(state)
+        assert twin_reduce(state, touched) == twin_reduce(state) == full, (state, touched)
+        if full == state:
+            continue
+        n, blue, red = state
+        seen["twins"] += 1
+        seen["units"] += any(m & (m - 1) == 0 for m in blue + red)
+        used = 0
+        for m in blue + red:
+            used |= m
+        seen["dead"] += (((1 << n) - 1) & ~used).bit_count() >= 2
+        seen["resweep"] += n - full[0] > first_sweep_size(state)
+    assert all(seen.values()), seen
+
+
+def first_sweep_size(state):
+    """Vertices one sweep removes: all but the odd one out of each class of
+    non-unit vertices in exactly the same edges (dead vertices included)."""
+    n, blue, red = state
+    edges = blue + red
+    units = {m.bit_length() - 1 for m in edges if m.bit_count() == 1}
+    classes = {}
+    for i in range(n):
+        if i not in units:
+            key = frozenset(e for e, m in enumerate(edges) if m >> i & 1)
+            classes[key] = classes.get(key, 0) + 1
+    return sum(size - size % 2 for size in classes.values())
 
 
 def test_compress_drops_positions_in_order():

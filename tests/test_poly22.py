@@ -254,6 +254,17 @@ def test_long_forcing_chain():
     assert solve22(_forcing_chain(3001, R, L, L), L) is DR
 
 
+def test_many_even_paths_behind_odd_ones():
+    # A blue matching on the low vertices (odd paths, scanned first) and a
+    # red matching on the others (even paths, each deleted): Right first
+    # draws.  A scan that restarts after each deletion is quadratic here.
+    k = 1000
+    blue = [[f"v{2 * j}", f"v{2 * j + 1}"] for j in range(k)]
+    red = [[f"v{2 * k + 2 * j}", f"v{2 * k + 2 * j + 1}"] for j in range(k)]
+    g = new_game([f"v{i}" for i in range(4 * k)], blue, red)
+    assert solve22(g, R) is DR
+
+
 def _graph2_as_game(g2):
     verts = sorted(g2.alive)
     names = [f"v{i}" for i in verts]

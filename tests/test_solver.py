@@ -22,6 +22,7 @@ from apg import (
     win_in_k,
 )
 from apg.gadgets import outcome_exemplar, random_game, rng_for
+from apg.kernel import state_of_game
 from apg.reductions import CnfFormula, sat_draw_game
 from apg.solver import UNION_OUTCOMES
 
@@ -194,6 +195,20 @@ def test_max_depth_covers_one_query():
     assert s.last_stats.max_depth > 3
     s.solve(butterfly(), L)
     assert s.last_stats.max_depth == 3
+
+
+def test_outcome_state_is_one_query_for_both_first_players():
+    rng = rng_for(8, "outcome-state")
+    for _ in range(40):
+        state = state_of_game(random_game(rng, max_vertices=8, max_edge_size=3))
+        both = Solver()
+        pair = both.outcome_state(state)
+        apart = Solver()
+        left = apart.solve_state(state, L)
+        nodes = apart.last_stats.nodes_expanded
+        right = apart.solve_state(state, R)
+        assert pair == (left, right)
+        assert both.last_stats.nodes_expanded == nodes + apart.last_stats.nodes_expanded
 
 
 def test_move_value_records_its_stats():
