@@ -14,7 +14,7 @@ import sys
 from typing import Optional
 
 from . import verification
-from .core import Game, Player, parse_outcome
+from .core import Player, parse_outcome
 from .errors import ApgError, ApgParseError, ResourceLimitError
 from .formats import load_game, save_game, save_game_with_comments
 from .gadgets import butterfly, outcome_exemplar, win_in_k
@@ -47,10 +47,6 @@ def _solver() -> Solver:
     if limit:
         config.node_limit = int(limit)
     return Solver(config)
-
-
-def _load(path: str) -> Game:
-    return load_game(path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,7 +102,7 @@ def _emit(pairs) -> None:
 
 
 def _cmd_solve(args) -> int:
-    game = _load(args.file)
+    game = load_game(args.file)
     small = all(m.bit_count() <= 2 for m in game.blue + game.red)
     algo = args.algo
     if algo == "auto":
@@ -130,13 +126,13 @@ def _cmd_solve(args) -> int:
 
 def _cmd_outcome(args) -> int:
     solver = _solver()
-    _emit([("outcome", solver.outcome(_load(args.file)))])
+    _emit([("outcome", solver.outcome(load_game(args.file)))])
     return 0
 
 
 def _cmd_delay(args) -> int:
     solver = _solver()
-    value = solver.delay(_load(args.file), _player(args.player))
+    value = solver.delay(load_game(args.file), _player(args.player))
     _emit([("delay", "inf" if value == float("inf") else int(value))])
     return 0
 
@@ -145,7 +141,7 @@ def _cmd_union(args) -> int:
     from .core import disjoint_union
 
     solver = _solver()
-    g, g2 = _load(args.file1), _load(args.file2)
+    g, g2 = load_game(args.file1), load_game(args.file2)
     union, renames = disjoint_union(g, g2)
     o, o2, ou = solver.outcome(g), solver.outcome(g2), solver.outcome(union)
     _emit([("outcome_first", o), ("outcome_second", o2), ("outcome_union", ou)])
@@ -194,7 +190,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_embed(args) -> int:
     from .core import new_game
 
-    game = _load(args.file)
+    game = load_game(args.file)
     h, ul, ur = maker_maker_embedding(game)
     edges = [sorted(e) for e in sorted(tuple(sorted(e)) for e in h.edge_sets)]
     symmetric = new_game(h.vertices, edges, edges)

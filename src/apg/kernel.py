@@ -82,18 +82,6 @@ def unit_positions(masks: Iterable[int]) -> list[int]:
     return [m.bit_length() - 1 for m in masks if m & (m - 1) == 0]
 
 
-def signatures(n: int, edges: Iterable[int]) -> list[int]:
-    """Per-vertex bitmap over the edge list: bit j is set when edge j holds
-    the vertex."""
-    sigs = [0] * n
-    j = 1
-    for m in edges:
-        for i in bits(m):
-            sigs[i] |= j
-        j <<= 1
-    return sigs
-
-
 def child(state: State, mover: int, i: int) -> Optional[State]:
     """State after the mover picks vertex ``i``; None when the pick fills an
     edge of the mover's color.
@@ -250,7 +238,7 @@ def twin_reduce(state: State, touched: Optional[int] = None) -> State:
 
 def _domination(n: int, cover: list[int], units: int) -> tuple[int, int]:
     # The dominated and the prunable vertices.  ``cover[i]`` is the AND of
-    # the edges holding i: the j whose signature contains i's.  A dominated
+    # the edges holding i: the j in every edge that holds i.  A dominated
     # i is prunable when such a non-unit j != i comes first or is not
     # dominated back (a strict domination).
     others = ((1 << n) - 1) & ~units
@@ -273,9 +261,10 @@ def _domination(n: int, cover: list[int], units: int) -> tuple[int, int]:
     return dominated, pruned
 
 
-def _covers(state: State) -> tuple[list[int], list[int], int]:
-    # One pass over the edge bits gives each vertex's cover mask (the AND of
-    # the edges holding it), its ordering score and the unit vertices.
+def covers(state: State) -> tuple[list[int], list[int], int]:
+    """Each vertex's cover mask (the AND of the edges holding it, all
+    vertices for one in no edge), its ordering score and the unit vertices,
+    from one pass over the edge bits."""
     n, blue, red = state
     full = (1 << n) - 1
     cover = [full] * n
@@ -297,7 +286,7 @@ def dominated_mask(state: State) -> int:
     Vertex i is dominated by j != i when neither is a unit and every edge
     holding i holds j.  A unit's own edge leaves it dominated by nothing.
     """
-    cover, _, units = _covers(state)
+    cover, _, units = covers(state)
     return _domination(state[0], cover, units)[0]
 
 
@@ -305,7 +294,7 @@ def prunable_mask(state: State) -> int:
     """Dominated vertices safe to skip together (see :func:`dominated_mask`):
     strict dominations plus all but the lowest-indexed member of each mutual
     class."""
-    cover, _, units = _covers(state)
+    cover, _, units = covers(state)
     return _domination(state[0], cover, units)[1]
 
 
@@ -320,7 +309,7 @@ def candidates(state: State, prune: bool) -> list[int]:
     order = n > 6
     if not (prune or order):
         return list(range(n))
-    cover, score, units = _covers(state)
+    cover, score, units = covers(state)
     if prune:
         pruned = _domination(n, cover, units)[1]
         cand = [i for i in range(n) if not pruned >> i & 1]

@@ -18,7 +18,7 @@ from .core import (
     mask_indices,
 )
 from .errors import EmptyEdgeError, TooLargeError
-from .kernel import compress, dominated_mask, prunable_mask, signatures, state_of_game, unit_mask
+from .kernel import compress, covers, dominated_mask, prunable_mask, state_of_game
 
 
 def twin_reduce(game: Game) -> tuple[Game, list[tuple[str, str]]]:
@@ -35,18 +35,19 @@ def twin_reduce(game: Game) -> tuple[Game, list[tuple[str, str]]]:
     """
     log: list[tuple[str, str]] = []
     while True:
-        units = unit_mask(game.blue + game.red)
-        sigs = signatures(game.n, game.blue + game.red)
+        # Two non-unit vertices are in the same edges exactly when their
+        # covers (the AND of the edges holding each) are equal.
+        cover, _, units = covers(state_of_game(game))
         pair = None
-        by_sig: dict[int, int] = {}
+        by_cover: dict[int, int] = {}
         for i in range(game.n):
             if units >> i & 1:
                 continue
-            sig = sigs[i]
-            if sig in by_sig:
-                pair = (by_sig[sig], i)
+            c = cover[i]
+            if c in by_cover:
+                pair = (by_cover[c], i)
                 break
-            by_sig[sig] = i
+            by_cover[c] = i
         if pair is None:
             return game, log
         i, j = pair
@@ -92,17 +93,17 @@ def greedy_move(game: Game, player: Player) -> tuple[str, str] | None:
 
     Requires a game with no one-vertex edges.
     """
-    if unit_mask(game.blue + game.red):
+    cover, _, units = covers(state_of_game(game))
+    if units:
         raise ValueError("greedy_move is defined only when no edge has size 1")
-    sigs = signatures(game.n, game.blue + game.red)
     own = game.blue if player is Player.LEFT else game.red
     for m in own:
         if m.bit_count() != 2:
             continue
         a, b = mask_indices(m)
-        if sigs[a] & ~sigs[b] == 0:
+        if cover[a] >> b & 1:
             return game.vertices[b], game.vertices[a]
-        if sigs[b] & ~sigs[a] == 0:
+        if cover[b] >> a & 1:
             return game.vertices[a], game.vertices[b]
     return None
 

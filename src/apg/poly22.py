@@ -1,8 +1,11 @@
 """Polynomial decision procedure for games whose edges all have size <= 2.
 
-The Left-win question is answered on a :class:`Graph2` of the pair edges;
-the full win/draw/loss value comes from asking it again with the colors
-swapped and combining the two answers (they can never both say "win").
+The board is held as ``adj = (blue_adj, red_adj)``: for each vertex
+``0..n-1``, an int mask of its neighbours in the blue and in the red graph
+of the pair edges.  A vertex is alive while one of its masks is nonzero.
+The Left-win question is answered on ``adj``; the full win/draw/loss value
+comes from asking it again with the colors swapped (the tuple reversed) and
+combining the two answers (they can never both say "win").
 
 Pipeline for "does Left win with a given first player":
   1. resolve one-vertex edges: a unit of the mover's color wins, two distinct
@@ -23,15 +26,17 @@ Pipeline for "does Left win with a given first player":
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .core import Game, GameResult, Player
 from .errors import EdgeTooLargeError, InvalidPathError
+from .kernel import mask_indices
 
 _MOVER = {Player.LEFT: 0, Player.RIGHT: 1}
 _WINS = (GameResult.LEFT_WIN, GameResult.RIGHT_WIN)
+
+Adj = tuple[list[int], list[int]]  # blue and red neighbour masks per vertex
 
 
 class PathKind(Enum):
@@ -40,151 +45,96 @@ class PathKind(Enum):
     EVEN = "even"             # unique maximal path, even number of vertices
 
 
-@dataclass(frozen=True)
-class PathProbe:
-    kind: PathKind
-    path: tuple[int, ...]  # for BRANCHING, the prefix walked before the fork
+def _delete(adj: Adj, v: int) -> None:
+    # The edges through v die with it, at the cost of its degree.
+    bit = 1 << v
+    for masks in adj:
+        for w in mask_indices(masks[v]):
+            masks[w] ^= bit
+        masks[v] = 0
 
 
-@dataclass
-class Graph2:
-    """Blue and red graphs over shared vertices; edges all have size 2."""
+def resolve_units(n: int, blue: Iterable[int], red: Iterable[int],
+                  mover: int) -> tuple[Optional[GameResult], Adj, int]:
+    """Play out the forced picks from these edge masks over ``n`` vertices.
 
-    alive: set[int]
-    blue_adj: dict[int, set[int]]
-    red_adj: dict[int, set[int]]
-
-    def copy(self) -> "Graph2":
-        return Graph2(set(self.alive),
-                      {v: set(s) for v, s in self.blue_adj.items()},
-                      {v: set(s) for v, s in self.red_adj.items()})
-
-    def blue_has_p3(self) -> bool:
-        return any(len(self.blue_adj[v]) >= 2 for v in self.alive)
-
-    def red_has_p3(self) -> bool:
-        return any(len(self.red_adj[v]) >= 2 for v in self.alive)
-
-    def delete(self, vertices: set[int]) -> None:
-        for v in vertices:
-            self.alive.discard(v)
-            for w in self.blue_adj.pop(v, ()):  # incident edges die with v
-                self.blue_adj[w].discard(v)
-            for w in self.red_adj.pop(v, ()):
-                self.red_adj[w].discard(v)
-
-
-@dataclass(frozen=True)
-class Decided:
-    result: GameResult
-
-
-@dataclass(frozen=True)
-class Reduced:
-    graph: Graph2
-    to_move: Player
-
-
-def _resolve(blue: Iterable[int], red: Iterable[int],
-             mover: int) -> tuple[Optional[GameResult], Graph2, int]:
-    """Play out the forced picks from these edge masks, each size-checked
-    before any decision.  Units are kept per color (0 blue, 1 red) beside
-    the graph of the pair edges, and a pick costs the picked vertex's
-    degree.  Returns the decided result or None, the graph and the mover."""
-    adjs: tuple[dict[int, set[int]], dict[int, set[int]]] = ({}, {})
-    units = (set(), set())
-    for color, masks in ((0, blue), (1, red)):
-        adj = adjs[color]
-        for m in masks:
-            if m & (m - 1) == 0:
-                units[color].add(m.bit_length() - 1)
-                continue
-            if m.bit_count() > 2:
+    Every mask is size-checked before any decision.  A unit of the mover's
+    color (0 blue, 1 red) wins; two distinct units of the other color lose;
+    exactly one forces the mover's pick there, which costs the picked
+    vertex's degree and turns the mover's pairs through it into units.
+    Returns the decided result or None, the board of the pair edges and the
+    player then to move.
+    """
+    adj: Adj = ([0] * n, [0] * n)
+    units = [0, 0]  # the unit vertices of each color, as masks
+    for color, edges in ((0, blue), (1, red)):
+        masks = adj[color]
+        for m in edges:
+            high = m & (m - 1)  # m without its lowest bit
+            if not high:
+                units[color] |= m
+            elif high & (high - 1):
                 raise EdgeTooLargeError("this procedure needs all edges of size <= 2")
-            a = (m & -m).bit_length() - 1
-            b = m.bit_length() - 1
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-    blue_adj, red_adj = adjs
-    alive = blue_adj.keys() | red_adj.keys()
-    for adj in adjs:
-        for v in alive - adj.keys():
-            adj[v] = set()
-    g = Graph2(alive, blue_adj, red_adj)
+            else:
+                low = m ^ high
+                masks[low.bit_length() - 1] |= high
+                masks[high.bit_length() - 1] |= low
     while True:
         if units[mover]:
-            return _WINS[mover], g, mover  # fill a one-vertex edge now
+            return _WINS[mover], adj, mover  # fill a one-vertex edge now
         threats = units[1 - mover]
-        if len(threats) >= 2:
-            return _WINS[1 - mover], g, mover  # only one can be blocked
+        if threats & (threats - 1):
+            return _WINS[1 - mover], adj, mover  # only one can be blocked
         if not threats:
-            return None, g, mover
+            return None, adj, mover
         # The mover must take the threat v: the opponent's edges through v
         # die, and the mover's pairs through v shrink to units.
-        v = threats.pop()
-        units[mover].update(adjs[mover].get(v, ()))
-        for adj in adjs:
-            for w in adj.pop(v, ()):
-                adj[w].discard(v)
-                if not blue_adj[w] and not red_adj[w]:
-                    alive.discard(w)  # its last edge went with v
-                    del blue_adj[w], red_adj[w]
-        alive.discard(v)
+        v = threats.bit_length() - 1
+        units[mover] = adj[mover][v]
+        units[1 - mover] = 0
+        _delete(adj, v)
         mover = 1 - mover
 
 
-def preprocess_units(game: Game, first_player: Player) -> Union[Decided, Reduced]:
-    """Resolve one-vertex edges, possibly deciding the game outright.
-
-    With the mover owning a unit edge the mover wins; with none of their own
-    and two or more distinct opposing units the second player wins; with
-    exactly one opposing unit the mover's pick is forced and the analysis
-    recurses on the residual game.  Otherwise returns the two graphs with the
-    player then to move.
-    """
-    decided, g2, mover = _resolve(game.blue, game.red, _MOVER[first_player])
-    if decided is not None:
-        return Decided(decided)
-    return Reduced(g2, Player.RIGHT if mover else Player.LEFT)
+def has_p3(masks: list[int]) -> bool:
+    """Whether the graph of one color has two edges sharing a vertex."""
+    return any(m & (m - 1) for m in masks)
 
 
-def left_to_move_rule(g2: Graph2) -> bool:
-    """With Left to move and no unit edges: Left wins iff blue has a P3."""
-    return g2.blue_has_p3()
-
-
-def classify(g2: Graph2, u: int) -> PathProbe:
+def classify(adj: Adj, u: int) -> tuple[PathKind, tuple[int, ...]]:
     """Walk the alternating path from ``u``: red edges at odd steps (the red
     edges form a matching, so each is unique), blue edges at even steps.
 
     At an even step, two or more off-path blue neighbours mean the path
     branches; exactly one extends the walk; none ends it.  A path ending at
-    an odd step classifies as ODD, at an even step as EVEN.
+    an odd step classifies as ODD, at an even step as EVEN.  Returns the
+    kind and the path; for BRANCHING, the prefix walked before the fork.
     """
+    blue, red = adj
     path = [u]
-    on_path = {u}
+    on_path = 1 << u
     cur = u
     while True:
         # odd position: follow the red matching edge, if any
-        nxt = next(iter(g2.red_adj[cur]), None)
-        if nxt is None:
-            return PathProbe(PathKind.ODD, tuple(path))
-        assert nxt not in on_path, "a matching partner cannot revisit the path"
-        path.append(nxt)
-        on_path.add(nxt)
-        cur = nxt
+        nxt = red[cur]
+        if not nxt:
+            return PathKind.ODD, tuple(path)
+        assert not nxt & on_path, "a matching partner cannot revisit the path"
+        cur = nxt.bit_length() - 1
+        path.append(cur)
+        on_path |= nxt
         # even position: count blue continuations off the path
-        offs = sorted(y for y in g2.blue_adj[cur] if y not in on_path)
-        if len(offs) >= 2:
-            return PathProbe(PathKind.BRANCHING, tuple(path))
+        offs = blue[cur] & ~on_path
+        if offs & (offs - 1):
+            return PathKind.BRANCHING, tuple(path)
         if not offs:
-            return PathProbe(PathKind.EVEN, tuple(path))
-        path.append(offs[0])
-        on_path.add(offs[0])
-        cur = offs[0]
+            return PathKind.EVEN, tuple(path)
+        cur = offs.bit_length() - 1
+        path.append(cur)
+        on_path |= offs
 
 
-def reduce_type3(g2: Graph2, path: tuple[int, ...]) -> None:
+def reduce_type3(adj: Adj, path: tuple[int, ...]) -> None:
     """Delete an even-ended alternating path in place.
 
     Playing along the path is optimal for Right and the forced exchanges
@@ -194,67 +144,93 @@ def reduce_type3(g2: Graph2, path: tuple[int, ...]) -> None:
     """
     if len(path) % 2 != 0:
         raise InvalidPathError("an even-ended path must have an even vertex count")
-    on_path = set(path)
-    odd_positions = set(path[0::2])   # 1st, 3rd, ... vertices of the walk
-    even_positions = set(path[1::2])
-    for v in even_positions:
-        for w in g2.blue_adj[v]:
-            if w not in odd_positions:
-                raise InvalidPathError(
-                    f"blue edge ({v},{w}) would survive the path deletion")
+    blue, red = adj
+    odd_positions = 0   # 1st, 3rd, ... vertices of the walk
+    for v in path[0::2]:
+        odd_positions |= 1 << v
+    for v in path[1::2]:
+        stray = blue[v] & ~odd_positions
+        if stray:
+            w = (stray & -stray).bit_length() - 1
+            raise InvalidPathError(
+                f"blue edge ({v},{w}) would survive the path deletion")
     for k, v in enumerate(path):
-        expect = {path[k + 1]} if k % 2 == 0 else {path[k - 1]}
-        if g2.red_adj[v] != expect:
+        partner = path[k + 1] if k % 2 == 0 else path[k - 1]
+        if red[v] != 1 << partner:
             raise InvalidPathError(f"red edge at {v} is not the path's matching edge")
-    g2.delete(on_path)
+    for v in path:
+        _delete(adj, v)
 
 
-def right_to_move_rule(g2: Graph2) -> bool:
+def right_to_move_rule(adj: Adj) -> bool:
     """With Right to move and no unit edges: does Left win?
 
     A red P3 lets Right win in two moves.  Otherwise even-ended paths are
     deleted repeatedly; Right then survives iff some odd-ended path, removed
     from the blue graph, leaves it without a P3.
     """
-    if g2.red_has_p3():
+    if has_p3(adj[1]):
         return False
-    g2 = g2.copy()
+    adj = (list(adj[0]), list(adj[1]))
+    blue, red = adj
+    n = len(blue)
     # Each deletion preserves the value, so a pass scans on after one, and
     # passes repeat until one deletes nothing.
     deleted = True
     while deleted:
         deleted = False
-        for u in sorted(g2.alive):
-            if u in g2.alive:
-                probe = classify(g2, u)
-                if probe.kind is PathKind.EVEN:
-                    reduce_type3(g2, probe.path)
+        for u in range(n):
+            if blue[u] or red[u]:
+                kind, path = classify(adj, u)
+                if kind is PathKind.EVEN:
+                    reduce_type3(adj, path)
                     deleted = True
-    if not g2.alive:
-        return False  # the game ends in a draw
-    for u in sorted(g2.alive):
-        probe = classify(g2, u)
-        if probe.kind is PathKind.ODD:
-            trimmed = g2.copy()
-            trimmed.delete(set(probe.path))
-            if not trimmed.blue_has_p3():
-                return False  # Right picks u and survives
+    # The centres (blue degree >= 2) are where a blue P3 can survive.  Every
+    # branching vertex walks to one, so without any the board is empty or
+    # every path is odd and leaves no P3: a draw.
+    centres = 0
+    for v in range(n):
+        if blue[v] & (blue[v] - 1):
+            centres |= 1 << v
+    if not centres:
+        return False
+    count = centres.bit_count()
+    for u in range(n):
+        if not (blue[u] or red[u]):
+            continue
+        kind, path = classify(adj, u)
+        if kind is not PathKind.ODD:
+            continue
+        # A P3 survives the path's deletion at a centre off the path that
+        # has no neighbour on it, or at a centre next to it that keeps two
+        # blue neighbours off it.
+        on_path = near = 0
+        for v in path:
+            on_path |= 1 << v
+            near |= blue[v]
+        touched = (on_path | near) & centres
+        if touched.bit_count() < count:
+            continue
+        off = ~on_path
+        if has_p3([blue[c] & off for c in mask_indices(touched & off)]):
+            continue
+        return False  # Right picks u and survives
     return True
 
 
 def solve22_masks(n: int, blue: Iterable[int], red: Iterable[int],
                   first_player: Player) -> GameResult:
-    """:func:`solve22` on edge masks (``n`` is not needed).  The forced picks
-    are the same with the colors swapped, so they are resolved once; the
-    rule run on the swapped graph says whether Right wins."""
-    decided, g2, mover = _resolve(blue, red, _MOVER[first_player])
+    """:func:`solve22` on edge masks over ``n`` vertices, which sizes the
+    board's neighbour lists.  The forced picks are the same with the colors
+    swapped, so they are resolved once; the rule run on the swapped board
+    says whether Right wins."""
+    decided, adj, mover = resolve_units(n, blue, red, _MOVER[first_player])
     if decided is not None:
         return decided
-    mirror = Graph2(g2.alive, g2.red_adj, g2.blue_adj)  # the rules never modify it
     if mover == 0:
-        left, right = left_to_move_rule(g2), right_to_move_rule(mirror)
+        left, right = has_p3(adj[0]), right_to_move_rule(adj[::-1])
     else:
-        left, right = right_to_move_rule(g2), left_to_move_rule(mirror)
+        left, right = right_to_move_rule(adj), has_p3(adj[1])
     if left and right:
         raise AssertionError("both players cannot have winning strategies")
     if left:

@@ -482,10 +482,6 @@ def union_outcome_allowed(o: Outcome, o_prime: Outcome, observed: Outcome) -> bo
 _default_solver = Solver()
 
 
-def default_solver() -> Solver:
-    return _default_solver
-
-
 def solve(game: Game, first_player: Player) -> GameResult:
     return _default_solver.solve(game, first_player)
 

@@ -9,11 +9,11 @@ import pytest
 from apg import AlreadyWonError, Player, Solver, update
 from apg.core import game_from_masks
 from apg.kernel import (
+    bits,
     candidates,
     child,
     compress,
     prunable_mask,
-    signatures,
     state_of_game,
     touched_mask,
     twin_reduce,
@@ -21,6 +21,18 @@ from apg.kernel import (
 from apg.reductions import CnfFormula, sat_draw_game, sat_win_game
 
 PHI3 = CnfFormula(3, ((1, 2, 3), (-1, -2, 3), (1, -2, -3)))
+
+
+def signatures(n, edges):
+    """Per-vertex bitmap over the edge list: bit j is set when edge j holds
+    the vertex.  The whole-board reference for twin removal."""
+    sigs = [0] * n
+    j = 1
+    for m in edges:
+        for i in bits(m):
+            sigs[i] |= j
+        j <<= 1
+    return sigs
 
 
 def exhaustive_states():

@@ -6,16 +6,15 @@ import itertools
 import pytest
 
 from apg import EdgeTooLargeError, GameResult, Player, Solver, new_game, solve22
+from apg.errors import InvalidPathError
 from apg.gadgets import random_game, rng_for
+from apg.kernel import mask_indices
 from apg.poly22 import (
-    Decided,
-    Graph2,
     PathKind,
-    Reduced,
     classify,
-    left_to_move_rule,
-    preprocess_units,
+    has_p3,
     reduce_type3,
+    resolve_units,
     right_to_move_rule,
 )
 
@@ -24,39 +23,46 @@ LW, DR, RW = GameResult.LEFT_WIN, GameResult.DRAW, GameResult.RIGHT_WIN
 
 
 def graph2(blue_pairs, red_pairs):
-    verts = sorted({v for e in blue_pairs + red_pairs for v in e})
-    g = Graph2(set(verts), {v: set() for v in verts}, {v: set() for v in verts})
-    for a, b in blue_pairs:
-        g.blue_adj[a].add(b)
-        g.blue_adj[b].add(a)
-    for a, b in red_pairs:
-        g.red_adj[a].add(b)
-        g.red_adj[b].add(a)
-    return g
+    """The board of these named pairs, and the index of each name (in
+    sorted order)."""
+    names = sorted({v for e in blue_pairs + red_pairs for v in e})
+    ix = {v: i for i, v in enumerate(names)}
+    adj = ([0] * len(names), [0] * len(names))
+    for masks, pairs in zip(adj, (blue_pairs, red_pairs)):
+        for a, b in pairs:
+            masks[ix[a]] |= 1 << ix[b]
+            masks[ix[b]] |= 1 << ix[a]
+    return adj, ix
+
+
+def alive(adj):
+    return [v for v, (b, r) in enumerate(zip(*adj)) if b or r]
+
+
+def resolve(game, first):
+    return resolve_units(game.n, game.blue, game.red, 0 if first is L else 1)
 
 
 # -- preprocessing ---------------------------------------------------------------
 
 def test_preprocess_own_unit_wins():
     g = new_game(["a"], [["a"]], [])
-    step = preprocess_units(g, L)
-    assert isinstance(step, Decided) and step.result is LW
+    assert resolve(g, L)[0] is LW
 
 
 def test_preprocess_two_opposing_units_lose():
     g = new_game(["a", "b"], [], [["a"], ["b"]])
-    step = preprocess_units(g, L)
-    assert isinstance(step, Decided) and step.result is RW
+    assert resolve(g, L)[0] is RW
 
 
 def test_preprocess_forced_chain():
     g = new_game(["a", "b", "c"], [["a", "b"], ["b", "c"]], [["a"]])
-    step = preprocess_units(g, L)
+    decided, adj, mover = resolve(g, L)
     # Left is forced onto a; the shrunken blue unit then forces Right onto b,
     # which kills the remaining blue edge: nothing is left.
-    assert isinstance(step, Reduced)
-    assert step.to_move is L
-    assert not step.graph.alive
+    assert decided is None
+    assert mover == 0
+    assert not alive(adj)
     assert solve22(g, L) is DR
     assert Solver().solve(g, L) is DR
 
@@ -64,107 +70,102 @@ def test_preprocess_forced_chain():
 def test_preprocess_mixed_unit_priority():
     # the mover's own unit wins even when the opponent also has one
     g = new_game(["a", "b"], [["a"]], [["b"]])
-    step = preprocess_units(g, L)
-    assert isinstance(step, Decided) and step.result is LW
+    assert resolve(g, L)[0] is LW
 
 
 # -- move rules -------------------------------------------------------------------
 
 def test_left_rule_path_wins():
-    assert left_to_move_rule(graph2([("u", "v"), ("v", "w")], []))
+    assert has_p3(graph2([("u", "v"), ("v", "w")], [])[0][0])
 
 
 def test_left_rule_matching_cannot_win():
-    assert not left_to_move_rule(graph2([("a", "b"), ("c", "d")], []))
+    assert not has_p3(graph2([("a", "b"), ("c", "d")], [])[0][0])
 
 
 def test_left_rule_no_edges():
-    assert not left_to_move_rule(graph2([], [("a", "b")]))
+    assert not has_p3(graph2([], [("a", "b")])[0][0])
 
 
 # -- classification -----------------------------------------------------------------
 
 def test_classify_isolated_is_odd():
-    g = graph2([("a", "b")], [])
-    probe = classify(g, "a")
-    assert probe.kind is PathKind.ODD and probe.path == ("a",)
+    adj, ix = graph2([("a", "b")], [])
+    assert classify(adj, ix["a"]) == (PathKind.ODD, (ix["a"],))
 
 
 def test_classify_branching():
-    g = graph2([("v", "y1"), ("v", "y2")], [("u", "v")])
-    probe = classify(g, "u")
-    assert probe.kind is PathKind.BRANCHING
+    adj, ix = graph2([("v", "y1"), ("v", "y2")], [("u", "v")])
+    kind, _ = classify(adj, ix["u"])
+    assert kind is PathKind.BRANCHING
 
 
 def test_classify_even_end():
-    g = graph2([], [("u", "v")])
-    probe = classify(g, "u")
-    assert probe.kind is PathKind.EVEN and probe.path == ("u", "v")
+    adj, ix = graph2([], [("u", "v")])
+    assert classify(adj, ix["u"]) == (PathKind.EVEN, (ix["u"], ix["v"]))
 
 
 def test_classify_longer_walk():
-    g = graph2([("v", "w")], [("u", "v"), ("w", "x")])
-    probe = classify(g, "u")
-    assert probe.kind is PathKind.EVEN and probe.path == ("u", "v", "w", "x")
+    adj, ix = graph2([("v", "w")], [("u", "v"), ("w", "x")])
+    assert classify(adj, ix["u"]) == (PathKind.EVEN, tuple(ix[v] for v in "uvwx"))
 
 
 def test_classify_odd_with_blue_tail():
-    g = graph2([("v", "w")], [("u", "v")])
-    probe = classify(g, "u")
-    assert probe.kind is PathKind.ODD and probe.path == ("u", "v", "w")
+    adj, ix = graph2([("v", "w")], [("u", "v")])
+    assert classify(adj, ix["u"]) == (PathKind.ODD, tuple(ix[v] for v in "uvw"))
 
 
 def test_path_parity_invariants():
     rng = rng_for(40, "classify-parity")
     for _ in range(300):
         g = random_game(rng, max_vertices=8, max_edge_size=2)
-        step = preprocess_units(g, L)
-        if not isinstance(step, Reduced) or step.graph.red_has_p3():
+        decided, adj, _ = resolve(g, L)
+        if decided is not None or has_p3(adj[1]):
             continue
-        for u in sorted(step.graph.alive):
-            probe = classify(step.graph, u)
-            if probe.kind is PathKind.ODD:
-                assert len(probe.path) % 2 == 1
-            elif probe.kind is PathKind.EVEN:
-                assert len(probe.path) % 2 == 0
-            assert len(set(probe.path)) == len(probe.path)
+        for u in alive(adj):
+            kind, path = classify(adj, u)
+            if kind is PathKind.ODD:
+                assert len(path) % 2 == 1
+            elif kind is PathKind.EVEN:
+                assert len(path) % 2 == 0
+            assert len(set(path)) == len(path)
 
 
 # -- even-path reduction ---------------------------------------------------------------
 
 def test_reduce_even_pair():
-    g = graph2([], [("u", "v")])
-    reduce_type3(g, ("u", "v"))
-    assert not g.alive
+    adj, ix = graph2([], [("u", "v")])
+    reduce_type3(adj, (ix["u"], ix["v"]))
+    assert not alive(adj)
 
 
 def test_reduce_four_chain():
-    g = graph2([("v", "w")], [("u", "v"), ("w", "x")])
-    reduce_type3(g, ("u", "v", "w", "x"))
-    assert not g.alive
+    adj, ix = graph2([("v", "w")], [("u", "v"), ("w", "x")])
+    reduce_type3(adj, tuple(ix[v] for v in "uvwx"))
+    assert not alive(adj)
 
 
 def test_reduce_rejects_bad_path():
-    g = graph2([("v", "y")], [("u", "v")])
-    with pytest.raises(Exception):
-        reduce_type3(g, ("u", "v"))
+    adj, ix = graph2([("v", "y")], [("u", "v")])
+    with pytest.raises(InvalidPathError):
+        reduce_type3(adj, (ix["u"], ix["v"]))
 
 
 # -- right-to-move rule -------------------------------------------------------------------
 
 def test_right_rule_red_path_kills_left():
-    assert not right_to_move_rule(graph2([("a", "b"), ("b", "c")],
-                                         [("x", "y"), ("y", "z")]))
+    adj, _ = graph2([("a", "b"), ("b", "c")], [("x", "y"), ("y", "z")])
+    assert not right_to_move_rule(adj)
 
 
 def test_right_rule_single_blue_path():
     # Right takes the centre and survives
-    assert not right_to_move_rule(graph2([("u", "v"), ("v", "w")], []))
+    assert not right_to_move_rule(graph2([("u", "v"), ("v", "w")], [])[0])
 
 
 def test_right_rule_two_disjoint_blue_paths():
-    g = graph2([("a", "b"), ("b", "c"), ("d", "e"), ("e", "f")], [])
-    assert right_to_move_rule(g)
+    adj, _ = graph2([("a", "b"), ("b", "c"), ("d", "e"), ("e", "f")], [])
+    assert right_to_move_rule(adj)
 
 
 # -- full values ----------------------------------------------------------------------------
@@ -265,15 +266,23 @@ def test_many_even_paths_behind_odd_ones():
     assert solve22(g, R) is DR
 
 
-def _graph2_as_game(g2):
-    verts = sorted(g2.alive)
-    names = [f"v{i}" for i in verts]
-    idx = {v: f"v{v}" for v in verts}
-    blue = sorted({tuple(sorted((idx[a], idx[b])))
-                   for a in g2.alive for b in g2.blue_adj[a]})
-    red = sorted({tuple(sorted((idx[a], idx[b])))
-                  for a in g2.alive for b in g2.red_adj[a]})
-    return new_game(names, [list(e) for e in blue], [list(e) for e in red])
+def test_many_odd_paths_before_the_saving_centre():
+    # Right first, no red edges: a blue matching on the low vertices (odd
+    # paths, each leaving the P3 behind) and a blue P3 on the top three,
+    # whose centre saves Right.  A copy of the board per odd path is
+    # quadratic here.
+    k = 2000
+    blue = [[f"v{2 * j}", f"v{2 * j + 1}"] for j in range(k)]
+    blue += [[f"v{2 * k}", f"v{2 * k + 1}"], [f"v{2 * k + 1}", f"v{2 * k + 2}"]]
+    g = new_game([f"v{i}" for i in range(2 * k + 3)], blue, [])
+    assert solve22(g, R) is DR
+
+
+def _adj_as_game(adj):
+    verts = alive(adj)
+    blue, red = ([[f"v{a}", f"v{b}"] for a in verts for b in mask_indices(masks[a]) if a < b]
+                 for masks in adj)
+    return new_game([f"v{v}" for v in verts], blue, red)
 
 
 def test_even_path_reduction_preserves_second_player_win():
@@ -287,26 +296,25 @@ def test_even_path_reduction_preserves_second_player_win():
     while found < 300 and attempts < 30000:
         attempts += 1
         g = random_game(rng, max_vertices=9, max_edge_size=2, max_edges=10)
-        step = preprocess_units(g, R)
-        if not isinstance(step, Reduced) or step.to_move is not R:
+        decided, adj, mover = resolve(g, R)
+        if decided is not None or mover != 1:
             continue
-        g2 = step.graph
-        if g2.red_has_p3():
+        if has_p3(adj[1]):
             continue
-        probe = None
-        for u in sorted(g2.alive):
-            probe = classify(g2, u)
-            if probe.kind is PathKind.EVEN:
+        path = None
+        for u in alive(adj):
+            kind, path = classify(adj, u)
+            if kind is PathKind.EVEN:
                 break
-            probe = None
-        if probe is None:
+            path = None
+        if path is None:
             continue
         found += 1
-        before = _graph2_as_game(g2)
-        trimmed = g2.copy()
-        reduce_type3(trimmed, probe.path)
-        after = _graph2_as_game(trimmed)
+        before = _adj_as_game(adj)
+        trimmed = (list(adj[0]), list(adj[1]))
+        reduce_type3(trimmed, path)
+        after = _adj_as_game(trimmed)
         left_wins_before = solver.solve(before, R) is LW
         left_wins_after = solver.solve(after, R) is LW
-        assert left_wins_before == left_wins_after, (before, probe.path)
+        assert left_wins_before == left_wins_after, (before, path)
     assert found == 300
