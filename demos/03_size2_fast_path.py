@@ -5,7 +5,7 @@ Run:  python demos/03_size2_fast_path.py
 
 import time
 
-from apg import Player, Solver, solve22
+from apg import Player, Solver, SolverConfig, solve22
 from apg.gadgets import random_game, rng_for
 
 L = Player.LEFT
@@ -18,7 +18,8 @@ t0 = time.perf_counter()
 fast = [solve22(g, L) for g in games]
 t_fast = time.perf_counter() - t0
 
-solver = Solver()
+# Search alone: the default solver would hand these games to solve22 itself.
+solver = Solver(SolverConfig(use_leaf_oracle=False, use_potentials=False))
 t0 = time.perf_counter()
 slow = [solver.solve(g, L) for g in games]
 t_slow = time.perf_counter() - t0

@@ -41,8 +41,8 @@ def _player(text: str) -> Player:
     return Player.LEFT if text == "left" else Player.RIGHT
 
 
-def _solver() -> Solver:
-    config = SolverConfig()
+def _solver(**settings) -> Solver:
+    config = SolverConfig(**settings)
     limit = os.environ.get("APG_NODE_LIMIT")
     if limit:
         config.node_limit = int(limit)
@@ -111,7 +111,8 @@ def _cmd_solve(args) -> int:
         result = solve22(game, _player(args.first))
         _emit([("result", result), ("algo", "poly22")])
         return 0
-    solver = _solver()
+    # The size-2 procedure has its own --algo; search means search.
+    solver = _solver(use_leaf_oracle=False)
     result = solver.solve(game, _player(args.first))
     _emit([("result", result), ("algo", "search")])
     print(solver.last_stats.as_text())

@@ -17,7 +17,20 @@ Pruning used by default, each individually toggleable:
   * two or more distinct one-vertex threats of the opponent lose outright,
     a single one forces the blocking move;
   * dominated moves are skipped, keeping one representative per twin class;
-  * twin/dead-pair removal at node entry.
+  * twin/dead-pair removal at node entry;
+  * leaf oracle (``use_leaf_oracle``): a node whose edges all have size <= 2
+    is answered by one ``poly22.solve22_masks`` call, the polynomial
+    procedure for that class, in place of a search below it.  In the
+    canonical-Right search only the blue edges need the test (red edges are
+    already pairs there), because that node's value is "Left avoids losing
+    moving first";
+  * potential cutoffs (``use_potentials``, game-value queries only), after
+    Erdős and Selfridge (JCT A 14, 1973): if the sum of 2^-|e| over the
+    mover's edges is below 1/2, the opponent, playing only to block them
+    while moving second, stops the mover from filling any, so the mover
+    cannot win; if the sum over the opponent's edges is below 1, the mover,
+    blocking first, stops the opponent, so the mover cannot lose.  The sums
+    are compared exactly in integers, scaled by 2^n.
 """
 
 from __future__ import annotations
@@ -50,11 +63,26 @@ from .kernel import (
     twin_reduce,
     unit_positions,
 )
+from .poly22 import solve22_masks
 
 _WIN, _DRAW, _LOSS = 1, 0, -1
 
+_PLAYERS = (Player.LEFT, Player.RIGHT)
+_WINS = (GameResult.LEFT_WIN, GameResult.RIGHT_WIN)
+
 INFINITE_DELAY = math.inf
 Delay = float  # a natural number, or math.inf when the protagonist cannot win
+
+
+def _potential_below(n: int, masks: Iterable[int], bound: int) -> bool:
+    """Whether the sum of 2^(n - |e|) over the edges ``masks`` is below
+    ``bound``; it stops as soon as the running sum reaches it."""
+    total = 0
+    for m in masks:
+        total += 1 << (n - m.bit_count())
+        if total >= bound:
+            return False
+    return True
 
 
 @dataclass
@@ -63,11 +91,15 @@ class SolveStats:
     memo_hits: int = 0
     max_depth: int = 0
     elapsed: float = 0.0
+    leaf_calls: int = 0
+    potential_cutoffs: int = 0
 
     def as_text(self) -> str:
         return (f"nodes_expanded: {self.nodes_expanded}\n"
                 f"memo_hits: {self.memo_hits}\n"
-                f"max_depth: {self.max_depth}")
+                f"max_depth: {self.max_depth}\n"
+                f"leaf_calls: {self.leaf_calls}\n"
+                f"potential_cutoffs: {self.potential_cutoffs}")
 
 
 @dataclass
@@ -76,6 +108,8 @@ class SolverConfig:
     use_twin_reduction: bool = True
     use_domination: bool = True
     use_forced_moves: bool = True
+    use_leaf_oracle: bool = True
+    use_potentials: bool = True
     # When set, memoize only positions with at most this many free vertices;
     # exhaustive batteries use it to keep the table tiny while their top-level
     # queries still share all sub-position work.
@@ -112,6 +146,8 @@ class Solver:
         self._memo_canon: dict[State, bool] = {}
         self._nodes = 0
         self._hits = 0
+        self._leaf_calls = 0
+        self._cutoffs = 0
         self._max_depth = 0
         self.last_stats = SolveStats()
 
@@ -140,23 +176,47 @@ class Solver:
             return cached
 
         own, other = (blue, red) if mover == 0 else (red, blue)
+        config = self.config
         result: Optional[bool] = None
         moves: Optional[Iterable[int]] = None
+        small = True  # every edge of the mover has size <= 2
 
         if n == 0:
             result = not want_win  # draw by exhaustion
-        elif any(m & (m - 1) == 0 for m in own):
-            result = True  # fill a one-vertex edge now
-        elif self.config.use_forced_moves:
+        else:
+            for m in own:
+                high = m & (m - 1)  # m without its lowest bit
+                if not high:
+                    result = True  # fill a one-vertex edge now
+                    break
+                if high & (high - 1):
+                    small = False
+        if result is None and config.use_forced_moves:
             threats = unit_positions(other)
             if len(set(threats)) >= 2:
                 result = False  # cannot block two distinct unit threats
             elif threats:
                 moves = threats[:1]
+        if result is None and config.use_potentials:
+            # Erdős–Selfridge, scaled by 2^n: the opponent blocking second
+            # keeps a total below 1/2 unfilled, the mover blocking first
+            # one below 1.
+            if want_win:
+                if _potential_below(n, own, 1 << (n - 1)):
+                    result = False
+            elif _potential_below(n, other, 1 << n):
+                result = True
+            if result is not None:
+                self._cutoffs += 1
+        if (result is None and small and config.use_leaf_oracle
+                and all(m.bit_count() <= 2 for m in other)):
+            self._leaf_calls += 1
+            value = solve22_masks(n, blue, red, _PLAYERS[mover])
+            result = value is _WINS[mover] if want_win else value is not _WINS[1 - mover]
 
         if result is None:
             if moves is None:
-                moves = candidates(state, self.config.use_domination)
+                moves = candidates(state, config.use_domination)
             result = False
             opp = 1 - mover
             for i in moves:
@@ -196,12 +256,22 @@ class Solver:
         if cached is not None:
             self._hits += 1
             return cached
-        if any(m & (m - 1) == 0 for m in blue):
-            result = True  # Left fills a blue edge now
-        else:
+        result: Optional[bool] = None
+        small = True  # every blue edge has size <= 2
+        for m in blue:
+            high = m & (m - 1)  # m without its lowest bit
+            if not high:
+                result = True  # Left fills a blue edge now
+                break
+            if high & (high - 1):
+                small = False
+        if result is None:
             red_units = set(unit_positions(red))
             if len(red_units) >= 2:
                 result = False  # whatever Left picks, a red unit survives
+            elif small and self.config.use_leaf_oracle:
+                self._leaf_calls += 1
+                result = solve22_masks(n, blue, red, Player.LEFT) is not GameResult.RIGHT_WIN
             else:
                 moves = (sorted(red_units) if red_units
                          else candidates(state, self.config.use_domination))
@@ -235,16 +305,18 @@ class Solver:
             return GameResult.LEFT_WIN
         return GameResult.RIGHT_WIN
 
-    def _begin(self) -> tuple[int, int, float]:
+    def _begin(self) -> tuple[int, int, int, int, float]:
         self._max_depth = 0
-        return self._nodes, self._hits, time.perf_counter()
+        return (self._nodes, self._hits, self._leaf_calls, self._cutoffs,
+                time.perf_counter())
 
-    def _finish(self, mark: tuple[int, int, float]) -> None:
-        n0, h0, t0 = mark
+    def _finish(self, mark: tuple[int, int, int, int, float]) -> None:
+        n0, h0, l0, c0, t0 = mark
         # Positional arguments: keywords double the cost, which shows on the
         # batteries' millions of queries on states of a few vertices.
         self.last_stats = SolveStats(self._nodes - n0, self._hits - h0,
-                                     self._max_depth, time.perf_counter() - t0)
+                                     self._max_depth, time.perf_counter() - t0,
+                                     self._leaf_calls - l0, self._cutoffs - c0)
 
     # -- public queries ----------------------------------------------------
 

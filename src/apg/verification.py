@@ -124,7 +124,10 @@ def outcome_legality(seed: int = 0,
                      exhaustive_max_vertices: int = 4) -> BatteryReport:
     """No game may produce one of the three impossible outcome rows."""
     report = BatteryReport("outcome-legality")
-    solver = Solver(SolverConfig(memo_max_vertices=max(0, exhaustive_max_vertices - 1)))
+    # The exhaustive states are size-2 boards, which the leaf oracle would
+    # hand to poly22; with both cutoffs off the search alone is checked.
+    solver = Solver(SolverConfig(memo_max_vertices=max(0, exhaustive_max_vertices - 1),
+                                 use_leaf_oracle=False, use_potentials=False))
     for n in range(exhaustive_max_vertices + 1):
         for state in iter_22_states(n):
             report.checked += 1
@@ -159,7 +162,10 @@ def poly22_agreement(seed: int = 0,
     by a dense seeded sample instead, plus random games up to 14 vertices.
     """
     report = BatteryReport("poly22-agreement")
-    solver = Solver(SolverConfig(memo_max_vertices=max(0, exhaustive_max_vertices - 1)))
+    # Both solvers run with the leaf oracle and the potential cutoffs off:
+    # the oracle would answer these size-2 boards with solve22_masks itself.
+    solver = Solver(SolverConfig(memo_max_vertices=max(0, exhaustive_max_vertices - 1),
+                                 use_leaf_oracle=False, use_potentials=False))
     for n in range(exhaustive_max_vertices + 1):
         for state in iter_22_states(n):
             report.checked += 1
@@ -168,7 +174,7 @@ def poly22_agreement(seed: int = 0,
                 if got != want:
                     report.fail(f"{state} first={player}: poly {got} vs solver {want}")
     rng = rng_for(seed, "poly22-random")
-    big = Solver()
+    big = Solver(SolverConfig(use_leaf_oracle=False, use_potentials=False))
     for trials, exact in ((five_vertex_trials, 5), (random_trials, None)):
         for _ in range(trials):
             state = random_22_state(rng, max_vertices=14, exact=exact)

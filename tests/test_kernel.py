@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from apg import AlreadyWonError, Player, Solver, update
+from apg import AlreadyWonError, GameResult, Player, Solver, SolverConfig, update
 from apg.core import game_from_masks
 from apg.kernel import (
     bits,
@@ -237,11 +237,15 @@ def test_compress_drops_positions_in_order():
 
 
 def test_phi3_node_counts_are_pinned():
-    # Exact search size with the default configuration: any change to the
-    # candidate set, their order or the canonical states moves these counts.
-    s = Solver()
-    s.solve(sat_draw_game(PHI3).game, Player.LEFT)
-    assert s.last_stats.nodes_expanded == 7222
-    s = Solver()
-    s.solve(sat_win_game(PHI3).game, Player.LEFT)
-    assert s.last_stats.nodes_expanded == 736
+    # Exact search size without the cutoffs that end nodes early: any change
+    # to the candidate set, their order or the canonical states moves these
+    # counts.  The default configuration's counts are pinned beside them.
+    search_only = SolverConfig(use_leaf_oracle=False, use_potentials=False)
+    for config, draw_nodes, win_nodes in ((search_only, 7222, 736),
+                                          (SolverConfig(), 3990, 718)):
+        s = Solver(config)
+        assert s.solve(sat_draw_game(PHI3).game, Player.LEFT) is GameResult.DRAW
+        assert s.last_stats.nodes_expanded == draw_nodes
+        s = Solver(config)
+        assert s.solve(sat_win_game(PHI3).game, Player.LEFT) is GameResult.LEFT_WIN
+        assert s.last_stats.nodes_expanded == win_nodes

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from apg import EdgeTooLargeError, GameResult, Player, Solver, new_game, solve22
+from apg import EdgeTooLargeError, GameResult, Player, Solver, SolverConfig, new_game, solve22
 from apg.errors import InvalidPathError
 from apg.gadgets import random_game, rng_for
 from apg.kernel import mask_indices
@@ -20,6 +20,9 @@ from apg.poly22 import (
 
 L, R = Player.LEFT, Player.RIGHT
 LW, DR, RW = GameResult.LEFT_WIN, GameResult.DRAW, GameResult.RIGHT_WIN
+# The reference for solve22: the search with its size-2 leaf oracle (which
+# is solve22) and its potential cutoffs off.
+SEARCH_ONLY = SolverConfig(use_leaf_oracle=False, use_potentials=False)
 
 
 def graph2(blue_pairs, red_pairs):
@@ -64,7 +67,7 @@ def test_preprocess_forced_chain():
     assert mover == 0
     assert not alive(adj)
     assert solve22(g, L) is DR
-    assert Solver().solve(g, L) is DR
+    assert Solver(SEARCH_ONLY).solve(g, L) is DR
 
 
 def test_preprocess_mixed_unit_priority():
@@ -200,7 +203,7 @@ def test_exhaustive_alignment_on_three_vertices():
     singles = [[v] for v in verts]
     pairs = [list(p) for p in itertools.combinations(verts, 2)]
     pool = singles + pairs
-    solver = Solver()
+    solver = Solver(SEARCH_ONLY)
     for blue_bits in range(1 << len(pool)):
         blue = [pool[i] for i in range(len(pool)) if blue_bits >> i & 1]
         for red_bits in range(0, 1 << len(pool), 7):  # stride keeps this quick
@@ -212,7 +215,7 @@ def test_exhaustive_alignment_on_three_vertices():
 
 def test_random_alignment_medium_games():
     rng = rng_for(41, "poly22-random")
-    solver = Solver()
+    solver = Solver(SEARCH_ONLY)
     for _ in range(400):
         g = random_game(rng, max_vertices=10, max_edge_size=2, max_edges=12)
         for first in (L, R):
@@ -238,7 +241,7 @@ def _forcing_chain(n, unit, first_pair, tail=None):
 
 
 def test_alternating_forcing_chains_match_solver():
-    solver = Solver()
+    solver = Solver(SEARCH_ONLY)
     for n in range(2, 15):
         for unit, first_pair, tail, first in itertools.product(
                 (L, R), (L, R), (None, L, R), (L, R)):
@@ -290,7 +293,7 @@ def test_even_path_reduction_preserves_second_player_win():
     # unchanged: the deleted exchange is optimal for Right and forced for
     # Left.  Verified on 300 random instances that expose such a path.
     rng = rng_for(42, "type3-preservation")
-    solver = Solver()
+    solver = Solver(SEARCH_ONLY)
     found = 0
     attempts = 0
     while found < 300 and attempts < 30000:

@@ -6,10 +6,13 @@ import itertools
 from apg import Player, Solver, SolverConfig, new_game
 from apg.gadgets import random_game, rng_for
 
+from oracles import brute_result
+
 L, R = Player.LEFT, Player.RIGHT
 
 PLAIN = SolverConfig(use_twin_reduction=False, use_domination=False,
-                     use_forced_moves=False)
+                     use_forced_moves=False, use_leaf_oracle=False,
+                     use_potentials=False)
 
 
 def test_exhaustive_three_vertex_games_any_rank():
@@ -25,8 +28,28 @@ def test_exhaustive_three_vertex_games_any_rank():
             g = new_game(verts, blue, red)
             for first in (L, R):
                 checked += 1
-                assert plain.solve(g, first) == tuned.solve(g, first), g
+                want = brute_result(g, first)
+                assert plain.solve(g, first) == want, g
+                assert tuned.solve(g, first) == want, g
     assert checked == (1 << 7) * (1 << 7) * 2
+
+
+def test_rank4_games_against_plain_and_brute_force():
+    # A fresh tuned solver per board, so every leaf call and potential
+    # cutoff of its search is checked, none answered from an earlier memo.
+    rng = rng_for(92, "pruning-rank4")
+    plain = Solver(PLAIN)
+    fired = [0, 0]
+    for _ in range(3000):
+        g = random_game(rng, max_vertices=8, max_edge_size=4)
+        for first in (L, R):
+            tuned = Solver()
+            want = brute_result(g, first)
+            assert tuned.solve(g, first) == want, g
+            assert plain.solve(g, first) == want, g
+            fired[0] += tuned.last_stats.leaf_calls
+            fired[1] += tuned.last_stats.potential_cutoffs
+    assert min(fired) > 100  # both rules are exercised
 
 
 def test_random_larger_games():
@@ -45,6 +68,8 @@ def test_each_toggle_individually():
         Solver(SolverConfig(use_twin_reduction=False)),
         Solver(SolverConfig(use_domination=False)),
         Solver(SolverConfig(use_forced_moves=False)),
+        Solver(SolverConfig(use_leaf_oracle=False)),
+        Solver(SolverConfig(use_potentials=False)),
     ]
     reference = Solver()
     for _ in range(120):

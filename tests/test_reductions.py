@@ -38,6 +38,7 @@ from apg.gadgets import random_game, rng_for
 L, R = Player.LEFT, Player.RIGHT
 LW, DR, RW = GameResult.LEFT_WIN, GameResult.DRAW, GameResult.RIGHT_WIN
 NONLOSS = CanonicalRightResult.LEFT_NON_LOSING
+SEARCH_ONLY = SolverConfig(use_leaf_oracle=False, use_potentials=False)
 RWINS = CanonicalRightResult.RIGHT_WINS
 
 
@@ -138,11 +139,15 @@ def test_draw_gadget_never_left_win():
 
 
 def test_draw_gadget_unsat_loses():
+    # Pinned so that a change to the search's pruning or order shows: the
+    # search alone, and with the size-2 leaf oracle ending nodes early.
     g = sat_draw_game(CnfFormula(3, all_sign_clauses())).game
+    s = Solver(SEARCH_ONLY)
+    assert not s.survives_canonical_right(g)
+    assert s.last_stats.nodes_expanded == 236_848
     s = Solver()
     assert not s.survives_canonical_right(g)
-    # Pinned so that a change to the search's pruning or order shows.
-    assert s.last_stats.nodes_expanded == 236_848
+    assert s.last_stats.nodes_expanded == 47_040
 
 
 def test_canonical_right_priorities():
@@ -186,9 +191,11 @@ def random_blue3_red2_game(rng, max_vertices=12):
 def test_canonical_right_agrees_with_full_search(use_domination):
     # Surviving the canonical Right strategy is the same as not losing with
     # Left first, on every blue<=3 / red<=2 board.  Each board gets a fresh
-    # solver, so no search is cut short by an earlier board's memo.
+    # solver, so no search is cut short by an earlier board's memo.  The
+    # reference runs without the size-2 leaf oracle, which the canonical
+    # search also calls.
     rng = rng_for(41, "canonical-right")
-    full = Solver()
+    full = Solver(SEARCH_ONLY)
     right_wins = 0
     for _ in range(1000):
         g = random_blue3_red2_game(rng)
@@ -200,9 +207,33 @@ def test_canonical_right_agrees_with_full_search(use_domination):
 
 
 def test_canonical_right_pinned_nodes():
-    s = Solver()
+    s = Solver(SEARCH_ONLY)
     assert not s.survives_canonical_right(sat_draw_game(U3A).game)
     assert s.last_stats.nodes_expanded == 3_660
+    s = Solver()
+    assert not s.survives_canonical_right(sat_draw_game(U3A).game)
+    assert s.last_stats.nodes_expanded == 1_816
+    assert s.last_stats.leaf_calls == 144
+
+
+def test_canonical_right_leaf_oracle_agrees():
+    # The leaf oracle changes no answer of the canonical search: the same
+    # value with it on and off, and the value of the plain search with
+    # Left first.
+    rng = rng_for(44, "canonical-right-leaf")
+    plain = Solver(SolverConfig(use_twin_reduction=False, use_domination=False,
+                                use_forced_moves=False, use_leaf_oracle=False,
+                                use_potentials=False))
+    leaf_calls = right_wins = 0
+    for _ in range(1500):
+        g = random_blue3_red2_game(rng)
+        with_leaf, without = Solver(), Solver(SEARCH_ONLY)
+        got = with_leaf.survives_canonical_right(g)
+        assert got == without.survives_canonical_right(g), g
+        assert got == (plain.solve(g, L) is not RW), g
+        leaf_calls += with_leaf.last_stats.leaf_calls
+        right_wins += not got
+    assert leaf_calls > 500 and right_wins > 300
 
 
 def test_canonical_right_tiny_memo():

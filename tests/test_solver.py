@@ -18,6 +18,7 @@ from apg import (
     outcome,
     self_play,
     solve,
+    solve22,
     union_outcome_allowed,
     win_in_k,
 )
@@ -30,6 +31,7 @@ from oracles import brute_delay, brute_result
 
 L, R = Player.LEFT, Player.RIGHT
 LW, DR, RW = GameResult.LEFT_WIN, GameResult.DRAW, GameResult.RIGHT_WIN
+SEARCH_ONLY = SolverConfig(use_leaf_oracle=False, use_potentials=False)
 
 
 # -- fixed points -------------------------------------------------------------
@@ -187,10 +189,10 @@ def test_stats_invariant():
 
 
 def test_max_depth_covers_one_query():
-    fresh = Solver()
+    fresh = Solver(SEARCH_ONLY)
     fresh.solve(butterfly(), L)
     assert fresh.last_stats.max_depth == 3
-    s = Solver()
+    s = Solver(SEARCH_ONLY)
     s.solve(sat_draw_game(CnfFormula(3, ((1, 2, 3),))).game, L)
     assert s.last_stats.max_depth > 3
     s.solve(butterfly(), L)
@@ -222,9 +224,73 @@ def test_move_value_records_its_stats():
 
 
 def test_node_budget():
-    s = Solver(SolverConfig(node_limit=3))
+    s = Solver(SolverConfig(node_limit=3, use_leaf_oracle=False, use_potentials=False))
     with pytest.raises(ResourceLimitError):
         s.solve(butterfly(), L)
+
+
+# -- cutoffs that end a node early ---------------------------------------------------
+
+def nested(prefix, sizes):
+    """Edges ``{prefix0 .. prefix(k-1)}`` for each size k: their 2^-|e| sum
+    to 1/2 - 2^-61 over sizes 2..61, which a float rounds to 1/2."""
+    return [[f"{prefix}{i}" for i in range(k)] for k in sizes]
+
+
+def blue_potential_board(at_bound):
+    # Left's potential is 1/2 - 2^-61, or 1/2 with the extra size-61 edge;
+    # the red pair tells v0 from v1, which would otherwise be twins.
+    verts = [f"v{i}" for i in range(62)]
+    extra = [verts[:60] + ["v61"]] if at_bound else []
+    return new_game(verts, nested("v", range(2, 62)) + extra, [["v0", "v61"]])
+
+
+def red_potential_board(at_bound):
+    # Right's potential is a unit's 1/2 plus 1/2 - 2^-61, or 1 with the extra
+    # size-61 edge; Left's one pair keeps its own potential at 1/4.
+    verts = ["u", "x"] + [f"w{i}" for i in range(61)]
+    extra = [[f"w{i}" for i in range(1, 61)] + ["x"]] if at_bound else []
+    return new_game(verts, [["w0", "x"]], [["u"]] + nested("w", range(2, 62)) + extra)
+
+
+@pytest.mark.parametrize("board", [blue_potential_board, red_potential_board])
+def test_potential_cutoffs_fire_at_the_root_with_exact_sums(board):
+    # Below the bound both queries end at the root: "can Left win?" on
+    # Left's potential, "can Left avoid losing?" on Right's.  At the bound,
+    # off by 2^-61 on 62-63 vertices, the cutoff must not fire there.
+    s = Solver()
+    assert s.solve(board(False), L) is DR
+    assert (s.last_stats.nodes_expanded, s.last_stats.max_depth) == (2, 0)
+    assert s.last_stats.potential_cutoffs == 2
+    want = Solver(SEARCH_ONLY).solve(board(True), L)
+    s = Solver()
+    assert s.solve(board(True), L) is want
+    assert s.last_stats.max_depth > 0
+
+
+def test_counters_count_firings_and_stay_zero_when_toggled_off():
+    for field, toggle, game in (
+            ("potential_cutoffs", "use_potentials", blue_potential_board(False)),
+            ("leaf_calls", "use_leaf_oracle", butterfly())):
+        on, off = Solver(), Solver(SolverConfig(**{toggle: False}))
+        assert on.solve(game, L) is off.solve(game, L)
+        count = getattr(on.last_stats, field)
+        assert count >= 1 and getattr(off.last_stats, field) == 0
+        assert f"{field}: {count}" in on.last_stats.as_text()
+
+
+def test_long_alternating_chain_is_answered_by_the_leaf_oracle():
+    # Deeper than the recursion limit for the search, but every edge is a
+    # pair, so the root is one poly22 call.
+    verts = [f"v{i}" for i in range(1500)]
+    blue = [verts[i:i + 2] for i in range(0, 1499, 2)]
+    red = [verts[i:i + 2] for i in range(1, 1499, 2)]
+    g = new_game(verts, blue, red)
+    s = Solver()
+    for first in (L, R):
+        assert s.solve(g, first) is solve22(g, first)
+        assert s.last_stats.leaf_calls >= 1 and s.last_stats.max_depth == 0
+    assert s.solve(g, L) is DR
 
 
 # -- delay --------------------------------------------------------------------------
