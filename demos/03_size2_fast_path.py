@@ -18,8 +18,10 @@ t0 = time.perf_counter()
 fast = [solve22(g, L) for g in games]
 t_fast = time.perf_counter() - t0
 
-# Search alone: the default solver would hand these games to solve22 itself.
-solver = Solver(SolverConfig(use_leaf_oracle=False, use_potentials=False))
+# Search alone: the default solver would hand these games to solve22 itself,
+# and its double-threat rule is solve22's own P3 step.
+solver = Solver(SolverConfig(use_leaf_oracle=False, use_potentials=False,
+                             use_double_threats=False))
 t0 = time.perf_counter()
 slow = [solver.solve(g, L) for g in games]
 t_slow = time.perf_counter() - t0

@@ -321,13 +321,16 @@ def candidates(state: State, prune: bool) -> list[int]:
     return cand
 
 
-def canonical_right_index(state: State) -> int:
-    """Right's priority pick in a blue<=3 / red<=2 game.
+def canonical_right_reply(state: State) -> tuple[int, bool]:
+    """Right's priority pick in a blue<=3 / red<=2 game, and whether it
+    makes a double threat Left cannot meet.
 
     Fill a red unit if there is one; otherwise block Left's only blue unit
     if there is exactly one; otherwise take the lowest vertex shared by two
     red pairs (the centre of an intact red path of two edges); otherwise
-    vertex 0.
+    vertex 0.  The flag is set when the pick is such a centre and neither
+    colour holds a unit: Right then holds two red units and Left none, so
+    Right fills one of them next.
     """
     _, blue, red = state
     red_unit_mask = 0
@@ -340,10 +343,10 @@ def canonical_right_index(state: State) -> int:
             shared |= seen & m
             seen |= m
     if red_unit_mask:
-        return (red_unit_mask & -red_unit_mask).bit_length() - 1
+        return (red_unit_mask & -red_unit_mask).bit_length() - 1, False
     blue_unit_mask = unit_mask(blue)
     if blue_unit_mask and blue_unit_mask & (blue_unit_mask - 1) == 0:
-        return blue_unit_mask.bit_length() - 1
+        return blue_unit_mask.bit_length() - 1, False
     if shared:
-        return (shared & -shared).bit_length() - 1
-    return 0
+        return (shared & -shared).bit_length() - 1, not blue_unit_mask
+    return 0, False

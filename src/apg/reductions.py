@@ -1,7 +1,7 @@
 """Compilers from CNF/QBF formulas to achievement games, plus the brute-force
 logic oracles and the fixed Right strategy they are checked against.
 
-The strategy's rule is ``kernel.canonical_right_index`` and the search
+The strategy's rule is ``kernel.canonical_right_reply`` and the search
 against it is ``Solver.survives_canonical_right``; this module names the
 strategy's moves and maps the search's answer to ``CanonicalRightResult``.
 
@@ -34,7 +34,7 @@ from .errors import (
     TooLargeError,
 )
 from .gadgets import butterfly
-from .kernel import canonical_right_index, state_of_game
+from .kernel import canonical_right_reply, state_of_game
 from .solver import Solver, SolverConfig
 
 
@@ -497,7 +497,7 @@ def canonical_right_move(position: Position) -> str:
     updated = position.updated_game()
     if updated.n == 0:
         raise ValueError("no vertices left to pick")
-    i = canonical_right_index(state_of_game(updated))
+    i = canonical_right_reply(state_of_game(updated))[0]
     return updated.vertices[i]
 
 

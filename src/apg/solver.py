@@ -30,7 +30,17 @@ Pruning used by default, each individually toggleable:
     while moving second, stops the mover from filling any, so the mover
     cannot win; if the sum over the opponent's edges is below 1, the mover,
     blocking first, stops the opponent, so the mover cannot lose.  The sums
-    are compared exactly in integers, scaled by 2^n.
+    are compared exactly in integers, scaled by 2^n;
+  * double threats (``use_double_threats``), ``poly22``'s P3 step on any
+    board: a mover with no one-vertex edge who picks a vertex shared by two
+    of its pairs holds two one-vertex edges.  If the opponent has no
+    one-vertex edge, or only one, at that vertex (the pick blocks it), the
+    opponent completes nothing on the next pick and blocks only one of the
+    two, so the mover wins: the node is True for both questions, and True
+    in the canonical-Right search for Left's pairs.  For Right's pairs the
+    same holds one ply down: when the canonical reply is such a centre and
+    neither colour holds a one-vertex edge, Left's move loses without its
+    child being built.
 """
 
 from __future__ import annotations
@@ -55,12 +65,13 @@ from .errors import EdgeTooLargeError, ResourceLimitError
 from .kernel import (
     State,
     candidates,
-    canonical_right_index,
+    canonical_right_reply,
     child,
     dead_pair_reduce,
     state_of_game,
     touched_mask,
     twin_reduce,
+    unit_mask,
     unit_positions,
 )
 from .poly22 import solve22_masks
@@ -93,13 +104,15 @@ class SolveStats:
     elapsed: float = 0.0
     leaf_calls: int = 0
     potential_cutoffs: int = 0
+    threat_cutoffs: int = 0
 
     def as_text(self) -> str:
         return (f"nodes_expanded: {self.nodes_expanded}\n"
                 f"memo_hits: {self.memo_hits}\n"
                 f"max_depth: {self.max_depth}\n"
                 f"leaf_calls: {self.leaf_calls}\n"
-                f"potential_cutoffs: {self.potential_cutoffs}")
+                f"potential_cutoffs: {self.potential_cutoffs}\n"
+                f"threat_cutoffs: {self.threat_cutoffs}")
 
 
 @dataclass
@@ -110,6 +123,7 @@ class SolverConfig:
     use_forced_moves: bool = True
     use_leaf_oracle: bool = True
     use_potentials: bool = True
+    use_double_threats: bool = True
     # When set, memoize only positions with at most this many free vertices;
     # exhaustive batteries use it to keep the table tiny while their top-level
     # queries still share all sub-position work.
@@ -148,6 +162,7 @@ class Solver:
         self._hits = 0
         self._leaf_calls = 0
         self._cutoffs = 0
+        self._threats = 0
         self._max_depth = 0
         self.last_stats = SolveStats()
 
@@ -180,6 +195,7 @@ class Solver:
         result: Optional[bool] = None
         moves: Optional[Iterable[int]] = None
         small = True  # every edge of the mover has size <= 2
+        double = seen = 0  # vertices shared by two of the mover's pairs
 
         if n == 0:
             result = not want_win  # draw by exhaustion
@@ -191,12 +207,22 @@ class Solver:
                     break
                 if high & (high - 1):
                     small = False
-        if result is None and config.use_forced_moves:
-            threats = unit_positions(other)
-            if len(set(threats)) >= 2:
-                result = False  # cannot block two distinct unit threats
-            elif threats:
-                moves = threats[:1]
+                else:
+                    double |= seen & m
+                    seen |= m
+        if result is None and (double or config.use_forced_moves):
+            units = unit_mask(other)
+            if (double and config.use_double_threats
+                    and units & (units - 1) == 0 and units & ~double == 0):
+                # A centre, the blocking one if the opponent has a unit,
+                # leaves two own units against none of the opponent's.
+                result = True
+                self._threats += 1
+            elif units and config.use_forced_moves:
+                if units & (units - 1):
+                    result = False  # cannot block two distinct unit threats
+                else:
+                    moves = (units.bit_length() - 1,)
         if result is None and config.use_potentials:
             # Erdős–Selfridge, scaled by 2^n: the opponent blocking second
             # keeps a total below 1/2 unfilled, the mover blocking first
@@ -240,7 +266,7 @@ class Solver:
             memo[key] = result
 
     def _survive_eval(self, state: State, depth: int) -> bool:
-        # Left to move, Right replying with canonical_right_index.  The node's
+        # Left to move, Right replying with canonical_right_reply.  The node's
         # value equals "Left has a non-losing strategy moving first here"
         # (surviving the fixed strategy refutes every Right strategy, and the
         # fixed strategy wins whenever any does), so it is preserved by
@@ -256,8 +282,10 @@ class Solver:
         if cached is not None:
             self._hits += 1
             return cached
+        config = self.config
         result: Optional[bool] = None
         small = True  # every blue edge has size <= 2
+        double = seen = 0  # vertices shared by two blue pairs
         for m in blue:
             high = m & (m - 1)  # m without its lowest bit
             if not high:
@@ -265,16 +293,22 @@ class Solver:
                 break
             if high & (high - 1):
                 small = False
+            else:
+                double |= seen & m
+                seen |= m
         if result is None:
-            red_units = set(unit_positions(red))
-            if len(red_units) >= 2:
+            red_units = unit_mask(red)
+            if red_units & (red_units - 1):
                 result = False  # whatever Left picks, a red unit survives
-            elif small and self.config.use_leaf_oracle:
+            elif double and config.use_double_threats and red_units & ~double == 0:
+                result = True  # Left's double threat, as in _eval
+                self._threats += 1
+            elif small and config.use_leaf_oracle:
                 self._leaf_calls += 1
                 result = solve22_masks(n, blue, red, Player.LEFT) is not GameResult.RIGHT_WIN
             else:
-                moves = (sorted(red_units) if red_units
-                         else candidates(state, self.config.use_domination))
+                moves = ([red_units.bit_length() - 1] if red_units
+                         else candidates(state, config.use_domination))
                 result = False
                 for i in moves:
                     after_left = child(state, 0, i)
@@ -282,7 +316,11 @@ class Solver:
                     if after_left[0] == 0:
                         result = True  # the board ran out before Right's reply
                         break
-                    after_right = child(after_left, 1, canonical_right_index(after_left))
+                    reply, doubled = canonical_right_reply(after_left)
+                    if doubled and config.use_double_threats:
+                        self._threats += 1
+                        continue  # Right's double threat: this line loses
+                    after_right = child(after_left, 1, reply)
                     # None: Right's reply fills a red edge, so this line loses.
                     if after_right is not None and self._survive_eval(after_right, depth + 1):
                         result = True
@@ -305,18 +343,19 @@ class Solver:
             return GameResult.LEFT_WIN
         return GameResult.RIGHT_WIN
 
-    def _begin(self) -> tuple[int, int, int, int, float]:
+    def _begin(self) -> tuple[int, int, int, int, int, float]:
         self._max_depth = 0
         return (self._nodes, self._hits, self._leaf_calls, self._cutoffs,
-                time.perf_counter())
+                self._threats, time.perf_counter())
 
-    def _finish(self, mark: tuple[int, int, int, int, float]) -> None:
-        n0, h0, l0, c0, t0 = mark
+    def _finish(self, mark: tuple[int, int, int, int, int, float]) -> None:
+        n0, h0, l0, c0, d0, t0 = mark
         # Positional arguments: keywords double the cost, which shows on the
         # batteries' millions of queries on states of a few vertices.
         self.last_stats = SolveStats(self._nodes - n0, self._hits - h0,
                                      self._max_depth, time.perf_counter() - t0,
-                                     self._leaf_calls - l0, self._cutoffs - c0)
+                                     self._leaf_calls - l0, self._cutoffs - c0,
+                                     self._threats - d0)
 
     # -- public queries ----------------------------------------------------
 
@@ -337,7 +376,7 @@ class Solver:
 
     def survives_canonical_right(self, game: Game) -> bool:
         """Whether Left, moving first, avoids losing when Right always plays
-        the canonical strategy (``kernel.canonical_right_index``).
+        the canonical strategy (``kernel.canonical_right_reply``).
 
         Needs blue edges of size <= 3 and red edges of size <= 2.  There the
         canonical strategy wins whenever Right has a winning strategy, so
@@ -387,6 +426,10 @@ class Solver:
 
         An immediate edge completion is preferred when one exists; otherwise
         ties break to the lowest vertex index, so results are deterministic.
+        Each child costs one question, the one the value decides: after a
+        winning move the opponent cannot avoid losing, after a drawing one
+        the opponent cannot win (no move of a drawn position loses it), and
+        in a lost position every move loses.
         """
         if status(position) != Status(StatusKind.ONGOING):
             raise ValueError("best_move needs an ongoing position")
@@ -401,7 +444,8 @@ class Solver:
                 after = child(state, mover, i)
                 if after is None:
                     return game.vertices[i], self._to_game_result(_WIN, position.to_move)
-                if fallback is None and -self._result_for_mover(after, 1 - mover) == value:
+                if fallback is None and (value == _LOSS or not self._eval(
+                        after, 1 - mover, value == _DRAW, 0)):
                     fallback = game.vertices[i]
             if fallback is None:
                 raise AssertionError("no move achieves the computed value")

@@ -125,9 +125,11 @@ def outcome_legality(seed: int = 0,
     """No game may produce one of the three impossible outcome rows."""
     report = BatteryReport("outcome-legality")
     # The exhaustive states are size-2 boards, which the leaf oracle would
-    # hand to poly22; with both cutoffs off the search alone is checked.
+    # hand to poly22 and the double-threat rule (poly22's P3 step) would
+    # partly decide; with the three cutoffs off the search alone is checked.
     solver = Solver(SolverConfig(memo_max_vertices=max(0, exhaustive_max_vertices - 1),
-                                 use_leaf_oracle=False, use_potentials=False))
+                                 use_leaf_oracle=False, use_potentials=False,
+                                 use_double_threats=False))
     for n in range(exhaustive_max_vertices + 1):
         for state in iter_22_states(n):
             report.checked += 1
@@ -162,10 +164,12 @@ def poly22_agreement(seed: int = 0,
     by a dense seeded sample instead, plus random games up to 14 vertices.
     """
     report = BatteryReport("poly22-agreement")
-    # Both solvers run with the leaf oracle and the potential cutoffs off:
-    # the oracle would answer these size-2 boards with solve22_masks itself.
+    # Both solvers run with the leaf oracle, the potential cutoffs and the
+    # double-threat rule off: the oracle would answer these size-2 boards
+    # with solve22_masks itself, and the rule is its P3 step.
     solver = Solver(SolverConfig(memo_max_vertices=max(0, exhaustive_max_vertices - 1),
-                                 use_leaf_oracle=False, use_potentials=False))
+                                 use_leaf_oracle=False, use_potentials=False,
+                                 use_double_threats=False))
     for n in range(exhaustive_max_vertices + 1):
         for state in iter_22_states(n):
             report.checked += 1
@@ -174,7 +178,8 @@ def poly22_agreement(seed: int = 0,
                 if got != want:
                     report.fail(f"{state} first={player}: poly {got} vs solver {want}")
     rng = rng_for(seed, "poly22-random")
-    big = Solver(SolverConfig(use_leaf_oracle=False, use_potentials=False))
+    big = Solver(SolverConfig(use_leaf_oracle=False, use_potentials=False,
+                              use_double_threats=False))
     for trials, exact in ((five_vertex_trials, 5), (random_trials, None)):
         for _ in range(trials):
             state = random_22_state(rng, max_vertices=14, exact=exact)

@@ -1,5 +1,5 @@
-"""The quick demos run to the end.  ``04_hardness_gadgets.py`` takes several
-seconds and is left out; the reduction tests cover what it shows."""
+"""Every demo runs to the end; the hardness-gadget demo (about 2 s) also
+prints its verdicts."""
 
 import os
 import subprocess
@@ -9,8 +9,16 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-QUICK = ("01_playing_and_updating.py", "02_solving_and_outcomes.py",
-         "03_size2_fast_path.py")
+DEMOS = ("01_playing_and_updating.py", "02_solving_and_outcomes.py",
+         "03_size2_fast_path.py", "04_hardness_gadgets.py")
+GADGET_VERDICTS = (
+    "  Left first, full search: Draw (satisfiable formulas draw, never win)\n",
+    "  Left vs the fixed Right strategy: CanonicalRightResult.LEFT_NON_LOSING\n",
+    "  Left first: LeftWin\n",
+    "  draw gadget vs fixed Right: CanonicalRightResult.RIGHT_WINS\n",
+    "  valuation game winner: QbfWinner.SATISFIER\n",
+    "  Left as second player: Draw\n",
+)
 
 
 def run_demo(name):
@@ -19,9 +27,13 @@ def run_demo(name):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
-@pytest.mark.parametrize("name", QUICK)
+@pytest.mark.parametrize("name", DEMOS)
 def test_demo_runs(name):
     done = run_demo(name)
     assert done.returncode == 0, done.stderr
     if name.startswith("03"):
         assert "agreement: 2000/2000" in done.stdout
+    if name.startswith("04"):
+        for line in GADGET_VERDICTS:
+            assert line in done.stdout
+        assert done.stdout.count("forced at every step: True") == 4

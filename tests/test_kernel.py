@@ -240,9 +240,10 @@ def test_phi3_node_counts_are_pinned():
     # Exact search size without the cutoffs that end nodes early: any change
     # to the candidate set, their order or the canonical states moves these
     # counts.  The default configuration's counts are pinned beside them.
-    search_only = SolverConfig(use_leaf_oracle=False, use_potentials=False)
+    search_only = SolverConfig(use_leaf_oracle=False, use_potentials=False,
+                               use_double_threats=False)
     for config, draw_nodes, win_nodes in ((search_only, 7222, 736),
-                                          (SolverConfig(), 3990, 718)):
+                                          (SolverConfig(), 1821, 63)):
         s = Solver(config)
         assert s.solve(sat_draw_game(PHI3).game, Player.LEFT) is GameResult.DRAW
         assert s.last_stats.nodes_expanded == draw_nodes

@@ -21,8 +21,10 @@ from apg.poly22 import (
 L, R = Player.LEFT, Player.RIGHT
 LW, DR, RW = GameResult.LEFT_WIN, GameResult.DRAW, GameResult.RIGHT_WIN
 # The reference for solve22: the search with its size-2 leaf oracle (which
-# is solve22) and its potential cutoffs off.
-SEARCH_ONLY = SolverConfig(use_leaf_oracle=False, use_potentials=False)
+# is solve22), its potential cutoffs and its double-threat rule (poly22's
+# own P3 step) off.
+SEARCH_ONLY = SolverConfig(use_leaf_oracle=False, use_potentials=False,
+                          use_double_threats=False)
 
 
 def graph2(blue_pairs, red_pairs):

@@ -12,7 +12,10 @@ L, R = Player.LEFT, Player.RIGHT
 
 PLAIN = SolverConfig(use_twin_reduction=False, use_domination=False,
                      use_forced_moves=False, use_leaf_oracle=False,
-                     use_potentials=False)
+                     use_potentials=False, use_double_threats=False)
+
+
+NO_THREATS = SolverConfig(use_double_threats=False)
 
 
 def test_exhaustive_three_vertex_games_any_rank():
@@ -20,7 +23,7 @@ def test_exhaustive_three_vertex_games_any_rank():
     pool = [list(c) for r in (1, 2, 3) for c in itertools.combinations(verts, r)]
     plain = Solver(PLAIN)
     tuned = Solver()
-    checked = 0
+    checked = fired = 0
     for blue_bits in range(1 << len(pool)):
         blue = [pool[i] for i in range(len(pool)) if blue_bits >> i & 1]
         for red_bits in range(1 << len(pool)):
@@ -31,25 +34,65 @@ def test_exhaustive_three_vertex_games_any_rank():
                 want = brute_result(g, first)
                 assert plain.solve(g, first) == want, g
                 assert tuned.solve(g, first) == want, g
+                fired += tuned.last_stats.threat_cutoffs
     assert checked == (1 << 7) * (1 << 7) * 2
+    assert fired > 0
+
+
+def antichains(pool):
+    """Every set of edges from ``pool`` with no edge inside another."""
+    sets = [frozenset(e) for e in pool]
+    for bits in range(1 << len(pool)):
+        chosen = [s for i, s in enumerate(sets) if bits >> i & 1]
+        if not any(a < b for a in chosen for b in chosen):
+            yield [sorted(s) for s in chosen]
+
+
+def test_exhaustive_four_vertex_games_rank3():
+    # An edge holding another edge of its colour never decides a game (the
+    # smaller one is filled first), so the antichains of edges of size <= 3
+    # stand for every board of up to 4 vertices with such edges.
+    checked = fired = 0
+    for n in range(5):
+        verts = "abcd"[:n]
+        pool = [c for r in (1, 2, 3) for c in itertools.combinations(verts, r)]
+        families = list(antichains(pool))
+        plain, tuned, no_threats = Solver(PLAIN), Solver(), Solver(NO_THREATS)
+        for blue in families:
+            for red in families:
+                g = new_game(verts, blue, red)
+                for first in (L, R):
+                    checked += 1
+                    want = brute_result(g, first)
+                    assert plain.solve(g, first) == want, g
+                    assert no_threats.solve(g, first) == want, g
+                    assert tuned.solve(g, first) == want, g
+                    fired += tuned.last_stats.threat_cutoffs
+                    assert no_threats.last_stats.threat_cutoffs == 0
+    assert checked == 2 * sum(k * k for k in (1, 2, 5, 19, 166))
+    assert fired > 1000
 
 
 def test_rank4_games_against_plain_and_brute_force():
-    # A fresh tuned solver per board, so every leaf call and potential
-    # cutoff of its search is checked, none answered from an earlier memo.
+    # Fresh tuned solvers per board, so every rule firing of their searches
+    # is checked, none answered from an earlier memo.  The double-threat
+    # rule ends many nodes before the leaf oracle or the potentials are
+    # asked, so those two are counted on a second solver with it off.
     rng = rng_for(92, "pruning-rank4")
     plain = Solver(PLAIN)
-    fired = [0, 0]
+    fired = [0, 0, 0]
     for _ in range(3000):
         g = random_game(rng, max_vertices=8, max_edge_size=4)
         for first in (L, R):
-            tuned = Solver()
+            tuned, no_threats = Solver(), Solver(NO_THREATS)
             want = brute_result(g, first)
             assert tuned.solve(g, first) == want, g
+            assert no_threats.solve(g, first) == want, g
             assert plain.solve(g, first) == want, g
-            fired[0] += tuned.last_stats.leaf_calls
-            fired[1] += tuned.last_stats.potential_cutoffs
-    assert min(fired) > 100  # both rules are exercised
+            fired[0] += no_threats.last_stats.leaf_calls
+            fired[1] += no_threats.last_stats.potential_cutoffs
+            fired[2] += tuned.last_stats.threat_cutoffs
+    assert min(fired) > 100  # all three rules are exercised
 
 
 def test_random_larger_games():
@@ -70,6 +113,7 @@ def test_each_toggle_individually():
         Solver(SolverConfig(use_forced_moves=False)),
         Solver(SolverConfig(use_leaf_oracle=False)),
         Solver(SolverConfig(use_potentials=False)),
+        Solver(NO_THREATS),
     ]
     reference = Solver()
     for _ in range(120):

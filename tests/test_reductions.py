@@ -34,11 +34,13 @@ from apg import (
     update,
 )
 from apg.gadgets import random_game, rng_for
+from apg.kernel import canonical_right_reply
 
 L, R = Player.LEFT, Player.RIGHT
 LW, DR, RW = GameResult.LEFT_WIN, GameResult.DRAW, GameResult.RIGHT_WIN
 NONLOSS = CanonicalRightResult.LEFT_NON_LOSING
-SEARCH_ONLY = SolverConfig(use_leaf_oracle=False, use_potentials=False)
+SEARCH_ONLY = SolverConfig(use_leaf_oracle=False, use_potentials=False,
+                          use_double_threats=False)
 RWINS = CanonicalRightResult.RIGHT_WINS
 
 
@@ -140,14 +142,14 @@ def test_draw_gadget_never_left_win():
 
 def test_draw_gadget_unsat_loses():
     # Pinned so that a change to the search's pruning or order shows: the
-    # search alone, and with the size-2 leaf oracle ending nodes early.
+    # search alone, and with the cutoffs that end nodes early.
     g = sat_draw_game(CnfFormula(3, all_sign_clauses())).game
     s = Solver(SEARCH_ONLY)
     assert not s.survives_canonical_right(g)
     assert s.last_stats.nodes_expanded == 236_848
     s = Solver()
     assert not s.survives_canonical_right(g)
-    assert s.last_stats.nodes_expanded == 47_040
+    assert s.last_stats.nodes_expanded == 13_639
 
 
 def test_canonical_right_priorities():
@@ -163,6 +165,17 @@ def test_canonical_right_priorities():
     g = new_game(["a", "b"], [["a", "b"]], [])
     pos = Position.from_picks(g, [], [], R)
     assert canonical_right_move(pos) == "a"  # arbitrary: lowest index
+
+
+def test_canonical_right_reply_flags_only_an_unanswerable_double_threat():
+    # Red pairs ab and bc meet at b.  The reply b wins outright only when
+    # neither colour holds a unit: a red unit is filled first, a single blue
+    # unit is blocked first, and two blue units let Left fill one next.
+    red = ((1 << 0) | (1 << 1), (1 << 1) | (1 << 2))
+    for blue, want in (((), (1, True)), ((0b11000,), (1, True)),
+                       ((0b1000,), (3, False)), ((0b1000, 0b10000), (1, False))):
+        assert canonical_right_reply((5, blue, red)) == want, blue
+    assert canonical_right_reply((5, (), red + (1 << 4,))) == (4, False)
 
 
 def test_canonical_right_answers_literal_pick():
@@ -212,28 +225,31 @@ def test_canonical_right_pinned_nodes():
     assert s.last_stats.nodes_expanded == 3_660
     s = Solver()
     assert not s.survives_canonical_right(sat_draw_game(U3A).game)
-    assert s.last_stats.nodes_expanded == 1_816
+    assert s.last_stats.nodes_expanded == 585
     assert s.last_stats.leaf_calls == 144
+    assert s.last_stats.threat_cutoffs == 1231
 
 
 def test_canonical_right_leaf_oracle_agrees():
-    # The leaf oracle changes no answer of the canonical search: the same
-    # value with it on and off, and the value of the plain search with
-    # Left first.
+    # The leaf oracle and the double-threat rule change no answer of the
+    # canonical search: the same value with both on and both off, and the
+    # value of the plain search with Left first.
     rng = rng_for(44, "canonical-right-leaf")
     plain = Solver(SolverConfig(use_twin_reduction=False, use_domination=False,
                                 use_forced_moves=False, use_leaf_oracle=False,
-                                use_potentials=False))
-    leaf_calls = right_wins = 0
+                                use_potentials=False, use_double_threats=False))
+    leaf_calls = threats = right_wins = 0
     for _ in range(1500):
         g = random_blue3_red2_game(rng)
         with_leaf, without = Solver(), Solver(SEARCH_ONLY)
         got = with_leaf.survives_canonical_right(g)
         assert got == without.survives_canonical_right(g), g
         assert got == (plain.solve(g, L) is not RW), g
+        assert without.last_stats.threat_cutoffs == 0
         leaf_calls += with_leaf.last_stats.leaf_calls
+        threats += with_leaf.last_stats.threat_cutoffs
         right_wins += not got
-    assert leaf_calls > 500 and right_wins > 300
+    assert leaf_calls > 500 and threats > 200 and right_wins > 300
 
 
 def test_canonical_right_tiny_memo():

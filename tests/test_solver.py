@@ -12,6 +12,7 @@ from apg import (
     ResourceLimitError,
     Solver,
     SolverConfig,
+    StatusKind,
     butterfly,
     delay,
     new_game,
@@ -19,6 +20,7 @@ from apg import (
     self_play,
     solve,
     solve22,
+    status,
     union_outcome_allowed,
     win_in_k,
 )
@@ -31,7 +33,8 @@ from oracles import brute_delay, brute_result
 
 L, R = Player.LEFT, Player.RIGHT
 LW, DR, RW = GameResult.LEFT_WIN, GameResult.DRAW, GameResult.RIGHT_WIN
-SEARCH_ONLY = SolverConfig(use_leaf_oracle=False, use_potentials=False)
+SEARCH_ONLY = SolverConfig(use_leaf_oracle=False, use_potentials=False,
+                          use_double_threats=False)
 
 
 # -- fixed points -------------------------------------------------------------
@@ -87,6 +90,33 @@ def test_every_right_reply_to_the_hub_loses():
     pos = Position.start(butterfly(), L).play("alpha")
     for reply in ["beta1", "beta2", "gamma1", "gamma2", "gamma3", "gamma4"]:
         assert s.move_value(pos, reply) is LW
+
+
+def two_question_best_move(solver, pos):
+    # The reference: an immediate completion if there is one, else the
+    # lowest-indexed vertex whose full two-question value equals the
+    # position's.
+    game = pos.updated_game()
+    for v in game.vertices:
+        if status(pos.play(v)).kind is StatusKind.WON:
+            return v, LW if pos.to_move is L else RW
+    value = solver.solve(game, pos.to_move)
+    return next(v for v in game.vertices if solver.move_value(pos, v) is value), value
+
+
+def test_best_move_matches_a_two_question_reference():
+    rng = rng_for(12, "best-move-one-question")
+    reference = Solver(SEARCH_ONLY)
+    values = set()
+    for _ in range(150):
+        pos = Position.start(random_game(rng, max_vertices=8, max_edge_size=3),
+                             rng.choice((L, R)))
+        while status(pos).kind is StatusKind.ONGOING:
+            got = Solver().best_move(pos)
+            assert got == two_question_best_move(reference, pos), pos.summary()
+            values.add(got[1])
+            pos = pos.play(rng.choice(pos.updated_game().vertices))
+    assert values == {LW, DR, RW}
 
 
 def test_self_play_butterfly():
@@ -224,7 +254,8 @@ def test_move_value_records_its_stats():
 
 
 def test_node_budget():
-    s = Solver(SolverConfig(node_limit=3, use_leaf_oracle=False, use_potentials=False))
+    s = Solver(SolverConfig(node_limit=3, use_leaf_oracle=False, use_potentials=False,
+                            use_double_threats=False))
     with pytest.raises(ResourceLimitError):
         s.solve(butterfly(), L)
 
@@ -271,12 +302,28 @@ def test_potential_cutoffs_fire_at_the_root_with_exact_sums(board):
 def test_counters_count_firings_and_stay_zero_when_toggled_off():
     for field, toggle, game in (
             ("potential_cutoffs", "use_potentials", blue_potential_board(False)),
-            ("leaf_calls", "use_leaf_oracle", butterfly())):
+            ("leaf_calls", "use_leaf_oracle", butterfly()),
+            ("threat_cutoffs", "use_double_threats",
+             new_game(["a", "b", "c"], [["a", "b"], ["b", "c"]], []))):
         on, off = Solver(), Solver(SolverConfig(**{toggle: False}))
         assert on.solve(game, L) is off.solve(game, L)
         count = getattr(on.last_stats, field)
         assert count >= 1 and getattr(off.last_stats, field) == 0
         assert f"{field}: {count}" in on.last_stats.as_text()
+
+
+@pytest.mark.parametrize("unit, want", [("b", LW), ("d", DR), (None, LW)])
+def test_double_threat_fires_only_when_the_centre_blocks(unit, want):
+    # Left's pairs ab and bc share the centre b.  With no red unit, or a red
+    # unit at b, Left's first pick makes two threats and the root ends
+    # there.  A red unit at d must be blocked elsewhere; Right then takes b
+    # and the game is drawn.
+    red = [[unit]] if unit else []
+    g = new_game(["a", "b", "c", "d"], [["a", "b"], ["b", "c"]], red)
+    s = Solver()
+    assert s.solve(g, L) is want is brute_result(g, L)
+    fired = (s.last_stats.nodes_expanded, s.last_stats.threat_cutoffs) == (1, 1)
+    assert fired == (want is LW)
 
 
 def test_long_alternating_chain_is_answered_by_the_leaf_oracle():
