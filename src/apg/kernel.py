@@ -1,11 +1,18 @@
 """Mask-level state operations shared by every exact search.
 
-A state is ``(n, blue, red)``: ``n`` free vertices indexed ``0..n-1`` and
-the live edges of each color as bitmasks over them, each tuple deduplicated
-and sorted by integer value, as ``Game`` stores them.  The functions here
-are pure; the solver (its queries and the canonical-Right search),
-``reductions.canonical_right_move`` and the domination queries of ``ops``
-all call them, so each rule is written once.
+A state is ``(n, own, other)``: ``n`` free vertices indexed ``0..n-1`` and
+the live edges of each side as bitmasks over them, each tuple deduplicated
+and sorted by integer value, as ``Game`` stores them.  The searches see a
+state from the side to move: ``own`` holds the mover's edges and ``other``
+the opponent's, so Left to move on a game is ``(n, blue, red)`` and Right
+to move is ``(n, red, blue)``.  The game is colour-symmetric, so one rule
+serves both players and a position and its colour-swapped mirror share a
+memo entry.  Only :func:`child`, :func:`touched_mask` and
+:func:`canonical_right_reply` read the view; the other functions treat
+both sides alike.  The functions here are pure; the solver (its queries
+and the canonical-Right search), ``reductions.canonical_right_move`` and
+the domination queries of ``ops`` all call them, so each rule is written
+once.
 
 Per-node costs are kept low by reading each edge's bit positions from a
 bounded cache (:func:`bits`) and by working on whole masks where a vertex
@@ -65,7 +72,8 @@ def compress(mask: int, removed: int) -> int:
 
 
 def state_of_game(game: Game) -> State:
-    """A game's edges are stored in the kernel's order, so no sort is needed."""
+    """The game with Left to move, ``(n, blue, red)``.  A game's edges are
+    stored in the kernel's order, so no sort is needed."""
     return (game.n, game.blue, game.red)
 
 
@@ -78,23 +86,19 @@ def unit_mask(masks: Iterable[int]) -> int:
     return units
 
 
-def unit_positions(masks: Iterable[int]) -> list[int]:
-    return [m.bit_length() - 1 for m in masks if m & (m - 1) == 0]
-
-
-def child(state: State, mover: int, i: int) -> Optional[State]:
-    """State after the mover picks vertex ``i``; None when the pick fills an
-    edge of the mover's color.
+def child(state: State, i: int) -> Optional[State]:
+    """State after the mover picks vertex ``i``, seen by the opponent, who
+    moves next: ``(n - 1, other, own)``.  None when the pick fills an edge
+    of the mover's.
 
     Removing a bit position that a mask lacks is strictly increasing on
     such masks, so edges not through ``i`` stay distinct and sorted; only
     the mover's edges through ``i`` can collide or move.
     """
-    n, blue, red = state
+    n, own, other = state
     bit = 1 << i
     low = bit - 1
     hi = ~low
-    own, other = (blue, red) if mover == 0 else (red, blue)
     new_own = []
     hit = False
     for m in own:
@@ -106,18 +110,16 @@ def child(state: State, mover: int, i: int) -> Optional[State]:
         new_own.append((m & low) | ((m >> 1) & hi))
     own_t = tuple(sorted(set(new_own))) if hit else tuple(new_own)
     other_t = tuple([(m & low) | ((m >> 1) & hi) for m in other if not m & bit])
-    if mover == 0:
-        return (n - 1, own_t, other_t)
     return (n - 1, other_t, own_t)
 
 
-def touched_mask(state: State, mover: int, i: int) -> int:
+def touched_mask(state: State, i: int) -> int:
     """The touched mask of :func:`child`'s state: the other vertices of the
     opponent's edges through ``i``, which the pick kills, numbered as in
     the child.  Only those can gain a twin (see :func:`twin_reduce`)."""
     bit = 1 << i
     touched = 0
-    for m in (state[2] if mover == 0 else state[1]):
+    for m in state[2]:
         if m & bit:
             touched |= m
     low = bit - 1
@@ -323,7 +325,8 @@ def candidates(state: State, prune: bool) -> list[int]:
 
 def canonical_right_reply(state: State) -> tuple[int, bool]:
     """Right's priority pick in a blue<=3 / red<=2 game, and whether it
-    makes a double threat Left cannot meet.
+    makes a double threat Left cannot meet.  ``state`` is Right's view,
+    ``(n, red, blue)``.
 
     Fill a red unit if there is one; otherwise block Left's only blue unit
     if there is exactly one; otherwise take the lowest vertex shared by two
@@ -332,7 +335,7 @@ def canonical_right_reply(state: State) -> tuple[int, bool]:
     colour holds a unit: Right then holds two red units and Left none, so
     Right fills one of them next.
     """
-    _, blue, red = state
+    _, red, blue = state
     red_unit_mask = 0
     seen = 0
     shared = 0

@@ -34,7 +34,7 @@ from .errors import (
     TooLargeError,
 )
 from .gadgets import butterfly
-from .kernel import canonical_right_reply, state_of_game
+from .kernel import canonical_right_reply
 from .solver import Solver, SolverConfig
 
 
@@ -497,7 +497,7 @@ def canonical_right_move(position: Position) -> str:
     updated = position.updated_game()
     if updated.n == 0:
         raise ValueError("no vertices left to pick")
-    i = canonical_right_reply(state_of_game(updated))[0]
+    i = canonical_right_reply((updated.n, updated.red, updated.blue))[0]
     return updated.vertices[i]
 
 

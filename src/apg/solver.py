@@ -2,9 +2,13 @@
 
 Values are computed by two mutually recursive boolean questions from the
 mover's perspective ("can the mover win?", "can the mover avoid losing?"),
-asked in that order, with draws as the default.  Positions are canonicalized
-(vertices renumbered, twin pairs removed) before memo lookup so that
-transposed move orders collapse.  The mask-level state operations (child
+asked in that order, with draws as the default.  Inside the searches a
+state is seen from the side to move, ``(n, own, other)`` (see ``kernel``),
+so the memo keys carry no player and a position shares its entry with its
+colour-swapped mirror; the public queries take Left's view ``(n, blue,
+red)`` and turn it once.  Positions are canonicalized (vertices renumbered,
+twin pairs removed) before memo lookup so that transposed move orders
+collapse.  The mask-level state operations (child
 states, twin and dead-pair reduction, domination, move order, the canonical
 Right strategy) live in ``kernel.py``; this module holds the memo, the node
 budget and the queries.  Besides the game values it answers one question
@@ -12,7 +16,10 @@ with Right's moves fixed: whether Left survives the canonical Right strategy
 (:meth:`Solver.survives_canonical_right`), which the SAT reductions use to
 prove unsatisfiable gadgets Right wins.
 
-Pruning used by default, each individually toggleable:
+Every node of both searches starts with one node-entry rule
+(:meth:`Solver._settle`), which ends the node before any move is tried or
+names the forced block.  It applies the rules below, all but domination
+and twin removal.  Pruning used by default, each individually toggleable:
   * immediate win on a one-vertex edge of the mover's color;
   * two or more distinct one-vertex threats of the opponent lose outright,
     a single one forces the blocking move;
@@ -21,16 +28,18 @@ Pruning used by default, each individually toggleable:
   * leaf oracle (``use_leaf_oracle``): a node whose edges all have size <= 2
     is answered by one ``poly22.solve22_masks`` call, the polynomial
     procedure for that class, in place of a search below it.  In the
-    canonical-Right search only the blue edges need the test (red edges are
-    already pairs there), because that node's value is "Left avoids losing
-    moving first";
-  * potential cutoffs (``use_potentials``, game-value queries only), after
+    canonical-Right search, whose red edges are pairs already, it fires
+    once the blue edges are pairs, because that node's value is "Left
+    avoids losing moving first";
+  * potential cutoffs (``use_potentials``, in both searches), after
     Erdős and Selfridge (JCT A 14, 1973): if the sum of 2^-|e| over the
     mover's edges is below 1/2, the opponent, playing only to block them
     while moving second, stops the mover from filling any, so the mover
     cannot win; if the sum over the opponent's edges is below 1, the mover,
     blocking first, stops the opponent, so the mover cannot lose.  The sums
-    are compared exactly in integers, scaled by 2^n;
+    are compared exactly in integers, scaled by 2^n.  A canonical-Right
+    node's value is the game value "Left avoids losing moving first", so
+    the second cutoff ends such nodes too;
   * double threats (``use_double_threats``), ``poly22``'s P3 step on any
     board: a mover with no one-vertex edge who picks a vertex shared by two
     of its pairs holds two one-vertex edges.  If the opponent has no
@@ -72,17 +81,21 @@ from .kernel import (
     touched_mask,
     twin_reduce,
     unit_mask,
-    unit_positions,
 )
 from .poly22 import solve22_masks
 
 _WIN, _DRAW, _LOSS = 1, 0, -1
 
-_PLAYERS = (Player.LEFT, Player.RIGHT)
-_WINS = (GameResult.LEFT_WIN, GameResult.RIGHT_WIN)
-
 INFINITE_DELAY = math.inf
 Delay = float  # a natural number, or math.inf when the protagonist cannot win
+
+
+def _facing(state: State, player: Player) -> State:
+    """A game state ``(n, blue, red)`` as ``player`` sees it when to move."""
+    if player is Player.LEFT:
+        return state
+    n, blue, red = state
+    return (n, red, blue)
 
 
 def _potential_below(n: int, masks: Iterable[int], bound: int) -> bool:
@@ -154,9 +167,9 @@ class Solver:
 
     def __init__(self, config: Optional[SolverConfig] = None):
         self.config = config or SolverConfig()
-        self._memo_win: dict[tuple[int, State], bool] = {}
-        self._memo_avoid: dict[tuple[int, State], bool] = {}
-        self._memo_delay: dict[tuple[int, int, State], float] = {}
+        self._memo_win: dict[State, bool] = {}
+        self._memo_avoid: dict[State, bool] = {}
+        self._memo_delay: dict[tuple[bool, State], float] = {}
         self._memo_canon: dict[State, bool] = {}
         self._nodes = 0
         self._hits = 0
@@ -175,87 +188,84 @@ class Solver:
         if depth > self._max_depth:
             self._max_depth = depth
 
-    def _eval(self, state: State, mover: int, want_win: bool, depth: int,
+    def _settle(self, state: State, want_win: bool) -> tuple[Optional[bool], Optional[int]]:
+        """The node-entry rule of both searches: ``(value, None)`` when a rule
+        settles the node before any move is tried, else ``(None, block)``,
+        where ``block`` is the forced blocking pick, or None when every
+        candidate is searched.  ``want_win`` asks "can the mover win?", else
+        "can the mover avoid losing?"."""
+        n, own, other = state
+        if n == 0:
+            return not want_win, None  # draw by exhaustion
+        config = self.config
+        small = True  # every edge of the mover has size <= 2
+        double = seen = 0  # vertices shared by two of the mover's pairs
+        for m in own:
+            high = m & (m - 1)  # m without its lowest bit
+            if not high:
+                return True, None  # fill a one-vertex edge now
+            if high & (high - 1):
+                small = False
+            else:
+                double |= seen & m
+                seen |= m
+        block = None
+        if double or config.use_forced_moves:
+            units = unit_mask(other)
+            if (double and config.use_double_threats
+                    and units & (units - 1) == 0 and units & ~double == 0):
+                # A centre, the blocking one if the opponent has a unit,
+                # leaves two own units against none of the opponent's.
+                self._threats += 1
+                return True, None
+            if units and config.use_forced_moves:
+                if units & (units - 1):
+                    return False, None  # cannot block two distinct unit threats
+                block = units.bit_length() - 1
+        if config.use_potentials:
+            # Erdős–Selfridge, scaled by 2^n: the opponent blocking second
+            # keeps a total below 1/2 unfilled, the mover blocking first
+            # one below 1.
+            if want_win:
+                if _potential_below(n, own, 1 << (n - 1)):
+                    self._cutoffs += 1
+                    return False, None
+            elif _potential_below(n, other, 1 << n):
+                self._cutoffs += 1
+                return True, None
+        if small and config.use_leaf_oracle and all(m.bit_count() <= 2 for m in other):
+            self._leaf_calls += 1
+            value = solve22_masks(n, own, other, Player.LEFT)
+            if want_win:
+                return value is GameResult.LEFT_WIN, None
+            return value is not GameResult.RIGHT_WIN, None
+        return None, block
+
+    def _eval(self, state: State, want_win: bool, depth: int,
               touched: Optional[int] = None) -> bool:
         # ``touched`` is the parent's ``touched_mask`` for the pick when the
         # parent node was twin-free, else None (see ``kernel.twin_reduce``).
         self._tick(depth)
         if self.config.use_twin_reduction:
             state = twin_reduce(state, touched)
-        n, blue, red = state
         memo = self._memo_win if want_win else self._memo_avoid
-        key = (mover, state)
-        cached = memo.get(key)
+        cached = memo.get(state)
         if cached is not None:
             self._hits += 1
             return cached
-
-        own, other = (blue, red) if mover == 0 else (red, blue)
-        config = self.config
-        result: Optional[bool] = None
-        moves: Optional[Iterable[int]] = None
-        small = True  # every edge of the mover has size <= 2
-        double = seen = 0  # vertices shared by two of the mover's pairs
-
-        if n == 0:
-            result = not want_win  # draw by exhaustion
-        else:
-            for m in own:
-                high = m & (m - 1)  # m without its lowest bit
-                if not high:
-                    result = True  # fill a one-vertex edge now
-                    break
-                if high & (high - 1):
-                    small = False
-                else:
-                    double |= seen & m
-                    seen |= m
-        if result is None and (double or config.use_forced_moves):
-            units = unit_mask(other)
-            if (double and config.use_double_threats
-                    and units & (units - 1) == 0 and units & ~double == 0):
-                # A centre, the blocking one if the opponent has a unit,
-                # leaves two own units against none of the opponent's.
-                result = True
-                self._threats += 1
-            elif units and config.use_forced_moves:
-                if units & (units - 1):
-                    result = False  # cannot block two distinct unit threats
-                else:
-                    moves = (units.bit_length() - 1,)
-        if result is None and config.use_potentials:
-            # Erdős–Selfridge, scaled by 2^n: the opponent blocking second
-            # keeps a total below 1/2 unfilled, the mover blocking first
-            # one below 1.
-            if want_win:
-                if _potential_below(n, own, 1 << (n - 1)):
-                    result = False
-            elif _potential_below(n, other, 1 << n):
-                result = True
-            if result is not None:
-                self._cutoffs += 1
-        if (result is None and small and config.use_leaf_oracle
-                and all(m.bit_count() <= 2 for m in other)):
-            self._leaf_calls += 1
-            value = solve22_masks(n, blue, red, _PLAYERS[mover])
-            result = value is _WINS[mover] if want_win else value is not _WINS[1 - mover]
-
+        result, block = self._settle(state, want_win)
         if result is None:
-            if moves is None:
-                moves = candidates(state, config.use_domination)
+            moves = ((block,) if block is not None
+                     else candidates(state, self.config.use_domination))
             result = False
-            opp = 1 - mover
             for i in moves:
-                after = child(state, mover, i)
-                if after is None:
-                    result = True  # the pick fills an edge of the mover's color
-                    break
-                if not self._eval(after, opp, not want_win, depth + 1,
-                                  touched_mask(state, mover, i)):
+                # No pick fills an edge of the mover's: _settle ends a node
+                # with a one-vertex own edge.
+                if not self._eval(child(state, i), not want_win, depth + 1,
+                                  touched_mask(state, i)):
                     result = True
                     break
-
-        self._store(memo, key, result, n)
+        self._store(memo, state, result, state[0])
         return result
 
     def _store(self, memo: dict, key, result, n: int) -> None:
@@ -271,67 +281,42 @@ class Solver:
         # (surviving the fixed strategy refutes every Right strategy, and the
         # fixed strategy wins whenever any does), so it is preserved by
         # dead-pair removal and renumbering, which collapse transpositions,
-        # and a dominated Left move can be skipped as in _eval.
+        # _settle ends it early as a "can the mover avoid losing?" node, and
+        # a dominated Left move can be skipped as in _eval.
         self._tick(depth)
         if self.config.use_twin_reduction:
             state = dead_pair_reduce(state)
-        n, blue, red = state
-        if n == 0:
-            return True  # draw by exhaustion
         cached = self._memo_canon.get(state)
         if cached is not None:
             self._hits += 1
             return cached
         config = self.config
-        result: Optional[bool] = None
-        small = True  # every blue edge has size <= 2
-        double = seen = 0  # vertices shared by two blue pairs
-        for m in blue:
-            high = m & (m - 1)  # m without its lowest bit
-            if not high:
-                result = True  # Left fills a blue edge now
-                break
-            if high & (high - 1):
-                small = False
-            else:
-                double |= seen & m
-                seen |= m
+        result, block = self._settle(state, False)
         if result is None:
-            red_units = unit_mask(red)
-            if red_units & (red_units - 1):
-                result = False  # whatever Left picks, a red unit survives
-            elif double and config.use_double_threats and red_units & ~double == 0:
-                result = True  # Left's double threat, as in _eval
-                self._threats += 1
-            elif small and config.use_leaf_oracle:
-                self._leaf_calls += 1
-                result = solve22_masks(n, blue, red, Player.LEFT) is not GameResult.RIGHT_WIN
-            else:
-                moves = ([red_units.bit_length() - 1] if red_units
-                         else candidates(state, config.use_domination))
-                result = False
-                for i in moves:
-                    after_left = child(state, 0, i)
-                    assert after_left is not None  # no blue units here
-                    if after_left[0] == 0:
-                        result = True  # the board ran out before Right's reply
-                        break
-                    reply, doubled = canonical_right_reply(after_left)
-                    if doubled and config.use_double_threats:
-                        self._threats += 1
-                        continue  # Right's double threat: this line loses
-                    after_right = child(after_left, 1, reply)
-                    # None: Right's reply fills a red edge, so this line loses.
-                    if after_right is not None and self._survive_eval(after_right, depth + 1):
-                        result = True
-                        break
-        self._store(self._memo_canon, state, result, n)
+            moves = (block,) if block is not None else candidates(state, config.use_domination)
+            result = False
+            for i in moves:
+                after_left = child(state, i)  # Right's view
+                assert after_left is not None  # no blue units here
+                if after_left[0] == 0:
+                    result = True  # the board ran out before Right's reply
+                    break
+                reply, doubled = canonical_right_reply(after_left)
+                if doubled and config.use_double_threats:
+                    self._threats += 1
+                    continue  # Right's double threat: this line loses
+                after_right = child(after_left, reply)
+                # None: Right's reply fills a red edge, so this line loses.
+                if after_right is not None and self._survive_eval(after_right, depth + 1):
+                    result = True
+                    break
+        self._store(self._memo_canon, state, result, state[0])
         return result
 
-    def _result_for_mover(self, state: State, mover: int) -> int:
-        if self._eval(state, mover, True, 0):
+    def _value(self, state: State) -> int:
+        if self._eval(state, True, 0):
             return _WIN
-        if self._eval(state, mover, False, 0):
+        if self._eval(state, False, 0):
             return _DRAW
         return _LOSS
 
@@ -343,19 +328,18 @@ class Solver:
             return GameResult.LEFT_WIN
         return GameResult.RIGHT_WIN
 
-    def _begin(self) -> tuple[int, int, int, int, int, float]:
-        self._max_depth = 0
-        return (self._nodes, self._hits, self._leaf_calls, self._cutoffs,
-                self._threats, time.perf_counter())
+    def _begin(self) -> float:
+        # The counters, and with them the node budget, cover one query.
+        self._nodes = self._hits = self._max_depth = 0
+        self._leaf_calls = self._cutoffs = self._threats = 0
+        return time.perf_counter()
 
-    def _finish(self, mark: tuple[int, int, int, int, int, float]) -> None:
-        n0, h0, l0, c0, d0, t0 = mark
+    def _finish(self, t0: float) -> None:
         # Positional arguments: keywords double the cost, which shows on the
         # batteries' millions of queries on states of a few vertices.
-        self.last_stats = SolveStats(self._nodes - n0, self._hits - h0,
-                                     self._max_depth, time.perf_counter() - t0,
-                                     self._leaf_calls - l0, self._cutoffs - c0,
-                                     self._threats - d0)
+        self.last_stats = SolveStats(self._nodes, self._hits, self._max_depth,
+                                     time.perf_counter() - t0, self._leaf_calls,
+                                     self._cutoffs, self._threats)
 
     # -- public queries ----------------------------------------------------
 
@@ -366,13 +350,12 @@ class Solver:
     def solve_state(self, state: State, first_player: Player) -> GameResult:
         """:meth:`solve` on a mask-level state ``(n, blue, red)``, each edge
         tuple deduplicated and sorted (see ``kernel``)."""
-        mark = self._begin()
+        t0 = self._begin()
         try:
-            mover = 0 if first_player is Player.LEFT else 1
-            value = self._result_for_mover(state, mover)
+            value = self._value(_facing(state, first_player))
             return self._to_game_result(value, first_player)
         finally:
-            self._finish(mark)
+            self._finish(t0)
 
     def survives_canonical_right(self, game: Game) -> bool:
         """Whether Left, moving first, avoids losing when Right always plays
@@ -384,11 +367,11 @@ class Solver:
         """
         if any(m.bit_count() > 3 for m in game.blue) or any(m.bit_count() > 2 for m in game.red):
             raise EdgeTooLargeError("needs blue edges of size <= 3 and red of size <= 2")
-        mark = self._begin()
+        t0 = self._begin()
         try:
             return self._survive_eval(state_of_game(game), 0)
         finally:
-            self._finish(mark)
+            self._finish(t0)
 
     def outcome(self, game: Game) -> Outcome:
         """The pair of values (Left starts, Right starts), checked for legality."""
@@ -397,29 +380,25 @@ class Solver:
     def outcome_state(self, state: State) -> tuple[GameResult, GameResult]:
         """The values of a mask-level state with Left and with Right first,
         as one query: ``last_stats`` covers both."""
-        mark = self._begin()
+        t0 = self._begin()
         try:
-            return (self._to_game_result(self._result_for_mover(state, 0), Player.LEFT),
-                    self._to_game_result(self._result_for_mover(state, 1), Player.RIGHT))
+            right = _facing(state, Player.RIGHT)
+            return (self._to_game_result(self._value(state), Player.LEFT),
+                    self._to_game_result(self._value(right), Player.RIGHT))
         finally:
-            self._finish(mark)
+            self._finish(t0)
 
     def move_value(self, position: Position, vertex: str) -> GameResult:
         """Value of one candidate move from a position, for the side to move."""
-        mark = self._begin()
+        t0 = self._begin()
         try:
             game = position.updated_game()
-            state = state_of_game(game)
-            mover = 0 if position.to_move is Player.LEFT else 1
-            i = game.index_of(vertex)
-            after = child(state, mover, i)
-            if after is None:
-                value = _WIN
-            else:
-                value = -self._result_for_mover(after, 1 - mover)
+            after = child(_facing(state_of_game(game), position.to_move),
+                          game.index_of(vertex))
+            value = _WIN if after is None else -self._value(after)
             return self._to_game_result(value, position.to_move)
         finally:
-            self._finish(mark)
+            self._finish(t0)
 
     def best_move(self, position: Position) -> tuple[str, GameResult]:
         """A move achieving the position's value.
@@ -433,25 +412,24 @@ class Solver:
         """
         if status(position) != Status(StatusKind.ONGOING):
             raise ValueError("best_move needs an ongoing position")
-        mark = self._begin()
+        t0 = self._begin()
         try:
             game = position.updated_game()
-            state = state_of_game(game)
-            mover = 0 if position.to_move is Player.LEFT else 1
+            state = _facing(state_of_game(game), position.to_move)
             fallback = None
-            value = self._result_for_mover(state, mover)
+            value = self._value(state)
             for i in range(game.n):
-                after = child(state, mover, i)
+                after = child(state, i)
                 if after is None:
                     return game.vertices[i], self._to_game_result(_WIN, position.to_move)
                 if fallback is None and (value == _LOSS or not self._eval(
-                        after, 1 - mover, value == _DRAW, 0)):
+                        after, value == _DRAW, 0)):
                     fallback = game.vertices[i]
             if fallback is None:
                 raise AssertionError("no move achieves the computed value")
             return fallback, self._to_game_result(value, position.to_move)
         finally:
-            self._finish(mark)
+            self._finish(t0)
 
     def self_play(self, game: Game, first_player: Player) -> Trace:
         """Play best moves for both sides to the end; the final status must
@@ -463,12 +441,12 @@ class Solver:
             mover = pos.to_move
             vertex, value = self.best_move(pos)
             updated = pos.updated_game()
-            threats = unit_positions(
-                updated.red if mover is Player.LEFT else updated.blue)
+            threats = unit_mask(updated.red if mover is Player.LEFT else updated.blue)
             if value == (GameResult.LEFT_WIN if mover is Player.LEFT
                          else GameResult.RIGHT_WIN):
                 tag = "winning"
-            elif len(set(threats)) == 1 and updated.vertices[threats[0]] == vertex:
+            elif (threats and threats & (threats - 1) == 0
+                  and updated.vertices[threats.bit_length() - 1] == vertex):
                 tag = "forced"
             else:
                 tag = "arbitrary"
@@ -486,50 +464,49 @@ class Solver:
 
     # -- delay (pass-move scoring game) -------------------------------------
 
-    def _delay_eval(self, state: State, prot: int, prot_turn: bool, depth: int) -> float:
+    def _delay_eval(self, state: State, prot_turn: bool, depth: int) -> float:
+        # ``state`` is seen from the side to move: the protagonist when
+        # ``prot_turn``, else the antagonist.
         self._tick(depth)
-        n, blue, red = state
-        own, other = (blue, red) if prot == 0 else (red, blue)
-        key = (prot, int(prot_turn), state)
+        key = (prot_turn, state)
         cached = self._memo_delay.get(key)
         if cached is not None:
             self._hits += 1
             return cached
 
+        n, own, other = state
         if prot_turn:
             if any(m & (m - 1) == 0 for m in own):
                 result = 0.0  # the protagonist fills now; no further passes
             elif n == 0:
                 result = INFINITE_DELAY
             else:
-                threats = set(unit_positions(other))
-                if len(threats) >= 2:
+                threats = unit_mask(other)
+                if threats & (threats - 1):
                     result = INFINITE_DELAY  # the antagonist fills next turn
                 else:
-                    moves = sorted(threats) if threats else range(n)
+                    moves = (threats.bit_length() - 1,) if threats else range(n)
                     result = INFINITE_DELAY
                     for i in moves:
-                        after = child(state, prot, i)
-                        if after is None:
-                            result = 0.0
-                            break
-                        v = self._delay_eval(after, prot, False, depth + 1)
+                        after = child(state, i)
+                        assert after is not None  # no one-vertex own edge here
+                        v = self._delay_eval(after, False, depth + 1)
                         if v < result:
                             result = v
                         if result == 0.0:
                             break
         else:
-            if any(m & (m - 1) == 0 for m in other):
+            if any(m & (m - 1) == 0 for m in own):
                 result = INFINITE_DELAY  # the antagonist fills an edge now
             else:
                 # passing costs the protagonist one more point
-                result = self._delay_eval(state, prot, True, depth + 1) + 1
+                result = self._delay_eval((n, other, own), True, depth + 1) + 1
                 for i in range(n):
                     if result == INFINITE_DELAY:
                         break
-                    after = child(state, 1 - prot, i)
+                    after = child(state, i)
                     assert after is not None
-                    v = self._delay_eval(after, prot, True, depth + 1)
+                    v = self._delay_eval(after, True, depth + 1)
                     if v > result:
                         result = v
 
@@ -545,18 +522,17 @@ class Solver:
         color (including when the antagonist fills one first).  Finite iff
         the protagonist wins the plain game as first player.
         """
-        mark = self._begin()
+        t0 = self._begin()
         try:
-            state = state_of_game(game)
-            prot = 0 if protagonist is Player.LEFT else 1
-            if self._result_for_mover(state, prot) != _WIN:
+            state = _facing(state_of_game(game), protagonist)
+            if self._value(state) != _WIN:
                 return INFINITE_DELAY
-            value = self._delay_eval(state, prot, True, 0)
+            value = self._delay_eval(state, True, 0)
             assert value == INFINITE_DELAY or value < max(game.n, 1), \
                 "a finite delay can never reach the vertex-count cap"
             return int(value) if value != INFINITE_DELAY else INFINITE_DELAY
         finally:
-            self._finish(mark)
+            self._finish(t0)
 
 
 # ---------------------------------------------------------------------------

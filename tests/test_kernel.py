@@ -127,21 +127,26 @@ def test_candidates_are_unpruned_vertices_by_score():
 @pytest.mark.parametrize("states", [exhaustive_states, lambda: random_states(4, 1500)],
                          ids=["exhaustive", "random"])
 def test_child_matches_update(states):
-    # The touched mask is the other vertices of the opponent's edges through
-    # the pick, the edges the pick kills, as indices of the child.
+    # Each state is checked from both views: Left's pick on (n, blue, red)
+    # and Right's on (n, red, blue).  The child is the opponent's view.  The
+    # touched mask is the other vertices of the opponent's edges through the
+    # pick, the edges the pick kills, as indices of the child.
     for state in states():
+        n, blue, red = state
         game = as_game(state)
         for i, v in enumerate(game.vertices):
-            for mover, picks, dying in ((0, ([v], []), game.red_edges),
-                                        (1, ([], [v]), game.blue_edges)):
+            for left, picks, dying in ((True, ([v], []), game.red_edges),
+                                       (False, ([], [v]), game.blue_edges)):
+                view = (n, blue, red) if left else (n, red, blue)
                 try:
                     after = update(game, *picks)
                 except AlreadyWonError:
-                    assert child(state, mover, i) is None, (state, mover, i)
+                    assert child(view, i) is None, (view, i)
                     continue
-                assert child(state, mover, i) == state_of_game(after), (state, mover, i)
+                m, b, r = state_of_game(after)
+                assert child(view, i) == ((m, r, b) if left else (m, b, r)), (view, i)
                 touched = after.mask_of(set().union(*(e for e in dying if v in e)) - {v})
-                assert touched_mask(state, mover, i) == touched, (state, mover, i)
+                assert touched_mask(view, i) == touched, (view, i)
 
 
 def test_twin_reduce_reaches_a_fixed_point():
@@ -181,15 +186,15 @@ def reference_twin_reduce(state):
 
 
 def twin_free_children(states):
-    """Every child of the twin-free form of each state, with its touched
-    mask."""
+    """Every child of the twin-free form of each state, seen from either
+    side, with its touched mask."""
     for state in states:
-        parent = reference_twin_reduce(state)
-        for mover in (0, 1):
-            for i in range(parent[0]):
-                after = child(parent, mover, i)
+        n, blue, red = reference_twin_reduce(state)
+        for view in ((n, blue, red), (n, red, blue)):
+            for i in range(n):
+                after = child(view, i)
                 if after is not None:
-                    yield after, touched_mask(parent, mover, i)
+                    yield after, touched_mask(view, i)
 
 
 def test_twin_reduce_from_touched_matches_full():

@@ -171,11 +171,12 @@ def test_canonical_right_reply_flags_only_an_unanswerable_double_threat():
     # Red pairs ab and bc meet at b.  The reply b wins outright only when
     # neither colour holds a unit: a red unit is filled first, a single blue
     # unit is blocked first, and two blue units let Left fill one next.
+    # The state is Right's view, red edges first.
     red = ((1 << 0) | (1 << 1), (1 << 1) | (1 << 2))
     for blue, want in (((), (1, True)), ((0b11000,), (1, True)),
                        ((0b1000,), (3, False)), ((0b1000, 0b10000), (1, False))):
-        assert canonical_right_reply((5, blue, red)) == want, blue
-    assert canonical_right_reply((5, (), red + (1 << 4,))) == (4, False)
+        assert canonical_right_reply((5, red, blue)) == want, blue
+    assert canonical_right_reply((5, red + (1 << 4,), ())) == (4, False)
 
 
 def test_canonical_right_answers_literal_pick():
@@ -231,25 +232,31 @@ def test_canonical_right_pinned_nodes():
 
 
 def test_canonical_right_leaf_oracle_agrees():
-    # The leaf oracle and the double-threat rule change no answer of the
-    # canonical search: the same value with both on and both off, and the
-    # value of the plain search with Left first.
+    # The node-entry cutoffs change no answer of the canonical search: the
+    # same value with all of them on, with the potentials off and with all
+    # off, and the value of the plain search with Left first.  The
+    # potentials end most nodes before the leaf oracle or a threat is
+    # tried, so those two are counted with the potentials off.
     rng = rng_for(44, "canonical-right-leaf")
     plain = Solver(SolverConfig(use_twin_reduction=False, use_domination=False,
                                 use_forced_moves=False, use_leaf_oracle=False,
                                 use_potentials=False, use_double_threats=False))
-    leaf_calls = threats = right_wins = 0
+    leaf_calls = threats = potentials = right_wins = 0
     for _ in range(1500):
         g = random_blue3_red2_game(rng)
-        with_leaf, without = Solver(), Solver(SEARCH_ONLY)
-        got = with_leaf.survives_canonical_right(g)
+        tuned, no_potentials = Solver(), Solver(SolverConfig(use_potentials=False))
+        without = Solver(SEARCH_ONLY)
+        got = tuned.survives_canonical_right(g)
+        assert got == no_potentials.survives_canonical_right(g), g
         assert got == without.survives_canonical_right(g), g
         assert got == (plain.solve(g, L) is not RW), g
         assert without.last_stats.threat_cutoffs == 0
-        leaf_calls += with_leaf.last_stats.leaf_calls
-        threats += with_leaf.last_stats.threat_cutoffs
+        assert no_potentials.last_stats.potential_cutoffs == 0
+        leaf_calls += no_potentials.last_stats.leaf_calls
+        threats += no_potentials.last_stats.threat_cutoffs
+        potentials += tuned.last_stats.potential_cutoffs
         right_wins += not got
-    assert leaf_calls > 500 and threats > 200 and right_wins > 300
+    assert leaf_calls > 500 and threats > 200 and potentials > 500 and right_wins > 300
 
 
 def test_canonical_right_tiny_memo():

@@ -260,6 +260,28 @@ def test_node_budget():
         s.solve(butterfly(), L)
 
 
+def test_node_budget_is_per_query():
+    # Each repeat is one memo hit; a lifetime count would pass 50 nodes.
+    s = Solver(SolverConfig(node_limit=50))
+    assert s.solve(win_in_k(3), L) is LW
+    for _ in range(100):
+        assert s.solve(win_in_k(3), L) is LW
+        assert s.last_stats.nodes_expanded == 1
+
+
+def test_mirrored_query_hits_the_memo():
+    # Right first on the colour-swapped board is the same position seen
+    # from the mover, so every node of the second query is a memo hit.
+    rng = rng_for(8, "mirror")
+    for _ in range(40):
+        n, blue, red = state = state_of_game(random_game(rng, max_vertices=8,
+                                                         max_edge_size=3))
+        s = Solver()
+        want = s.solve_state(state, L).mirrored
+        assert s.solve_state((n, red, blue), R) is want
+        assert s.last_stats.memo_hits == s.last_stats.nodes_expanded > 0
+
+
 # -- cutoffs that end a node early ---------------------------------------------------
 
 def nested(prefix, sizes):
@@ -374,7 +396,7 @@ def test_delay_right_protagonist():
 def test_delay_memo_obeys_the_memo_bounds():
     s = Solver(SolverConfig(memo_flush_entries=2, memo_max_vertices=0))
     assert s.delay(win_in_k(4), L) == 3
-    assert all(state[0] == 0 for _, _, state in s._memo_delay)
+    assert all(state[0] == 0 for _, state in s._memo_delay)
     s = Solver(SolverConfig(memo_flush_entries=2))
     assert s.delay(win_in_k(4), L) == 3
     assert 0 < len(s._memo_delay) <= 2
