@@ -7,12 +7,11 @@ state from the side to move: ``own`` holds the mover's edges and ``other``
 the opponent's, so Left to move on a game is ``(n, blue, red)`` and Right
 to move is ``(n, red, blue)``.  The game is colour-symmetric, so one rule
 serves both players and a position and its colour-swapped mirror share a
-memo entry.  Only :func:`child`, :func:`touched_mask` and
-:func:`canonical_right_reply` read the view; the other functions treat
-both sides alike.  The functions here are pure; the solver (its queries
-and the canonical-Right search), ``reductions.canonical_right_move`` and
-the domination queries of ``ops`` all call them, so each rule is written
-once.
+memo entry.  The twin, dead-pair and domination functions treat both
+sides alike; the others read the view.  The functions here are pure; the
+solver (its queries and the canonical-Right search),
+``reductions.canonical_right_move`` and the domination queries of ``ops``
+all call them, so each rule is written once.
 
 Per-node costs are kept low by reading each edge's bit positions from a
 bounded cache (:func:`bits`) and by working on whole masks where a vertex
@@ -27,17 +26,36 @@ than ``i`` apart exactly when ``e`` did.  ``twin_reduce(child, touched)``
 then equals ``twin_reduce(child)``; passing the mask of a parent that is
 not twin-free gives a wrong state.  The mask is its own function, so the
 searches that never twin-reduce do not pay for it.
+
+Some children are decided by what the parent already knows.
+:func:`expand` reads, in the pass that orders the moves, the pairs of each
+side through every vertex and the vertices on two and on three of the
+opponent's pairs.  From these :func:`opponent_reply` tells, for a pick,
+whether the opponent then holds a double threat the mover cannot meet
+(the child is the opponent's win) and whether the opponent must block the
+mover's one unit (the child is worth its one child), and
+:func:`canonical_reply_after` gives the canonical Right reply, without
+the child being built.  Both rest on one fact: the mover holds no unit
+where a pick is searched, so a pick gives it units only at the other ends
+of its pairs through the pick, and leaves the opponent's edges that miss
+the pick as they were.  :func:`grandchild` then applies a pick and its
+reply in one pass.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 if TYPE_CHECKING:
     from .core import Game
 
 State = tuple[int, tuple[int, ...], tuple[int, ...]]
+# A node's pair reads (see :func:`expand`): per vertex the OR of the mover's
+# pairs through it, the same for the opponent's pairs, the opponent's units,
+# and the vertices on at least two and three opponent pairs.
+Reads = tuple[Union[list[int], dict[int, int]], Union[list[int], dict[int, int]],
+              int, int, int]
 
 # Residual states are renumbered, so few distinct masks recur: the edge
 # masks, and the parts of them that twin_reduce reads, number about 5,000 in
@@ -263,23 +281,50 @@ def _domination(n: int, cover: list[int], units: int) -> tuple[int, int]:
     return dominated, pruned
 
 
+def _scan_side(edges: tuple[int, ...], cover: list[int], score: list[int],
+               pairs: list[int]) -> tuple[int, int, int]:
+    # One side's part of _scan: folds its edges into the covers, scores and
+    # per-vertex pair masks, and returns its units and the vertices on at
+    # least two and three of its pairs.
+    units = seen = d2 = d3 = 0
+    for m in edges:
+        high = m & (m - 1)
+        if high and not high & (high - 1):
+            d3 |= d2 & m
+            d2 |= seen & m
+            seen |= m
+            for i in bits(m):
+                cover[i] &= m
+                score[i] += 3
+                pairs[i] |= m
+        else:
+            if not high:
+                units |= m
+            for i in bits(m):
+                cover[i] &= m
+                score[i] += 1
+    return units, d2, d3
+
+
+def _scan(state: State) -> tuple[list[int], list[int], int, Reads]:
+    # One pass over the edge bits: each vertex's cover mask and ordering
+    # score, the unit vertices, and the pair reads of :func:`expand`.
+    n, own, other = state
+    cover = [(1 << n) - 1] * n
+    score = [0] * n
+    own_pairs = [0] * n
+    other_pairs = [0] * n
+    units = _scan_side(own, cover, score, own_pairs)[0]
+    other_units, d2, d3 = _scan_side(other, cover, score, other_pairs)
+    return (cover, score, units | other_units,
+            (own_pairs, other_pairs, other_units, d2, d3))
+
+
 def covers(state: State) -> tuple[list[int], list[int], int]:
     """Each vertex's cover mask (the AND of the edges holding it, all
     vertices for one in no edge), its ordering score and the unit vertices,
     from one pass over the edge bits."""
-    n, blue, red = state
-    full = (1 << n) - 1
-    cover = [full] * n
-    score = [0] * n
-    units = 0
-    for m in blue + red:
-        if m & (m - 1) == 0:
-            units |= m
-        w = 3 if m.bit_count() == 2 else 1
-        for i in bits(m):
-            cover[i] &= m
-            score[i] += w
-    return cover, score, units
+    return _scan(state)[:3]
 
 
 def dominated_mask(state: State) -> int:
@@ -300,27 +345,144 @@ def prunable_mask(state: State) -> int:
     return _domination(state[0], cover, units)[1]
 
 
-def candidates(state: State, prune: bool) -> list[int]:
-    """The mover's candidate picks in search order.
+def expand(state: State, prune: bool,
+           block: Optional[int] = None) -> tuple[Sequence[int], Reads]:
+    """The mover's picks in search order and the node's pair reads, from
+    one pass over the edges.
 
-    With ``prune`` the :func:`prunable_mask` vertices are left out.  On more
-    than six vertices the rest are ordered by descending score (3 per
-    two-vertex edge, 1 per other edge through the vertex), ties by index.
+    With ``block`` the one pick is ``block`` (the forced block of the
+    opponent's only unit), and the pass reads only what that pick needs.
+    Otherwise the picks are every vertex, less the :func:`prunable_mask`
+    vertices with ``prune``; on more than six vertices they are ordered by
+    descending score (3 per two-vertex edge, 1 per other edge through the
+    vertex), ties by index.  The pair reads come from the pass that builds
+    the covers and scores.  :func:`opponent_reply` and
+    :func:`canonical_reply_after` read a pick's child from them.
     """
-    n = state[0]
-    order = n > 6
-    if not (prune or order):
-        return list(range(n))
-    cover, score, units = covers(state)
+    n, own, other = state
+    if block is not None:
+        bit = 1 << block
+        own_pair = other_pair = other_units = seen = d2 = d3 = 0
+        for m in own:
+            if m & bit:
+                rest = m ^ bit
+                if not rest & (rest - 1):
+                    own_pair |= m
+        for m in other:
+            high = m & (m - 1)
+            if not high:
+                other_units |= m
+            elif not high & (high - 1):
+                d3 |= d2 & m
+                d2 |= seen & m
+                seen |= m
+                if m & bit:
+                    other_pair |= m
+        return (block,), ({block: own_pair}, {block: other_pair}, other_units, d2, d3)
+    cover, score, units, reads = _scan(state)
     if prune:
         pruned = _domination(n, cover, units)[1]
         cand = [i for i in range(n) if not pruned >> i & 1]
     else:
         cand = list(range(n))
-    if order and len(cand) > 2:
+    if n > 6 and len(cand) > 2:
         # A stable sort keeps equal scores in index order.
         cand.sort(key=score.__getitem__, reverse=True)
-    return cand
+    return cand, reads
+
+
+def _after_pick(reads: Reads, i: int) -> tuple[int, int, int]:
+    # What the mover's pick i leaves, numbered as in the parent: the
+    # mover's units, the opponent's units and the opponent's P3 centres
+    # (vertices on two of its pairs).  The mover holds no unit where a pick
+    # is searched, so its units are the other ends of its pairs through i.
+    # The opponent's edges through i die and the rest stay, so a vertex
+    # stays on two opponent pairs when it was on three, or on two of which
+    # none went through i.
+    own_pairs, other_pairs, other_units, d2, d3 = reads
+    bit = 1 << i
+    return (own_pairs[i] & ~bit, other_units & ~bit,
+            (d3 | d2 & ~other_pairs[i]) & ~bit)
+
+
+def opponent_reply(reads: Reads, i: int) -> tuple[bool, int]:
+    """How the opponent meets the mover's pick ``i``, read from the
+    parent's pair reads (:func:`expand`) without building the child:
+    ``(threat, block)``.
+
+    ``threat`` is the double-threat test that ``Solver._settle`` makes on
+    the child: the opponent holds no unit but a P3 centre, and the mover
+    holds no unit, or one at such a centre.  The child is then a win for
+    the opponent.  ``block`` is the mover's only unit, numbered as in the
+    parent, when the opponent holds no unit (else -1): every other reply
+    lets the mover fill it, so the opponent's node is worth its one child.
+    """
+    units, other_units, centres = _after_pick(reads, i)
+    if other_units or units & (units - 1):
+        return False, -1
+    return (centres != 0 and not units & ~centres), units.bit_length() - 1
+
+
+def grandchild(state: State, i: int, j: int) -> Optional[tuple[State, int]]:
+    """The state after the mover picks ``i`` and the opponent ``j`` (both
+    numbered as in ``state``), seen by the mover again, with its touched
+    mask; None when a pick fills an edge of its picker.  One pass for
+    ``child(child(state, i), j')``, where ``j'`` is ``j`` as numbered in
+    the child.
+
+    The touched mask holds the other vertices of the edges the two picks
+    kill.  When ``state`` is twin-free, a twin pair of the grandchild was
+    either a twin pair of the child, which holds a vertex the first pick
+    touched (see :func:`touched_mask`), or was told apart only by an edge
+    the second pick killed, so ``twin_reduce`` may search from it.
+    """
+    n, own, other = state
+    bi, bj = 1 << i, 1 << j
+    lo, hi = (i, j) if i < j else (j, i)
+    low = (1 << lo) - 1
+    mid = ((1 << hi) - 1) & ~((2 << lo) - 1)
+    top = ~((1 << (hi - 1)) - 1)
+    touched = 0
+    new_own = []
+    hit = False
+    for m in own:
+        if m & bj:
+            touched |= m
+            continue
+        if m & bi:
+            m ^= bi
+            if m == 0:
+                return None
+            hit = True
+        new_own.append((m & low) | ((m & mid) >> 1) | ((m >> 2) & top))
+    own_t = tuple(sorted(set(new_own))) if hit else tuple(new_own)
+    new_other = []
+    hit = False
+    for m in other:
+        if m & bi:
+            touched |= m
+            continue
+        if m & bj:
+            m ^= bj
+            if m == 0:
+                return None
+            hit = True
+        new_other.append((m & low) | ((m & mid) >> 1) | ((m >> 2) & top))
+    other_t = tuple(sorted(set(new_other))) if hit else tuple(new_other)
+    touched = (touched & low) | ((touched & mid) >> 1) | ((touched >> 2) & top)
+    return (n - 2, own_t, other_t), touched
+
+
+def _right_priority(red_units: int, blue_units: int, centres: int,
+                    fallback: int) -> tuple[int, bool]:
+    # The canonical Right strategy's one priority rule, on masks.
+    if red_units:
+        return (red_units & -red_units).bit_length() - 1, False
+    if blue_units and blue_units & (blue_units - 1) == 0:
+        return blue_units.bit_length() - 1, False
+    if centres:
+        return (centres & -centres).bit_length() - 1, not blue_units
+    return fallback, False
 
 
 def canonical_right_reply(state: State) -> tuple[int, bool]:
@@ -336,20 +498,20 @@ def canonical_right_reply(state: State) -> tuple[int, bool]:
     Right fills one of them next.
     """
     _, red, blue = state
-    red_unit_mask = 0
-    seen = 0
-    shared = 0
+    red_units = seen = shared = 0
     for m in red:
         if m & (m - 1) == 0:
-            red_unit_mask |= m
+            red_units |= m
         elif m.bit_count() == 2:
             shared |= seen & m
             seen |= m
-    if red_unit_mask:
-        return (red_unit_mask & -red_unit_mask).bit_length() - 1, False
-    blue_unit_mask = unit_mask(blue)
-    if blue_unit_mask and blue_unit_mask & (blue_unit_mask - 1) == 0:
-        return blue_unit_mask.bit_length() - 1, False
-    if shared:
-        return (shared & -shared).bit_length() - 1, not blue_unit_mask
-    return 0, False
+    return _right_priority(red_units, unit_mask(blue), shared, 0)
+
+
+def canonical_reply_after(reads: Reads, i: int) -> tuple[int, bool]:
+    """:func:`canonical_right_reply` after Left's pick ``i``, read from the
+    pair reads of Left's view (:func:`expand`) without building the child,
+    and numbered as in the parent.  The fallback, the child's vertex 0, is
+    the lowest vertex other than ``i``; the parent has two or more."""
+    blue_units, red_units, centres = _after_pick(reads, i)
+    return _right_priority(red_units, blue_units, centres, 0 if i else 1)

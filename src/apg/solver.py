@@ -50,6 +50,26 @@ and twin removal.  Pruning used by default, each individually toggleable:
     same holds one ply down: when the canonical reply is such a centre and
     neither colour holds a one-vertex edge, Left's move loses without its
     child being built.
+
+Two more rules settle a child at its parent, from masks the parent reads
+in the pass that orders its moves (``kernel.expand``), so the child is
+never built, ticked, twin-reduced or looked up:
+  * the opponent's double threat (rides on ``use_double_threats``): a pick
+    after which the opponent, holding no one-vertex edge, has a centre of
+    two of its pairs, while the mover holds no one-vertex edge or one at
+    such a centre, is skipped.  It is the test ``_settle`` makes on the
+    child, which is then the opponent's win, so the pick is bad for both
+    questions.  Each skip counts in ``threat_cutoffs``;
+  * forced replies (``use_forced_replies``): when a pick leaves the
+    opponent no one-vertex edge and the mover exactly one, every other
+    reply lets the mover fill it, so the opponent's node is worth its one
+    child.  The two picks are applied in one pass (``kernel.grandchild``)
+    and the grandchild is asked the parent's question, two plies deeper,
+    with the touched masks of both picks (sound because the parent is
+    twin-free).  Each counts in ``forced_replies``.  A forced line thus
+    takes one frame per two moves.
+The canonical-Right search reads Right's reply from Left's parent the same
+way (``kernel.canonical_reply_after``) and applies both picks in one pass.
 """
 
 from __future__ import annotations
@@ -73,10 +93,12 @@ from .core import (
 from .errors import EdgeTooLargeError, ResourceLimitError
 from .kernel import (
     State,
-    candidates,
-    canonical_right_reply,
+    canonical_reply_after,
     child,
     dead_pair_reduce,
+    expand,
+    grandchild,
+    opponent_reply,
     state_of_game,
     touched_mask,
     twin_reduce,
@@ -118,6 +140,7 @@ class SolveStats:
     leaf_calls: int = 0
     potential_cutoffs: int = 0
     threat_cutoffs: int = 0
+    forced_replies: int = 0
 
     def as_text(self) -> str:
         return (f"nodes_expanded: {self.nodes_expanded}\n"
@@ -125,7 +148,8 @@ class SolveStats:
                 f"max_depth: {self.max_depth}\n"
                 f"leaf_calls: {self.leaf_calls}\n"
                 f"potential_cutoffs: {self.potential_cutoffs}\n"
-                f"threat_cutoffs: {self.threat_cutoffs}")
+                f"threat_cutoffs: {self.threat_cutoffs}\n"
+                f"forced_replies: {self.forced_replies}")
 
 
 @dataclass
@@ -137,6 +161,7 @@ class SolverConfig:
     use_leaf_oracle: bool = True
     use_potentials: bool = True
     use_double_threats: bool = True
+    use_forced_replies: bool = True
     # When set, memoize only positions with at most this many free vertices;
     # exhaustive batteries use it to keep the table tiny while their top-level
     # queries still share all sub-position work.
@@ -176,6 +201,7 @@ class Solver:
         self._leaf_calls = 0
         self._cutoffs = 0
         self._threats = 0
+        self._replies = 0
         self._max_depth = 0
         self.last_stats = SolveStats()
 
@@ -255,12 +281,25 @@ class Solver:
             return cached
         result, block = self._settle(state, want_win)
         if result is None:
-            moves = ((block,) if block is not None
-                     else candidates(state, self.config.use_domination))
+            config = self.config
+            threats, replies = config.use_double_threats, config.use_forced_replies
+            moves, reads = expand(state, config.use_domination, block)
             result = False
             for i in moves:
                 # No pick fills an edge of the mover's: _settle ends a node
                 # with a one-vertex own edge.
+                if threats or replies:
+                    threat, reply = opponent_reply(reads, i)
+                    if threat and threats:
+                        self._threats += 1  # the child is the opponent's win
+                        continue
+                    if reply >= 0 and replies:
+                        self._replies += 1
+                        after, touched = grandchild(state, i, reply)
+                        if self._eval(after, want_win, depth + 2, touched):
+                            result = True
+                            break
+                        continue
                 if not self._eval(child(state, i), not want_win, depth + 1,
                                   touched_mask(state, i)):
                     result = True
@@ -293,21 +332,19 @@ class Solver:
         config = self.config
         result, block = self._settle(state, False)
         if result is None:
-            moves = (block,) if block is not None else candidates(state, config.use_domination)
+            moves, reads = expand(state, config.use_domination, block)
             result = False
             for i in moves:
-                after_left = child(state, i)  # Right's view
-                assert after_left is not None  # no blue units here
-                if after_left[0] == 0:
+                if state[0] == 1:
                     result = True  # the board ran out before Right's reply
                     break
-                reply, doubled = canonical_right_reply(after_left)
+                reply, doubled = canonical_reply_after(reads, i)
                 if doubled and config.use_double_threats:
                     self._threats += 1
                     continue  # Right's double threat: this line loses
-                after_right = child(after_left, reply)
+                after = grandchild(state, i, reply)
                 # None: Right's reply fills a red edge, so this line loses.
-                if after_right is not None and self._survive_eval(after_right, depth + 1):
+                if after is not None and self._survive_eval(after[0], depth + 1):
                     result = True
                     break
         self._store(self._memo_canon, state, result, state[0])
@@ -331,7 +368,7 @@ class Solver:
     def _begin(self) -> float:
         # The counters, and with them the node budget, cover one query.
         self._nodes = self._hits = self._max_depth = 0
-        self._leaf_calls = self._cutoffs = self._threats = 0
+        self._leaf_calls = self._cutoffs = self._threats = self._replies = 0
         return time.perf_counter()
 
     def _finish(self, t0: float) -> None:
@@ -339,7 +376,7 @@ class Solver:
         # batteries' millions of queries on states of a few vertices.
         self.last_stats = SolveStats(self._nodes, self._hits, self._max_depth,
                                      time.perf_counter() - t0, self._leaf_calls,
-                                     self._cutoffs, self._threats)
+                                     self._cutoffs, self._threats, self._replies)
 
     # -- public queries ----------------------------------------------------
 

@@ -141,28 +141,48 @@ def test_usage_error_exit_code():
 
 
 def test_resource_limit_exit_code(butterfly_file, monkeypatch):
-    monkeypatch.setenv("APG_NODE_LIMIT", "2")
+    # The butterfly's search takes two nodes: the parent reads Right's
+    # double threats, so those children are never expanded.
+    monkeypatch.setenv("APG_NODE_LIMIT", "1")
     code, _ = invoke(["solve", butterfly_file, "--first", "left"])
     assert code == 3
+
+
+def chain_file(tmp_path, n):
+    """An alternating chain of blue and red pairs over ``n`` vertices."""
+    path = tmp_path / "chain.apg"
+    path.write_text("".join(f"{'blue' if i % 2 == 0 else 'red'} v{i} v{i + 1}\n"
+                            for i in range(n - 1)))
+    return str(path)
 
 
 def test_deep_search_exit_code(tmp_path, capsys):
     # A game with more moves than the recursion limit allows frames must exit
     # 3 with one error line, not 1 with a traceback.  The limit is lowered for
-    # the test so that a short chain reaches it quickly.
-    n = 400
-    path = tmp_path / "chain.apg"
-    path.write_text("".join(f"{'blue' if i % 2 == 0 else 'red'} v{i} v{i + 1}\n"
-                            for i in range(n - 1)))
+    # the test so that a short chain reaches it quickly; a forced line takes
+    # one frame per two moves.
+    path = chain_file(tmp_path, 400)
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(300)
+    sys.setrecursionlimit(200)
     try:
-        code, out = invoke(["solve", str(path), "--first", "left", "--algo", "search"])
+        code, out = invoke(["solve", path, "--first", "left", "--algo", "search"])
     finally:
         sys.setrecursionlimit(limit)
     assert code == 3 and out == ""
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_long_chain_search_is_bounded_by_the_node_budget(tmp_path, capsys, monkeypatch):
+    # Under the default recursion limit the search of a 1500-vertex chain
+    # runs until its node budget is spent, and exits 3 with one error line.
+    # A search that took a frame per move would pass that limit first.
+    path = chain_file(tmp_path, 1500)
+    monkeypatch.setenv("APG_NODE_LIMIT", "2000")
+    code, out = invoke(["solve", path, "--first", "left", "--algo", "search"])
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: node budget exhausted (2001 >= 2000)"]
 
 
 def test_roundtrip_through_cli(tmp_path, butterfly_file):

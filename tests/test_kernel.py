@@ -10,13 +10,18 @@ from apg import AlreadyWonError, GameResult, Player, Solver, SolverConfig, updat
 from apg.core import game_from_masks
 from apg.kernel import (
     bits,
-    candidates,
+    canonical_reply_after,
+    canonical_right_reply,
     child,
     compress,
+    expand,
+    grandchild,
+    opponent_reply,
     prunable_mask,
     state_of_game,
     touched_mask,
     twin_reduce,
+    unit_mask,
 )
 from apg.reductions import CnfFormula, sat_draw_game, sat_win_game
 
@@ -121,7 +126,7 @@ def test_candidates_are_unpruned_vertices_by_score():
             want = [i for i in range(n) if not pruned >> i & 1]
             if n > 6 and len(want) > 2:
                 want.sort(key=lambda i: (-score[i], i))
-            assert candidates(state, prune) == want, (state, prune)
+            assert expand(state, prune)[0] == want, (state, prune)
 
 
 @pytest.mark.parametrize("states", [exhaustive_states, lambda: random_states(4, 1500)],
@@ -232,6 +237,112 @@ def first_sweep_size(state):
     return sum(size - size % 2 for size in classes.values())
 
 
+def antichain_states():
+    """Every board of at most 4 vertices whose edges have size <= 3 and
+    hold no other edge of their colour."""
+    for n in range(5):
+        pool = [sum(1 << v for v in c) for r in (1, 2, 3)
+                for c in itertools.combinations(range(n), r)]
+        families = [tuple(sorted(c)) for k in range(len(pool) + 1)
+                    for c in itertools.combinations(pool, k)
+                    if not any(a != b and a & b == a for a in c for b in c)]
+        for blue in families:
+            for red in families:
+                yield (n, blue, red)
+
+
+def branching_picks(states):
+    """Each state from either view where the mover holds no unit, so the
+    search tries picks there, with every pick and the pair reads it is
+    read from: the full reads, and the forced-block reads when the
+    opponent holds one unit."""
+    for n, blue, red in states:
+        for view in ((n, blue, red), (n, red, blue)):
+            if unit_mask(view[1]):
+                continue
+            _, reads = expand(view, False)
+            for i in range(n):
+                yield view, i, reads
+            units = unit_mask(view[2])
+            if units and not units & (units - 1):
+                block = units.bit_length() - 1
+                yield view, block, expand(view, False, block)[1]
+
+
+def in_child(j, i):
+    """Vertex ``j`` of a state as numbered in its child after pick ``i``."""
+    return j - (j > i)
+
+
+def test_parent_side_reads_match_the_built_child():
+    # The reads the searches take from the parent, checked on the child they
+    # stand for: the double-threat verdict and the forced block equal what
+    # Solver._settle finds on the child, the fused two-pick step equals two
+    # child steps, and the canonical reply equals canonical_right_reply.
+    settler = Solver(SolverConfig(use_leaf_oracle=False, use_potentials=False))
+    seen = {"threat": 0, "reply": 0, "red unit": 0, "blue block": 0,
+            "centre": 0, "double": 0, "fallback": 0}
+    states = itertools.chain(antichain_states(), random_states(47, 4000))
+    for state, i, reads in branching_picks(states):
+        after = child(state, i)
+        threat, reply = opponent_reply(reads, i)
+        for want_win in (True, False):
+            settler._threats = 0
+            value, block = settler._settle(after, want_win)
+            assert settler._threats == threat, (state, i)
+            if threat:
+                assert value is True
+            elif reply >= 0:
+                assert reply != i and (value, block) == (None, in_child(reply, i)), (state, i)
+        if reply >= 0:
+            assert grandchild(state, i, reply)[0] == child(after, in_child(reply, i))
+        seen["threat"] += threat
+        seen["reply"] += reply >= 0 and not threat
+        if state[0] >= 2:
+            got, doubled = canonical_reply_after(reads, i)
+            assert got != i and (in_child(got, i), doubled) == canonical_right_reply(after), (state, i)
+            seen[reply_kind(after)] += 1
+            seen["double"] += doubled
+    assert all(seen.values()), seen
+
+
+def reply_kind(after):
+    """Which priority of the canonical Right strategy picks in Right's
+    view ``after``, by its definition."""
+    _, red, blue = after
+    if unit_mask(red):
+        return "red unit"
+    if unit_mask(blue).bit_count() == 1:
+        return "blue block"
+    pairs = [m for m in red if m.bit_count() == 2]
+    if any(a & b for a, b in itertools.combinations(pairs, 2)):
+        return "centre"
+    return "fallback"
+
+
+def test_grandchild_matches_two_child_steps():
+    # Every pair of picks, with the touched mask: on a twin-free state it
+    # names a vertex of every twin pair of the grandchild.
+    nones = twins = 0
+    states = itertools.chain(exhaustive_states(), random_states(53, 1000, 10))
+    for free in {reference_twin_reduce(state) for state in states}:
+        for view in (free, (free[0], free[2], free[1])):
+            n = view[0]
+            for i, j in itertools.permutations(range(n), 2):
+                after = child(view, i)
+                want = None if after is None else child(after, in_child(j, i))
+                got = grandchild(view, i, j)
+                if want is None:
+                    assert got is None, (view, i, j)
+                    nones += 1
+                    continue
+                assert got[0] == want, (view, i, j)
+                full = reference_twin_reduce(want)
+                assert twin_reduce(want, got[1]) == full, (view, i, j)
+                twins += full != want
+    assert nones and twins
+
+
 def test_compress_drops_positions_in_order():
     rng = random.Random(9)
     for _ in range(2000):
@@ -246,9 +357,9 @@ def test_phi3_node_counts_are_pinned():
     # to the candidate set, their order or the canonical states moves these
     # counts.  The default configuration's counts are pinned beside them.
     search_only = SolverConfig(use_leaf_oracle=False, use_potentials=False,
-                               use_double_threats=False)
+                               use_double_threats=False, use_forced_replies=False)
     for config, draw_nodes, win_nodes in ((search_only, 7222, 736),
-                                          (SolverConfig(), 1821, 63)):
+                                          (SolverConfig(), 525, 32)):
         s = Solver(config)
         assert s.solve(sat_draw_game(PHI3).game, Player.LEFT) is GameResult.DRAW
         assert s.last_stats.nodes_expanded == draw_nodes
