@@ -45,7 +45,7 @@ reply in one pass.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:
     from .core import Game
@@ -53,9 +53,9 @@ if TYPE_CHECKING:
 State = tuple[int, tuple[int, ...], tuple[int, ...]]
 # A node's pair reads (see :func:`expand`): per vertex the OR of the mover's
 # pairs through it, the same for the opponent's pairs, the opponent's units,
-# and the vertices on at least two and three opponent pairs.
-Reads = tuple[Union[list[int], dict[int, int]], Union[list[int], dict[int, int]],
-              int, int, int]
+# and the vertices on at least two and three opponent pairs.  At a forced
+# block only the block's entry of the mover's list is filled.
+Reads = tuple[list[int], list[int], int, int, int]
 
 # Residual states are renumbered, so few distinct masks recur: the edge
 # masks, and the parts of them that twin_reduce reads, number about 5,000 in
@@ -351,34 +351,28 @@ def expand(state: State, prune: bool,
     one pass over the edges.
 
     With ``block`` the one pick is ``block`` (the forced block of the
-    opponent's only unit), and the pass reads only what that pick needs.
-    Otherwise the picks are every vertex, less the :func:`prunable_mask`
-    vertices with ``prune``; on more than six vertices they are ordered by
-    descending score (3 per two-vertex edge, 1 per other edge through the
-    vertex), ties by index.  The pair reads come from the pass that builds
-    the covers and scores.  :func:`opponent_reply` and
-    :func:`canonical_reply_after` read a pick's child from them.
+    opponent's only unit), and of the mover's pair masks only the block's
+    is read.  Otherwise the picks are every vertex, less the
+    :func:`prunable_mask` vertices with ``prune``; on more than six
+    vertices they are ordered by descending score (3 per two-vertex edge,
+    1 per other edge through the vertex), ties by index.  The pair reads
+    come from the pass that builds the covers and scores.
+    :func:`opponent_reply` and :func:`canonical_reply_after` read a pick's
+    child from them.
     """
     n, own, other = state
     if block is not None:
+        # The opponent's side is folded as in _scan, into covers and
+        # scores that are dropped; of the mover's pairs only those through
+        # the block are read, and the mover holds no unit.
         bit = 1 << block
-        own_pair = other_pair = other_units = seen = d2 = d3 = 0
+        own_pairs = [0] * n
         for m in own:
-            if m & bit:
-                rest = m ^ bit
-                if not rest & (rest - 1):
-                    own_pair |= m
-        for m in other:
-            high = m & (m - 1)
-            if not high:
-                other_units |= m
-            elif not high & (high - 1):
-                d3 |= d2 & m
-                d2 |= seen & m
-                seen |= m
-                if m & bit:
-                    other_pair |= m
-        return (block,), ({block: own_pair}, {block: other_pair}, other_units, d2, d3)
+            if m & bit and m.bit_count() == 2:
+                own_pairs[block] |= m
+        other_pairs = [0] * n
+        other_units, d2, d3 = _scan_side(other, [0] * n, [0] * n, other_pairs)
+        return (block,), (own_pairs, other_pairs, other_units, d2, d3)
     cover, score, units, reads = _scan(state)
     if prune:
         pruned = _domination(n, cover, units)[1]

@@ -60,14 +60,14 @@ never built, ticked, twin-reduced or looked up:
     such a centre, is skipped.  It is the test ``_settle`` makes on the
     child, which is then the opponent's win, so the pick is bad for both
     questions.  Each skip counts in ``threat_cutoffs``;
-  * forced replies (``use_forced_replies``): when a pick leaves the
+  * forced replies (ride on ``use_forced_moves``): when a pick leaves the
     opponent no one-vertex edge and the mover exactly one, every other
     reply lets the mover fill it, so the opponent's node is worth its one
-    child.  The two picks are applied in one pass (``kernel.grandchild``)
-    and the grandchild is asked the parent's question, two plies deeper,
-    with the touched masks of both picks (sound because the parent is
-    twin-free).  Each counts in ``forced_replies``.  A forced line thus
-    takes one frame per two moves.
+    child: the forced block is taken one ply early.  The two picks are
+    applied in one pass (``kernel.grandchild``) and the grandchild is asked
+    the parent's question, two plies deeper, with the touched masks of both
+    picks (sound because the parent is twin-free).  Each counts in
+    ``forced_replies``.  A forced line thus takes one frame per two moves.
 The canonical-Right search reads Right's reply from Left's parent the same
 way (``kernel.canonical_reply_after``) and applies both picks in one pass.
 """
@@ -161,7 +161,6 @@ class SolverConfig:
     use_leaf_oracle: bool = True
     use_potentials: bool = True
     use_double_threats: bool = True
-    use_forced_replies: bool = True
     # When set, memoize only positions with at most this many free vertices;
     # exhaustive batteries use it to keep the table tiny while their top-level
     # queries still share all sub-position work.
@@ -282,18 +281,18 @@ class Solver:
         result, block = self._settle(state, want_win)
         if result is None:
             config = self.config
-            threats, replies = config.use_double_threats, config.use_forced_replies
+            threats, forced = config.use_double_threats, config.use_forced_moves
             moves, reads = expand(state, config.use_domination, block)
             result = False
             for i in moves:
                 # No pick fills an edge of the mover's: _settle ends a node
                 # with a one-vertex own edge.
-                if threats or replies:
+                if threats or forced:
                     threat, reply = opponent_reply(reads, i)
                     if threat and threats:
                         self._threats += 1  # the child is the opponent's win
                         continue
-                    if reply >= 0 and replies:
+                    if reply >= 0 and forced:
                         self._replies += 1
                         after, touched = grandchild(state, i, reply)
                         if self._eval(after, want_win, depth + 2, touched):

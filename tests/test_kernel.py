@@ -353,12 +353,13 @@ def test_compress_drops_positions_in_order():
 
 
 def test_phi3_node_counts_are_pinned():
-    # Exact search size without the cutoffs that end nodes early: any change
+    # Exact search size without the cutoffs that end nodes early (forced
+    # blocks and the forced replies that ride on them stay on): any change
     # to the candidate set, their order or the canonical states moves these
     # counts.  The default configuration's counts are pinned beside them.
     search_only = SolverConfig(use_leaf_oracle=False, use_potentials=False,
-                               use_double_threats=False, use_forced_replies=False)
-    for config, draw_nodes, win_nodes in ((search_only, 7222, 736),
+                               use_double_threats=False)
+    for config, draw_nodes, win_nodes in ((search_only, 5937, 621),
                                           (SolverConfig(), 525, 32)):
         s = Solver(config)
         assert s.solve(sat_draw_game(PHI3).game, Player.LEFT) is GameResult.DRAW

@@ -24,7 +24,7 @@ LW, DR, RW = GameResult.LEFT_WIN, GameResult.DRAW, GameResult.RIGHT_WIN
 # is solve22), its potential cutoffs and its double-threat rule (poly22's
 # own P3 step) off.
 SEARCH_ONLY = SolverConfig(use_leaf_oracle=False, use_potentials=False,
-                          use_double_threats=False, use_forced_replies=False)
+                          use_double_threats=False)
 
 
 def graph2(blue_pairs, red_pairs):

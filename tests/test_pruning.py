@@ -12,12 +12,10 @@ L, R = Player.LEFT, Player.RIGHT
 
 PLAIN = SolverConfig(use_twin_reduction=False, use_domination=False,
                      use_forced_moves=False, use_leaf_oracle=False,
-                     use_potentials=False, use_double_threats=False,
-                     use_forced_replies=False)
+                     use_potentials=False, use_double_threats=False)
 
 
 NO_THREATS = SolverConfig(use_double_threats=False)
-NO_REPLIES = SolverConfig(use_forced_replies=False)
 
 
 def test_exhaustive_three_vertex_games_any_rank():
@@ -59,8 +57,7 @@ def test_exhaustive_four_vertex_games_rank3():
         verts = "abcd"[:n]
         pool = [c for r in (1, 2, 3) for c in itertools.combinations(verts, r)]
         families = list(antichains(pool))
-        plain, tuned = Solver(PLAIN), Solver()
-        no_threats, no_replies = Solver(NO_THREATS), Solver(NO_REPLIES)
+        plain, tuned, no_threats = Solver(PLAIN), Solver(), Solver(NO_THREATS)
         for blue in families:
             for red in families:
                 g = new_game(verts, blue, red)
@@ -69,12 +66,10 @@ def test_exhaustive_four_vertex_games_rank3():
                     want = brute_result(g, first)
                     assert plain.solve(g, first) == want, g
                     assert no_threats.solve(g, first) == want, g
-                    assert no_replies.solve(g, first) == want, g
                     assert tuned.solve(g, first) == want, g
                     threats += tuned.last_stats.threat_cutoffs
                     replies += tuned.last_stats.forced_replies
                     assert no_threats.last_stats.threat_cutoffs == 0
-                    assert no_replies.last_stats.forced_replies == 0
     assert checked == 2 * sum(k * k for k in (1, 2, 5, 19, 166))
     assert threats > 1000 and replies > 1000
 
@@ -83,8 +78,7 @@ def test_rank4_games_against_plain_and_brute_force():
     # Fresh tuned solvers per board, so every rule firing of their searches
     # is checked, none answered from an earlier memo.  The double-threat
     # rule ends many nodes before the leaf oracle or the potentials are
-    # asked, so those two are counted on a second solver with it off.  The
-    # forced replies are checked on a third solver with them off.
+    # asked, so those two are counted on a second solver with it off.
     rng = rng_for(92, "pruning-rank4")
     plain = Solver(PLAIN)
     fired = [0, 0, 0, 0]
@@ -92,11 +86,9 @@ def test_rank4_games_against_plain_and_brute_force():
         g = random_game(rng, max_vertices=8, max_edge_size=4)
         for first in (L, R):
             tuned, no_threats = Solver(), Solver(NO_THREATS)
-            no_replies = Solver(NO_REPLIES)
             want = brute_result(g, first)
             assert tuned.solve(g, first) == want, g
             assert no_threats.solve(g, first) == want, g
-            assert no_replies.solve(g, first) == want, g
             assert plain.solve(g, first) == want, g
             fired[0] += no_threats.last_stats.leaf_calls
             fired[1] += no_threats.last_stats.potential_cutoffs
@@ -124,7 +116,6 @@ def test_each_toggle_individually():
         Solver(SolverConfig(use_leaf_oracle=False)),
         Solver(SolverConfig(use_potentials=False)),
         Solver(NO_THREATS),
-        Solver(NO_REPLIES),
     ]
     reference = Solver()
     for _ in range(120):

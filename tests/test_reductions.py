@@ -40,7 +40,7 @@ L, R = Player.LEFT, Player.RIGHT
 LW, DR, RW = GameResult.LEFT_WIN, GameResult.DRAW, GameResult.RIGHT_WIN
 NONLOSS = CanonicalRightResult.LEFT_NON_LOSING
 SEARCH_ONLY = SolverConfig(use_leaf_oracle=False, use_potentials=False,
-                          use_double_threats=False, use_forced_replies=False)
+                          use_double_threats=False)
 RWINS = CanonicalRightResult.RIGHT_WINS
 
 
@@ -240,8 +240,7 @@ def test_canonical_right_leaf_oracle_agrees():
     rng = rng_for(44, "canonical-right-leaf")
     plain = Solver(SolverConfig(use_twin_reduction=False, use_domination=False,
                                 use_forced_moves=False, use_leaf_oracle=False,
-                                use_potentials=False, use_double_threats=False,
-                                use_forced_replies=False))
+                                use_potentials=False, use_double_threats=False))
     leaf_calls = threats = potentials = right_wins = 0
     for _ in range(1500):
         g = random_blue3_red2_game(rng)

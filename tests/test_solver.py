@@ -34,7 +34,7 @@ from oracles import brute_delay, brute_result
 L, R = Player.LEFT, Player.RIGHT
 LW, DR, RW = GameResult.LEFT_WIN, GameResult.DRAW, GameResult.RIGHT_WIN
 SEARCH_ONLY = SolverConfig(use_leaf_oracle=False, use_potentials=False,
-                          use_double_threats=False, use_forced_replies=False)
+                          use_double_threats=False)
 
 
 # -- fixed points -------------------------------------------------------------
@@ -158,7 +158,7 @@ def test_agrees_with_brute_force_on_random_games():
 def test_pruning_toggles_do_not_change_values():
     rng = rng_for(5, "pruning-toggles")
     plain = Solver(SolverConfig(use_twin_reduction=False, use_domination=False,
-                                use_forced_moves=False, use_forced_replies=False))
+                                use_forced_moves=False))
     tuned = Solver()
     for _ in range(150):
         g = random_game(rng, max_vertices=6, max_edge_size=3)
@@ -255,7 +255,7 @@ def test_move_value_records_its_stats():
 
 def test_node_budget():
     s = Solver(SolverConfig(node_limit=3, use_leaf_oracle=False, use_potentials=False,
-                            use_double_threats=False, use_forced_replies=False))
+                            use_double_threats=False))
     with pytest.raises(ResourceLimitError):
         s.solve(butterfly(), L)
 
@@ -327,7 +327,7 @@ def test_counters_count_firings_and_stay_zero_when_toggled_off():
             ("leaf_calls", "use_leaf_oracle", butterfly()),
             ("threat_cutoffs", "use_double_threats",
              new_game(["a", "b", "c"], [["a", "b"], ["b", "c"]], [])),
-            ("forced_replies", "use_forced_replies",
+            ("forced_replies", "use_forced_moves",
              sat_win_game(CnfFormula(3, ((1, 2, 3),))).game)):
         on, off = Solver(), Solver(SolverConfig(**{toggle: False}))
         assert on.solve(game, L) is off.solve(game, L)
