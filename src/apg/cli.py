@@ -41,6 +41,17 @@ def _player(text: str) -> Player:
     return Player.LEFT if text == "left" else Player.RIGHT
 
 
+def _count(text: str) -> int:
+    # argparse's ``type`` for counts: a negative one is a usage error.
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
 def _solver(**settings) -> Solver:
     config = SolverConfig(**settings)
     limit = os.environ.get("APG_NODE_LIMIT")
@@ -92,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a seeded verification battery")
     p.add_argument("target", choices=("lemmas", "table3", "poly22", "reductions"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_count, default=1000)
     return parser
 
 

@@ -7,8 +7,8 @@ state from the side to move: ``own`` holds the mover's edges and ``other``
 the opponent's, so Left to move on a game is ``(n, blue, red)`` and Right
 to move is ``(n, red, blue)``.  The game is colour-symmetric, so one rule
 serves both players and a position and its colour-swapped mirror share a
-memo entry.  The twin, dead-pair and domination functions treat both
-sides alike; the others read the view.  The functions here are pure; the
+memo entry.  The twin and domination functions treat both sides alike;
+the others read the view.  The functions here are pure; the
 solver (its queries and the canonical-Right search),
 ``reductions.canonical_right_move`` and the domination queries of ``ops``
 all call them, so each rule is written once.
@@ -142,28 +142,6 @@ def touched_mask(state: State, i: int) -> int:
             touched |= m
     low = bit - 1
     return (touched & low) | ((touched >> 1) & ~low)  # drops i itself
-
-
-def dead_pair_reduce(state: State) -> State:
-    """Remove vertices carried by no edge, in pairs (parity is preserved by
-    keeping one when their count is odd).  A cheap special case of twin
-    removal; edge masks keep their relative order under the renumbering."""
-    n, blue, red = state
-    used = 0
-    for m in blue:
-        used |= m
-    for m in red:
-        used |= m
-    dead = ((1 << n) - 1) & ~used
-    count = dead.bit_count()
-    if count < 2:
-        return state
-    if count & 1:
-        dead &= ~(dead & -dead)
-        count -= 1
-    return (n - count,
-            tuple(compress(m, dead) for m in blue),
-            tuple(compress(m, dead) for m in red))
 
 
 def twin_reduce(state: State, touched: Optional[int] = None) -> State:
@@ -491,14 +469,8 @@ def canonical_right_reply(state: State) -> tuple[int, bool]:
     colour holds a unit: Right then holds two red units and Left none, so
     Right fills one of them next.
     """
-    _, red, blue = state
-    red_units = seen = shared = 0
-    for m in red:
-        if m & (m - 1) == 0:
-            red_units |= m
-        elif m.bit_count() == 2:
-            shared |= seen & m
-            seen |= m
+    n, red, blue = state
+    red_units, shared, _ = _scan_side(red, [0] * n, [0] * n, [0] * n)
     return _right_priority(red_units, unit_mask(blue), shared, 0)
 
 

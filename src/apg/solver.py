@@ -9,12 +9,15 @@ colour-swapped mirror; the public queries take Left's view ``(n, blue,
 red)`` and turn it once.  Positions are canonicalized (vertices renumbered,
 twin pairs removed) before memo lookup so that transposed move orders
 collapse.  The mask-level state operations (child
-states, twin and dead-pair reduction, domination, move order, the canonical
-Right strategy) live in ``kernel.py``; this module holds the memo, the node
+states, twin reduction, domination, move order, the canonical Right
+strategy) live in ``kernel.py``; this module holds the memo, the node
 budget and the queries.  Besides the game values it answers one question
 with Right's moves fixed: whether Left survives the canonical Right strategy
 (:meth:`Solver.survives_canonical_right`), which the SAT reductions use to
-prove unsatisfiable gadgets Right wins.
+prove unsatisfiable gadgets Right wins.  That strategy wins whenever Right
+can, so each node of that search has the game value "can Left avoid losing
+moving first?": it is twin-reduced like a game-value node and shares the
+"avoid losing" memo.
 
 Every node of both searches starts with one node-entry rule
 (:meth:`Solver._settle`), which ends the node before any move is tried or
@@ -24,7 +27,7 @@ and twin removal.  Pruning used by default, each individually toggleable:
   * two or more distinct one-vertex threats of the opponent lose outright,
     a single one forces the blocking move;
   * dominated moves are skipped, keeping one representative per twin class;
-  * twin/dead-pair removal at node entry;
+  * twin removal at node entry;
   * leaf oracle (``use_leaf_oracle``): a node whose edges all have size <= 2
     is answered by one ``poly22.solve22_masks`` call, the polynomial
     procedure for that class, in place of a search below it.  In the
@@ -95,7 +98,6 @@ from .kernel import (
     State,
     canonical_reply_after,
     child,
-    dead_pair_reduce,
     expand,
     grandchild,
     opponent_reply,
@@ -173,7 +175,7 @@ class TraceStep:
     summary: str
     player: Player
     vertex: str
-    justification: str  # one of: winning, forced, pairing, arbitrary
+    justification: str  # one of: winning, forced, arbitrary
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,6 @@ class Solver:
         self._memo_win: dict[State, bool] = {}
         self._memo_avoid: dict[State, bool] = {}
         self._memo_delay: dict[tuple[bool, State], float] = {}
-        self._memo_canon: dict[State, bool] = {}
         self._nodes = 0
         self._hits = 0
         self._leaf_calls = 0
@@ -313,18 +314,20 @@ class Solver:
                 memo.clear()
             memo[key] = result
 
-    def _survive_eval(self, state: State, depth: int) -> bool:
+    def _survive_eval(self, state: State, depth: int,
+                      touched: Optional[int] = None) -> bool:
         # Left to move, Right replying with canonical_right_reply.  The node's
         # value equals "Left has a non-losing strategy moving first here"
         # (surviving the fixed strategy refutes every Right strategy, and the
-        # fixed strategy wins whenever any does), so it is preserved by
-        # dead-pair removal and renumbering, which collapse transpositions,
-        # _settle ends it early as a "can the mover avoid losing?" node, and
-        # a dominated Left move can be skipped as in _eval.
+        # fixed strategy wins whenever any does), so the node enters as an
+        # _eval "can the mover avoid losing?" node: twin reduction, the same
+        # memo, _settle, and dominated Left moves skipped.  ``touched`` is
+        # grandchild's mask for the two picks from the twin-free parent, or
+        # None at the root.
         self._tick(depth)
         if self.config.use_twin_reduction:
-            state = dead_pair_reduce(state)
-        cached = self._memo_canon.get(state)
+            state = twin_reduce(state, touched)
+        cached = self._memo_avoid.get(state)
         if cached is not None:
             self._hits += 1
             return cached
@@ -343,10 +346,11 @@ class Solver:
                     continue  # Right's double threat: this line loses
                 after = grandchild(state, i, reply)
                 # None: Right's reply fills a red edge, so this line loses.
-                if after is not None and self._survive_eval(after[0], depth + 1):
+                if after is not None and self._survive_eval(
+                        after[0], depth + 1, after[1]):
                     result = True
                     break
-        self._store(self._memo_canon, state, result, state[0])
+        self._store(self._memo_avoid, state, result, state[0])
         return result
 
     def _value(self, state: State) -> int:

@@ -14,6 +14,15 @@ from apg import Game, GameResult, Player
 LEFT, RIGHT = Player.LEFT, Player.RIGHT
 
 
+def antichains(pool):
+    """Every set of edges from ``pool`` with no edge inside another."""
+    sets = [frozenset(e) for e in pool]
+    for bits in range(1 << len(pool)):
+        chosen = [s for i, s in enumerate(sets) if bits >> i & 1]
+        if not any(a < b for a in chosen for b in chosen):
+            yield [sorted(s) for s in chosen]
+
+
 def brute_result(game: Game, first_player: Player) -> GameResult:
     edges = {LEFT: [frozenset(e) for e in game.blue_edges],
              RIGHT: [frozenset(e) for e in game.red_edges]}

@@ -140,6 +140,17 @@ def test_usage_error_exit_code():
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize("target", ["lemmas", "table3"])
+def test_negative_trials_is_a_usage_error(target, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", target, "--trials", "-5"])
+    assert exc.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] \
+        == ["error: argument --trials: must be a non-negative integer, got -5"]
+
+
 def test_resource_limit_exit_code(butterfly_file, monkeypatch):
     # The butterfly's search takes two nodes: the parent reads Right's
     # double threats, so those children are never expanded.

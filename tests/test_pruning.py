@@ -6,7 +6,7 @@ import itertools
 from apg import Player, Solver, SolverConfig, new_game
 from apg.gadgets import random_game, rng_for
 
-from oracles import brute_result
+from oracles import antichains, brute_result
 
 L, R = Player.LEFT, Player.RIGHT
 
@@ -37,15 +37,6 @@ def test_exhaustive_three_vertex_games_any_rank():
                 fired += tuned.last_stats.threat_cutoffs
     assert checked == (1 << 7) * (1 << 7) * 2
     assert fired > 0
-
-
-def antichains(pool):
-    """Every set of edges from ``pool`` with no edge inside another."""
-    sets = [frozenset(e) for e in pool]
-    for bits in range(1 << len(pool)):
-        chosen = [s for i, s in enumerate(sets) if bits >> i & 1]
-        if not any(a < b for a in chosen for b in chosen):
-            yield [sorted(s) for s in chosen]
 
 
 def test_exhaustive_four_vertex_games_rank3():

@@ -1,5 +1,7 @@
 """Formula parsing, the gadget compilers, their oracles and script checks."""
 
+import itertools
+
 import pytest
 
 from apg import (
@@ -34,7 +36,9 @@ from apg import (
     update,
 )
 from apg.gadgets import random_game, rng_for
-from apg.kernel import canonical_right_reply
+from apg.kernel import canonical_right_reply, twin_reduce
+
+from oracles import antichains, brute_result
 
 L, R = Player.LEFT, Player.RIGHT
 LW, DR, RW = GameResult.LEFT_WIN, GameResult.DRAW, GameResult.RIGHT_WIN
@@ -146,10 +150,10 @@ def test_draw_gadget_unsat_loses():
     g = sat_draw_game(CnfFormula(3, all_sign_clauses())).game
     s = Solver(SEARCH_ONLY)
     assert not s.survives_canonical_right(g)
-    assert s.last_stats.nodes_expanded == 236_848
+    assert s.last_stats.nodes_expanded == 174_917
     s = Solver()
     assert not s.survives_canonical_right(g)
-    assert s.last_stats.nodes_expanded == 13_639
+    assert s.last_stats.nodes_expanded == 13_635
 
 
 def test_canonical_right_priorities():
@@ -223,12 +227,57 @@ def test_canonical_right_agrees_with_full_search(use_domination):
 def test_canonical_right_pinned_nodes():
     s = Solver(SEARCH_ONLY)
     assert not s.survives_canonical_right(sat_draw_game(U3A).game)
-    assert s.last_stats.nodes_expanded == 3_660
+    assert s.last_stats.nodes_expanded == 2_526
     s = Solver()
     assert not s.survives_canonical_right(sat_draw_game(U3A).game)
-    assert s.last_stats.nodes_expanded == 585
-    assert s.last_stats.leaf_calls == 144
-    assert s.last_stats.threat_cutoffs == 1231
+    assert s.last_stats.nodes_expanded == 495
+    assert s.last_stats.leaf_calls == 90
+    assert s.last_stats.threat_cutoffs == 1013
+
+
+def test_canonical_right_shares_the_avoid_memo():
+    # A canonical-Right node has the game value "can Left avoid losing
+    # moving first?", so after the game-value query on the same solver the
+    # survival query is answered by the memo at its root.
+    g = sat_draw_game(U3A).game
+    s = Solver()
+    assert s.solve(g, L) is RW
+    assert not s.survives_canonical_right(g)
+    assert s.last_stats.nodes_expanded == 1
+    assert s.last_stats.memo_hits == 1
+    # The other way round, the survival query leaves only "avoid losing"
+    # entries: a later "can Left win?" question must not read them.
+    g = sat_draw_game(CnfFormula(3, ((1, 2, 3),))).game
+    s = Solver()
+    assert s.survives_canonical_right(g)
+    assert s.solve(g, L) is DR
+    assert s.last_stats.memo_hits > 0
+
+
+def test_canonical_right_exhaustive_four_vertex_boards():
+    # Every blue<=3 / red<=2 board of at most 4 vertices whose edges hold no
+    # other edge of their colour, against brute force, with every rule on
+    # and with twin reduction the only rule.  Each board gets fresh
+    # solvers, so no node is answered by an earlier board's memo.
+    twins_only = SolverConfig(use_domination=False, use_forced_moves=False,
+                              use_leaf_oracle=False, use_potentials=False,
+                              use_double_threats=False)
+    checked = reduced = 0
+    for n in range(5):
+        verts = "abcd"[:n]
+        small = [c for r in (1, 2) for c in itertools.combinations(verts, r)]
+        blues = list(antichains(small + list(itertools.combinations(verts, 3))))
+        reds = list(antichains(small))
+        for blue in blues:
+            for red in reds:
+                g = new_game(verts, blue, red)
+                want = brute_result(g, L) is not RW
+                for config in (SolverConfig(), twins_only):
+                    assert Solver(config).survives_canonical_right(g) == want, g
+                checked += 1
+                reduced += twin_reduce((g.n, g.blue, g.red))[0] < g.n
+    assert checked == 1 * 1 + 2 * 2 + 5 * 5 + 19 * 18 + 166 * 113
+    assert reduced > 1000  # twin pairs are removed on many of these boards
 
 
 def test_canonical_right_leaf_oracle_agrees():
@@ -279,7 +328,7 @@ def test_canonical_right_node_budget():
     g = sat_draw_game(U3A).game
     with pytest.raises(ResourceLimitError):
         solve_against_canonical_right(g, node_limit=100)
-    assert solve_against_canonical_right(g, node_limit=3_660) is RWINS
+    assert solve_against_canonical_right(g, node_limit=495) is RWINS
 
 
 def test_canonical_right_edge_size_check():
