@@ -2,7 +2,7 @@
 
 Line-oriented ``key: value`` reports; exit codes: 0 answered, 2 verification
 failure, 3 resource limit, 64 usage or input error.  The APG_NODE_LIMIT
-environment variable overrides the solver's node budget.
+environment variable, a positive integer, overrides the solver's node budget.
 """
 
 from __future__ import annotations
@@ -42,21 +42,34 @@ def _player(text: str) -> Player:
 
 
 def _count(text: str) -> int:
-    # argparse's ``type`` for counts: a negative one is a usage error.
+    # argparse's ``type`` for counts: zero or a negative one is a usage
+    # error, since a battery of no trials checks nothing.
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value
+
+
+def _node_limit(text: str) -> int:
+    # The APG_NODE_LIMIT override; anything but a positive integer is a
+    # usage error (run maps the ValueError to exit 64).
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"APG_NODE_LIMIT must be a positive integer, got {text!r}")
 
 
 def _solver(**settings) -> Solver:
     config = SolverConfig(**settings)
     limit = os.environ.get("APG_NODE_LIMIT")
     if limit:
-        config.node_limit = int(limit)
+        config.node_limit = _node_limit(limit)
     return Solver(config)
 
 

@@ -8,10 +8,9 @@ the opponent's, so Left to move on a game is ``(n, blue, red)`` and Right
 to move is ``(n, red, blue)``.  The game is colour-symmetric, so one rule
 serves both players and a position and its colour-swapped mirror share a
 memo entry.  The twin and domination functions treat both sides alike;
-the others read the view.  The functions here are pure; the
-solver (its queries and the canonical-Right search),
-``reductions.canonical_right_move`` and the domination queries of ``ops``
-all call them, so each rule is written once.
+the others read the view.  The functions here are pure; the solver's
+search, ``reductions.canonical_right_move`` and the domination queries of
+``ops`` all call them, so each rule is written once.
 
 Per-node costs are kept low by reading each edge's bit positions from a
 bounded cache (:func:`bits`) and by working on whole masks where a vertex
@@ -30,12 +29,14 @@ searches that never twin-reduce do not pay for it.
 Some children are decided by what the parent already knows.
 :func:`expand` reads, in the pass that orders the moves, the pairs of each
 side through every vertex and the vertices on two and on three of the
-opponent's pairs.  From these :func:`opponent_reply` tells, for a pick,
-whether the opponent then holds a double threat the mover cannot meet
-(the child is the opponent's win) and whether the opponent must block the
-mover's one unit (the child is worth its one child), and
-:func:`canonical_reply_after` gives the canonical Right reply, without
-the child being built.  Both rest on one fact: the mover holds no unit
+opponent's pairs.  From these, two reply readers answer, for a pick and
+without the child being built, ``(threat, reply)``: whether the pick
+loses to a double threat, and the opponent's reply when it is fixed.
+:func:`opponent_reply` tells whether the opponent then holds a double
+threat the mover cannot meet (the child is the opponent's win) and
+whether the opponent must block the mover's one unit (the child is worth
+its one child); :func:`canonical_reply_after` gives the canonical Right
+reply.  Both rest on one fact: the mover holds no unit
 where a pick is searched, so a pick gives it units only at the other ends
 of its pairs through the pick, and leaves the opponent's edges that miss
 the pick as they were.  :func:`grandchild` then applies a pick and its
@@ -446,15 +447,16 @@ def grandchild(state: State, i: int, j: int) -> Optional[tuple[State, int]]:
 
 
 def _right_priority(red_units: int, blue_units: int, centres: int,
-                    fallback: int) -> tuple[int, bool]:
-    # The canonical Right strategy's one priority rule, on masks.
+                    fallback: int) -> tuple[bool, int]:
+    # The canonical Right strategy's one priority rule, on masks:
+    # ``(threat, pick)``, as canonical_right_reply describes them.
     if red_units:
-        return (red_units & -red_units).bit_length() - 1, False
+        return False, (red_units & -red_units).bit_length() - 1
     if blue_units and blue_units & (blue_units - 1) == 0:
-        return blue_units.bit_length() - 1, False
+        return False, blue_units.bit_length() - 1
     if centres:
-        return (centres & -centres).bit_length() - 1, not blue_units
-    return fallback, False
+        return not blue_units, (centres & -centres).bit_length() - 1
+    return False, fallback
 
 
 def canonical_right_reply(state: State) -> tuple[int, bool]:
@@ -471,13 +473,15 @@ def canonical_right_reply(state: State) -> tuple[int, bool]:
     """
     n, red, blue = state
     red_units, shared, _ = _scan_side(red, [0] * n, [0] * n, [0] * n)
-    return _right_priority(red_units, unit_mask(blue), shared, 0)
+    threat, pick = _right_priority(red_units, unit_mask(blue), shared, 0)
+    return pick, threat
 
 
-def canonical_reply_after(reads: Reads, i: int) -> tuple[int, bool]:
+def canonical_reply_after(reads: Reads, i: int) -> tuple[bool, int]:
     """:func:`canonical_right_reply` after Left's pick ``i``, read from the
     pair reads of Left's view (:func:`expand`) without building the child,
-    and numbered as in the parent.  The fallback, the child's vertex 0, is
-    the lowest vertex other than ``i``; the parent has two or more."""
+    in :func:`opponent_reply`'s shape: ``(threat, reply)``, with the reply
+    numbered as in the parent.  The fallback, the child's vertex 0, is the
+    lowest vertex other than ``i``; the parent has two or more."""
     blue_units, red_units, centres = _after_pick(reads, i)
     return _right_priority(red_units, blue_units, centres, 0 if i else 1)

@@ -2,7 +2,7 @@
 
 Values are computed by two mutually recursive boolean questions from the
 mover's perspective ("can the mover win?", "can the mover avoid losing?"),
-asked in that order, with draws as the default.  Inside the searches a
+asked in that order, with draws as the default.  Inside the search a
 state is seen from the side to move, ``(n, own, other)`` (see ``kernel``),
 so the memo keys carry no player and a position shares its entry with its
 colour-swapped mirror; the public queries take Left's view ``(n, blue,
@@ -11,18 +11,23 @@ twin pairs removed) before memo lookup so that transposed move orders
 collapse.  The mask-level state operations (child
 states, twin reduction, domination, move order, the canonical Right
 strategy) live in ``kernel.py``; this module holds the memo, the node
-budget and the queries.  Besides the game values it answers one question
-with Right's moves fixed: whether Left survives the canonical Right strategy
+budget and the queries.
+
+One search (``Solver._eval``) answers every question but the delay.  Besides
+the game values it answers one question with Right's moves fixed: whether
+Left survives the canonical Right strategy
 (:meth:`Solver.survives_canonical_right`), which the SAT reductions use to
 prove unsatisfiable gadgets Right wins.  That strategy wins whenever Right
-can, so each node of that search has the game value "can Left avoid losing
-moving first?": it is twin-reduced like a game-value node and shares the
-"avoid losing" memo.
+can, so each node of that query has the game value "can Left avoid losing
+moving first?", and the query is an "avoid losing" search with Left to
+move whose Right replies are read, not searched.  The two kinds of query
+differ only in their reply rule, chosen once per query and described last
+below; they share the node entry, the memo and every cutoff.
 
-Every node of both searches starts with one node-entry rule
-(:meth:`Solver._settle`), which ends the node before any move is tried or
-names the forced block.  It applies the rules below, all but domination
-and twin removal.  Pruning used by default, each individually toggleable:
+Every node starts with one node-entry rule (:meth:`Solver._settle`), which
+ends the node before any move is tried or names the forced block.  It
+applies the rules below, all but domination and twin removal.  Pruning
+used by default, each individually toggleable:
   * immediate win on a one-vertex edge of the mover's color;
   * two or more distinct one-vertex threats of the opponent lose outright,
     a single one forces the blocking move;
@@ -30,29 +35,20 @@ and twin removal.  Pruning used by default, each individually toggleable:
   * twin removal at node entry;
   * leaf oracle (``use_leaf_oracle``): a node whose edges all have size <= 2
     is answered by one ``poly22.solve22_masks`` call, the polynomial
-    procedure for that class, in place of a search below it.  In the
-    canonical-Right search, whose red edges are pairs already, it fires
-    once the blue edges are pairs, because that node's value is "Left
-    avoids losing moving first";
-  * potential cutoffs (``use_potentials``, in both searches), after
-    Erdős and Selfridge (JCT A 14, 1973): if the sum of 2^-|e| over the
-    mover's edges is below 1/2, the opponent, playing only to block them
-    while moving second, stops the mover from filling any, so the mover
-    cannot win; if the sum over the opponent's edges is below 1, the mover,
-    blocking first, stops the opponent, so the mover cannot lose.  The sums
-    are compared exactly in integers, scaled by 2^n.  A canonical-Right
-    node's value is the game value "Left avoids losing moving first", so
-    the second cutoff ends such nodes too;
+    procedure for that class, in place of a search below it;
+  * potential cutoffs (``use_potentials``), after Erdős and Selfridge
+    (JCT A 14, 1973): if the sum of 2^-|e| over the mover's edges is below
+    1/2, the opponent, playing only to block them while moving second,
+    stops the mover from filling any, so the mover cannot win; if the sum
+    over the opponent's edges is below 1, the mover, blocking first, stops
+    the opponent, so the mover cannot lose.  The sums are compared exactly
+    in integers, scaled by 2^n;
   * double threats (``use_double_threats``), ``poly22``'s P3 step on any
     board: a mover with no one-vertex edge who picks a vertex shared by two
     of its pairs holds two one-vertex edges.  If the opponent has no
     one-vertex edge, or only one, at that vertex (the pick blocks it), the
     opponent completes nothing on the next pick and blocks only one of the
-    two, so the mover wins: the node is True for both questions, and True
-    in the canonical-Right search for Left's pairs.  For Right's pairs the
-    same holds one ply down: when the canonical reply is such a centre and
-    neither colour holds a one-vertex edge, Left's move loses without its
-    child being built.
+    two, so the mover wins: the node is True for both questions.
 
 Two more rules settle a child at its parent, from masks the parent reads
 in the pass that orders its moves (``kernel.expand``), so the child is
@@ -62,17 +58,23 @@ never built, ticked, twin-reduced or looked up:
     two of its pairs, while the mover holds no one-vertex edge or one at
     such a centre, is skipped.  It is the test ``_settle`` makes on the
     child, which is then the opponent's win, so the pick is bad for both
-    questions.  Each skip counts in ``threat_cutoffs``;
-  * forced replies (ride on ``use_forced_moves``): when a pick leaves the
-    opponent no one-vertex edge and the mover exactly one, every other
+    questions.  In the canonical query the test is made on Right's fixed
+    reply: the pick loses when that reply is such a centre and neither
+    colour holds a one-vertex edge.  Each skip counts in ``threat_cutoffs``;
+  * the reply rule.  Its reader gives, for a pick, the verdict above and
+    the opponent's reply when that reply is fixed; the two picks
+    are then applied in one pass (``kernel.grandchild``) and the
+    grandchild is asked the parent's question, two plies deeper, with the
+    touched masks of both picks (sound because the parent is twin-free).
+    A game-value query reads ``kernel.opponent_reply``: when a pick leaves
+    the opponent no one-vertex edge and the mover exactly one, every other
     reply lets the mover fill it, so the opponent's node is worth its one
-    child: the forced block is taken one ply early.  The two picks are
-    applied in one pass (``kernel.grandchild``) and the grandchild is asked
-    the parent's question, two plies deeper, with the touched masks of both
-    picks (sound because the parent is twin-free).  Each counts in
-    ``forced_replies``.  A forced line thus takes one frame per two moves.
-The canonical-Right search reads Right's reply from Left's parent the same
-way (``kernel.canonical_reply_after``) and applies both picks in one pass.
+    child, and the forced block is taken one ply early (rides on
+    ``use_forced_moves``, each counts in ``forced_replies``).  A forced
+    line thus takes one frame per two moves.  The canonical query reads
+    ``kernel.canonical_reply_after`` and folds in every reply: a reply
+    that fills a red edge loses the line, and a pick that ends the board
+    draws it.
 """
 
 from __future__ import annotations
@@ -268,9 +270,12 @@ class Solver:
         return None, block
 
     def _eval(self, state: State, want_win: bool, depth: int,
-              touched: Optional[int] = None) -> bool:
-        # ``touched`` is the parent's ``touched_mask`` for the pick when the
-        # parent node was twin-free, else None (see ``kernel.twin_reduce``).
+              touched: Optional[int] = None, canonical: bool = False) -> bool:
+        # ``touched`` is the parent's ``touched_mask`` for the pick, or
+        # ``grandchild``'s for two picks, when the parent node was twin-free,
+        # else None (see ``kernel.twin_reduce``).  ``canonical`` asks whether
+        # Left, to move, survives the canonical Right strategy: Right's
+        # replies are read by ``canonical_reply_after``, not searched.
         self._tick(depth)
         if self.config.use_twin_reduction:
             state = twin_reduce(state, touched)
@@ -280,23 +285,32 @@ class Solver:
             self._hits += 1
             return cached
         result, block = self._settle(state, want_win)
+        if result is None and canonical and state[0] == 1:
+            result = True  # the board runs out before Right's reply
         if result is None:
             config = self.config
-            threats, forced = config.use_double_threats, config.use_forced_moves
+            threats = config.use_double_threats
+            # The reply rule: Right's canonical reply, always folded in, or
+            # the opponent's forced block, folded in under use_forced_moves.
+            reader = canonical_reply_after if canonical else opponent_reply
+            folded = canonical or config.use_forced_moves
             moves, reads = expand(state, config.use_domination, block)
             result = False
             for i in moves:
                 # No pick fills an edge of the mover's: _settle ends a node
                 # with a one-vertex own edge.
-                if threats or forced:
-                    threat, reply = opponent_reply(reads, i)
+                if threats or folded:
+                    threat, reply = reader(reads, i)
                     if threat and threats:
                         self._threats += 1  # the child is the opponent's win
                         continue
-                    if reply >= 0 and forced:
-                        self._replies += 1
-                        after, touched = grandchild(state, i, reply)
-                        if self._eval(after, want_win, depth + 2, touched):
+                    if reply >= 0 and folded:
+                        after = grandchild(state, i, reply)
+                        if after is None:
+                            continue  # Right's reply fills a red edge
+                        if not canonical:
+                            self._replies += 1
+                        if self._eval(after[0], want_win, depth + 2, after[1], canonical):
                             result = True
                             break
                         continue
@@ -313,45 +327,6 @@ class Solver:
             if len(memo) >= config.memo_flush_entries:
                 memo.clear()
             memo[key] = result
-
-    def _survive_eval(self, state: State, depth: int,
-                      touched: Optional[int] = None) -> bool:
-        # Left to move, Right replying with canonical_right_reply.  The node's
-        # value equals "Left has a non-losing strategy moving first here"
-        # (surviving the fixed strategy refutes every Right strategy, and the
-        # fixed strategy wins whenever any does), so the node enters as an
-        # _eval "can the mover avoid losing?" node: twin reduction, the same
-        # memo, _settle, and dominated Left moves skipped.  ``touched`` is
-        # grandchild's mask for the two picks from the twin-free parent, or
-        # None at the root.
-        self._tick(depth)
-        if self.config.use_twin_reduction:
-            state = twin_reduce(state, touched)
-        cached = self._memo_avoid.get(state)
-        if cached is not None:
-            self._hits += 1
-            return cached
-        config = self.config
-        result, block = self._settle(state, False)
-        if result is None:
-            moves, reads = expand(state, config.use_domination, block)
-            result = False
-            for i in moves:
-                if state[0] == 1:
-                    result = True  # the board ran out before Right's reply
-                    break
-                reply, doubled = canonical_reply_after(reads, i)
-                if doubled and config.use_double_threats:
-                    self._threats += 1
-                    continue  # Right's double threat: this line loses
-                after = grandchild(state, i, reply)
-                # None: Right's reply fills a red edge, so this line loses.
-                if after is not None and self._survive_eval(
-                        after[0], depth + 1, after[1]):
-                    result = True
-                    break
-        self._store(self._memo_avoid, state, result, state[0])
-        return result
 
     def _value(self, state: State) -> int:
         if self._eval(state, True, 0):
@@ -409,7 +384,7 @@ class Solver:
             raise EdgeTooLargeError("needs blue edges of size <= 3 and red of size <= 2")
         t0 = self._begin()
         try:
-            return self._survive_eval(state_of_game(game), 0)
+            return self._eval(state_of_game(game), False, 0, None, True)
         finally:
             self._finish(t0)
 

@@ -140,15 +140,26 @@ def test_usage_error_exit_code():
     assert exc.value.code == 64
 
 
-@pytest.mark.parametrize("target", ["lemmas", "table3"])
+@pytest.mark.parametrize("target", ["lemmas", "table3", "poly22"])
 def test_negative_trials_is_a_usage_error(target, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["verify", target, "--trials", "-5"])
-    assert exc.value.code == 64
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert [line for line in captured.err.splitlines() if line.startswith("error:")] \
-        == ["error: argument --trials: must be a non-negative integer, got -5"]
+    # Zero trials too: a battery that checks nothing must not pass.
+    for trials in ("-5", "0"):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", target, "--trials", trials])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if line.startswith("error:")] \
+            == [f"error: argument --trials: must be a positive integer, got {trials}"]
+
+
+@pytest.mark.parametrize("limit", ["0", "-3", "abc"])
+def test_bad_node_limit_is_a_usage_error(butterfly_file, monkeypatch, capsys, limit):
+    monkeypatch.setenv("APG_NODE_LIMIT", limit)
+    code, out = invoke(["outcome", butterfly_file])
+    assert code == 64 and out == ""
+    assert capsys.readouterr().err.splitlines() \
+        == [f"error: APG_NODE_LIMIT must be a positive integer, got '{limit}'"]
 
 
 def test_resource_limit_exit_code(butterfly_file, monkeypatch):

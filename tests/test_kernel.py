@@ -299,7 +299,7 @@ def test_parent_side_reads_match_the_built_child():
         seen["threat"] += threat
         seen["reply"] += reply >= 0 and not threat
         if state[0] >= 2:
-            got, doubled = canonical_reply_after(reads, i)
+            doubled, got = canonical_reply_after(reads, i)
             assert got != i and (in_child(got, i), doubled) == canonical_right_reply(after), (state, i)
             seen[reply_kind(after)] += 1
             seen["double"] += doubled

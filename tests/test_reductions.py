@@ -282,14 +282,15 @@ def test_canonical_right_exhaustive_four_vertex_boards():
 
 def test_canonical_right_leaf_oracle_agrees():
     # The node-entry cutoffs change no answer of the canonical search: the
-    # same value with all of them on, with the potentials off and with all
-    # off, and the value of the plain search with Left first.  The
-    # potentials end most nodes before the leaf oracle or a threat is
-    # tried, so those two are counted with the potentials off.
+    # same value with all of them on, with the potentials off, with all
+    # off and with each single rule off, and the value of the plain search
+    # with Left first.  The potentials end most nodes before the leaf
+    # oracle or a threat is tried, so those two are counted with the
+    # potentials off.
     rng = rng_for(44, "canonical-right-leaf")
-    plain = Solver(SolverConfig(use_twin_reduction=False, use_domination=False,
-                                use_forced_moves=False, use_leaf_oracle=False,
-                                use_potentials=False, use_double_threats=False))
+    toggles = ("use_twin_reduction", "use_domination", "use_forced_moves",
+               "use_leaf_oracle", "use_potentials", "use_double_threats")
+    plain = Solver(SolverConfig(**dict.fromkeys(toggles, False)))
     leaf_calls = threats = potentials = right_wins = 0
     for _ in range(1500):
         g = random_blue3_red2_game(rng)
@@ -299,6 +300,8 @@ def test_canonical_right_leaf_oracle_agrees():
         assert got == no_potentials.survives_canonical_right(g), g
         assert got == without.survives_canonical_right(g), g
         assert got == (plain.solve(g, L) is not RW), g
+        for toggle in toggles:
+            assert Solver(SolverConfig(**{toggle: False})).survives_canonical_right(g) == got, (toggle, g)
         assert without.last_stats.threat_cutoffs == 0
         assert no_potentials.last_stats.potential_cutoffs == 0
         leaf_calls += no_potentials.last_stats.leaf_calls
