@@ -16,16 +16,6 @@ Per-node costs are kept low by reading each edge's bit positions from a
 bounded cache (:func:`bits`) and by working on whole masks where a vertex
 loop would compare every pair.
 
-Twin reduction is local in the search.  The touched mask of a pick
-(:func:`touched_mask`) holds the other vertices of the opponent's edges
-through it, which the pick kills.  When the parent is twin-free, every
-twin pair of the child holds a touched vertex, because the mover's edges
-through the pick only shrink, and ``e - {i}`` tells two vertices other
-than ``i`` apart exactly when ``e`` did.  ``twin_reduce(child, touched)``
-then equals ``twin_reduce(child)``; passing the mask of a parent that is
-not twin-free gives a wrong state.  The mask is its own function, so the
-searches that never twin-reduce do not pay for it.
-
 Some children are decided by what the parent already knows.
 :func:`expand` reads, in the pass that orders the moves, the pairs of each
 side through every vertex and the vertices on two and on three of the
@@ -59,9 +49,9 @@ State = tuple[int, tuple[int, ...], tuple[int, ...]]
 Reads = tuple[list[int], list[int], int, int, int]
 
 # Residual states are renumbered, so few distinct masks recur: the edge
-# masks, and the parts of them that twin_reduce reads, number about 5,000 in
-# the `gadgets` and `boards` benchmark searches.  The bound keeps the cache
-# to a few MB on inputs that meet many more.
+# masks number under 1,000 in the `gadgets` and `boards` benchmark
+# searches.  The bound keeps the cache to a few MB on inputs that meet
+# many more.
 BITS_CACHE_SIZE = 1 << 13
 
 
@@ -132,21 +122,9 @@ def child(state: State, i: int) -> Optional[State]:
     return (n - 1, other_t, own_t)
 
 
-def touched_mask(state: State, i: int) -> int:
-    """The touched mask of :func:`child`'s state: the other vertices of the
-    opponent's edges through ``i``, which the pick kills, numbered as in
-    the child.  Only those can gain a twin (see :func:`twin_reduce`)."""
-    bit = 1 << i
-    touched = 0
-    for m in state[2]:
-        if m & bit:
-            touched |= m
-    low = bit - 1
-    return (touched & low) | ((touched >> 1) & ~low)  # drops i itself
-
-
-def twin_reduce(state: State, touched: Optional[int] = None) -> State:
-    """Remove twin pairs until no two vertices are twins.
+def twin_reduce(state: State) -> tuple[State, list[tuple[int, int]]]:
+    """Remove twin pairs until no two vertices are twins, and list the
+    pairs removed, numbered as in ``state``, in removal order.
 
     Twins are non-unit vertices in exactly the same edges; each pair is one
     pick by each player, so both vertices go and every edge holding them
@@ -154,72 +132,33 @@ def twin_reduce(state: State, touched: Optional[int] = None) -> State:
     (the AND of the edges holding each) are equal; a unit's cover is the
     unit alone, so units never pair.  Vertices in no edge are twins of each
     other.
-
-    Every twin pair must hold a vertex of ``touched`` (default: all
-    vertices); :func:`touched_mask` gives such a mask for the child of a
-    twin-free state.  Only the covers of the touched vertices and of the
-    vertices inside those covers, where any twin of theirs lies, are built.
     """
     n, blue, red = state
-    if touched is None:
-        touched = (1 << n) - 1
+    index = list(range(n))  # each vertex's number in ``state``
+    pairs: list[tuple[int, int]] = []
     # Twin pairs are removed a whole sweep at a time: within one class the
     # removals commute (killing one pair's edges leaves the rest of the
-    # class identical), and distinct classes do not interact.  After a
-    # sweep, the survivors differed pairwise, and only a killed edge can
-    # have told two of them apart, so the survivors of the killed edges
-    # are the next touched mask.
-    while n >= 2 and touched:
-        edges = blue + red
+    # class identical), and distinct classes do not interact.
+    while n >= 2:
         cover = [-1] * n
-        for m in edges:
-            if m & touched:
-                for i in bits(m & touched):
-                    cover[i] &= m
-        if touched == (1 << n) - 1:
-            # Every cover is built, and the vertices in no edge share -1.
-            if len(set(cover)) == n:
-                break
-            span = touched
-        else:
-            span = 0
-            lonely = False
-            for i in bits(touched):
-                c = cover[i]
-                if c == -1:
-                    lonely = True  # a touched vertex in no edge
-                else:
-                    span |= c
-            rest = span & ~touched
-            if rest:
-                for m in edges:
-                    if m & rest:
-                        for i in bits(m & rest):
-                            cover[i] &= m
-            if lonely:
-                used = 0
-                for m in edges:
-                    used |= m
-                span |= ((1 << n) - 1) & ~used  # the vertices in no edge
+        for m in blue + red:
+            for i in bits(m):
+                cover[i] &= m
+        # The vertices in no edge share -1.
+        if len(set(cover)) == n:
+            break
         # Pair each class's members in index order; an odd one out stays.
         unpaired: dict[int, int] = {}
         removed = 0
-        for i in bits(span):
-            c = cover[i]
+        for i, c in enumerate(cover):
             j = unpaired.pop(c, None)
             if j is None:
                 unpaired[c] = i
             else:
                 removed |= (1 << j) | (1 << i)
-        if not removed:
-            break
-        killed = 0
-        for m in edges:
-            if m & removed:
-                killed |= m
+                pairs.append((index[j], index[i]))
         blue = [m for m in blue if not m & removed]
         red = [m for m in red if not m & removed]
-        touched = killed & ~removed
         # Drop the removed positions, the highest first so that the lower
         # ones stay put.  The kept edges miss them all, so they stay
         # distinct and ordered: no sort is needed.
@@ -228,11 +167,11 @@ def twin_reduce(state: State, touched: Optional[int] = None) -> State:
             hi = ~low
             blue = [(m & low) | ((m >> 1) & hi) for m in blue]
             red = [(m & low) | ((m >> 1) & hi) for m in red]
-            touched = (touched & low) | ((touched >> 1) & hi)
+            del index[b]
         blue, red = tuple(blue), tuple(red)
         n -= removed.bit_count()
         state = (n, blue, red)
-    return state
+    return state, pairs
 
 
 def _domination(n: int, cover: list[int], units: int) -> tuple[int, int]:
@@ -396,18 +335,12 @@ def opponent_reply(reads: Reads, i: int) -> tuple[bool, int]:
     return (centres != 0 and not units & ~centres), units.bit_length() - 1
 
 
-def grandchild(state: State, i: int, j: int) -> Optional[tuple[State, int]]:
+def grandchild(state: State, i: int, j: int) -> Optional[State]:
     """The state after the mover picks ``i`` and the opponent ``j`` (both
-    numbered as in ``state``), seen by the mover again, with its touched
-    mask; None when a pick fills an edge of its picker.  One pass for
+    numbered as in ``state``), seen by the mover again; None when a pick
+    fills an edge of its picker.  One pass for
     ``child(child(state, i), j')``, where ``j'`` is ``j`` as numbered in
     the child.
-
-    The touched mask holds the other vertices of the edges the two picks
-    kill.  When ``state`` is twin-free, a twin pair of the grandchild was
-    either a twin pair of the child, which holds a vertex the first pick
-    touched (see :func:`touched_mask`), or was told apart only by an edge
-    the second pick killed, so ``twin_reduce`` may search from it.
     """
     n, own, other = state
     bi, bj = 1 << i, 1 << j
@@ -415,12 +348,10 @@ def grandchild(state: State, i: int, j: int) -> Optional[tuple[State, int]]:
     low = (1 << lo) - 1
     mid = ((1 << hi) - 1) & ~((2 << lo) - 1)
     top = ~((1 << (hi - 1)) - 1)
-    touched = 0
     new_own = []
     hit = False
     for m in own:
         if m & bj:
-            touched |= m
             continue
         if m & bi:
             m ^= bi
@@ -433,7 +364,6 @@ def grandchild(state: State, i: int, j: int) -> Optional[tuple[State, int]]:
     hit = False
     for m in other:
         if m & bi:
-            touched |= m
             continue
         if m & bj:
             m ^= bj
@@ -442,8 +372,7 @@ def grandchild(state: State, i: int, j: int) -> Optional[tuple[State, int]]:
             hit = True
         new_other.append((m & low) | ((m & mid) >> 1) | ((m >> 2) & top))
     other_t = tuple(sorted(set(new_other))) if hit else tuple(new_other)
-    touched = (touched & low) | ((touched & mid) >> 1) | ((touched >> 2) & top)
-    return (n - 2, own_t, other_t), touched
+    return (n - 2, own_t, other_t)
 
 
 def _right_priority(red_units: int, blue_units: int, centres: int,

@@ -18,7 +18,8 @@ from .core import (
     mask_indices,
 )
 from .errors import EmptyEdgeError, TooLargeError
-from .kernel import compress, covers, dominated_mask, prunable_mask, state_of_game
+from .kernel import covers, dominated_mask, prunable_mask, state_of_game
+from .kernel import twin_reduce as kernel_twin_reduce
 
 
 def twin_reduce(game: Game) -> tuple[Game, list[tuple[str, str]]]:
@@ -33,30 +34,11 @@ def twin_reduce(game: Game) -> tuple[Game, list[tuple[str, str]]]:
 
     Returns the fixpoint together with the removed pairs in removal order.
     """
-    log: list[tuple[str, str]] = []
-    while True:
-        # Two non-unit vertices are in the same edges exactly when their
-        # covers (the AND of the edges holding each) are equal.
-        cover, _, units = covers(state_of_game(game))
-        pair = None
-        by_cover: dict[int, int] = {}
-        for i in range(game.n):
-            if units >> i & 1:
-                continue
-            c = cover[i]
-            if c in by_cover:
-                pair = (by_cover[c], i)
-                break
-            by_cover[c] = i
-        if pair is None:
-            return game, log
-        i, j = pair
-        removed = (1 << i) | (1 << j)
-        log.append((game.vertices[i], game.vertices[j]))
-        verts = tuple(v for k, v in enumerate(game.vertices) if not removed >> k & 1)
-        blue = [compress(m, removed) for m in game.blue if not m & removed]
-        red = [compress(m, removed) for m in game.red if not m & removed]
-        game = game_from_masks(verts, blue, red)
+    (_, blue, red), pairs = kernel_twin_reduce(state_of_game(game))
+    gone = {k for pair in pairs for k in pair}
+    verts = tuple(v for k, v in enumerate(game.vertices) if k not in gone)
+    log = [(game.vertices[i], game.vertices[j]) for i, j in pairs]
+    return game_from_masks(verts, blue, red), log
 
 
 def dominated_moves(game: Game, mover: Player) -> frozenset[str]:

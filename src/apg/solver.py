@@ -6,12 +6,14 @@ asked in that order, with draws as the default.  Inside the search a
 state is seen from the side to move, ``(n, own, other)`` (see ``kernel``),
 so the memo keys carry no player and a position shares its entry with its
 colour-swapped mirror; the public queries take Left's view ``(n, blue,
-red)`` and turn it once.  Positions are canonicalized (vertices renumbered,
-twin pairs removed) before memo lookup so that transposed move orders
-collapse.  The mask-level state operations (child
-states, twin reduction, domination, move order, the canonical Right
-strategy) live in ``kernel.py``; this module holds the memo, the node
-budget and the queries.
+red)`` and turn it once.  Residual positions are renumbered, so
+transposed move orders collapse in the memo.  Each query's root is
+twin-reduced once (``use_twin_reduction``), never a node below it: the
+threat, leaf-oracle and potential cutoffs end most nodes, and a pass at
+every node cost more than it saved.  The mask-level state operations
+(child states, twin reduction, domination, move order, the canonical
+Right strategy) live in ``kernel.py``; this module holds the memo, the
+node budget and the queries.
 
 One search (``Solver._eval``) answers every question but the delay.  Besides
 the game values it answers one question with Right's moves fixed: whether
@@ -26,13 +28,12 @@ below; they share the node entry, the memo and every cutoff.
 
 Every node starts with one node-entry rule (:meth:`Solver._settle`), which
 ends the node before any move is tried or names the forced block.  It
-applies the rules below, all but domination and twin removal.  Pruning
-used by default, each individually toggleable:
+applies the rules below, all but domination.  Pruning used by default,
+each individually toggleable:
   * immediate win on a one-vertex edge of the mover's color;
   * two or more distinct one-vertex threats of the opponent lose outright,
     a single one forces the blocking move;
   * dominated moves are skipped, keeping one representative per twin class;
-  * twin removal at node entry;
   * leaf oracle (``use_leaf_oracle``): a node whose edges all have size <= 2
     is answered by one ``poly22.solve22_masks`` call, the polynomial
     procedure for that class, in place of a search below it;
@@ -52,7 +53,7 @@ used by default, each individually toggleable:
 
 Two more rules settle a child at its parent, from masks the parent reads
 in the pass that orders its moves (``kernel.expand``), so the child is
-never built, ticked, twin-reduced or looked up:
+never built, ticked or looked up:
   * the opponent's double threat (rides on ``use_double_threats``): a pick
     after which the opponent, holding no one-vertex edge, has a centre of
     two of its pairs, while the mover holds no one-vertex edge or one at
@@ -64,8 +65,7 @@ never built, ticked, twin-reduced or looked up:
   * the reply rule.  Its reader gives, for a pick, the verdict above and
     the opponent's reply when that reply is fixed; the two picks
     are then applied in one pass (``kernel.grandchild``) and the
-    grandchild is asked the parent's question, two plies deeper, with the
-    touched masks of both picks (sound because the parent is twin-free).
+    grandchild is asked the parent's question, two plies deeper.
     A game-value query reads ``kernel.opponent_reply``: when a pick leaves
     the opponent no one-vertex edge and the mover exactly one, every other
     reply lets the mover fill it, so the opponent's node is worth its one
@@ -104,13 +104,15 @@ from .kernel import (
     grandchild,
     opponent_reply,
     state_of_game,
-    touched_mask,
     twin_reduce,
     unit_mask,
 )
 from .poly22 import solve22_masks
 
 _WIN, _DRAW, _LOSS = 1, 0, -1
+
+# The memo tables clear themselves at this many entries.
+MEMO_FLUSH_ENTRIES = 20_000_000
 
 INFINITE_DELAY = math.inf
 Delay = float  # a natural number, or math.inf when the protagonist cannot win
@@ -169,7 +171,6 @@ class SolverConfig:
     # exhaustive batteries use it to keep the table tiny while their top-level
     # queries still share all sub-position work.
     memo_max_vertices: Optional[int] = None
-    memo_flush_entries: int = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -270,15 +271,11 @@ class Solver:
         return None, block
 
     def _eval(self, state: State, want_win: bool, depth: int,
-              touched: Optional[int] = None, canonical: bool = False) -> bool:
-        # ``touched`` is the parent's ``touched_mask`` for the pick, or
-        # ``grandchild``'s for two picks, when the parent node was twin-free,
-        # else None (see ``kernel.twin_reduce``).  ``canonical`` asks whether
-        # Left, to move, survives the canonical Right strategy: Right's
-        # replies are read by ``canonical_reply_after``, not searched.
+              canonical: bool = False) -> bool:
+        # ``canonical`` asks whether Left, to move, survives the canonical
+        # Right strategy: Right's replies are read by
+        # ``canonical_reply_after``, not searched.
         self._tick(depth)
-        if self.config.use_twin_reduction:
-            state = twin_reduce(state, touched)
         memo = self._memo_win if want_win else self._memo_avoid
         cached = memo.get(state)
         if cached is not None:
@@ -310,25 +307,31 @@ class Solver:
                             continue  # Right's reply fills a red edge
                         if not canonical:
                             self._replies += 1
-                        if self._eval(after[0], want_win, depth + 2, after[1], canonical):
+                        if self._eval(after, want_win, depth + 2, canonical):
                             result = True
                             break
                         continue
-                if not self._eval(child(state, i), not want_win, depth + 1,
-                                  touched_mask(state, i)):
+                if not self._eval(child(state, i), not want_win, depth + 1):
                     result = True
                     break
         self._store(memo, state, result, state[0])
         return result
 
     def _store(self, memo: dict, key, result, n: int) -> None:
-        config = self.config
-        if config.memo_max_vertices is None or n <= config.memo_max_vertices:
-            if len(memo) >= config.memo_flush_entries:
+        limit = self.config.memo_max_vertices
+        if limit is None or n <= limit:
+            if len(memo) >= MEMO_FLUSH_ENTRIES:
                 memo.clear()
             memo[key] = result
 
+    def _root(self, state: State) -> State:
+        # A query's root, twin-reduced once: no node below it is.
+        if self.config.use_twin_reduction:
+            return twin_reduce(state)[0]
+        return state
+
     def _value(self, state: State) -> int:
+        state = self._root(state)
         if self._eval(state, True, 0):
             return _WIN
         if self._eval(state, False, 0):
@@ -384,7 +387,7 @@ class Solver:
             raise EdgeTooLargeError("needs blue edges of size <= 3 and red of size <= 2")
         t0 = self._begin()
         try:
-            return self._eval(state_of_game(game), False, 0, None, True)
+            return self._eval(self._root(state_of_game(game)), False, 0, True)
         finally:
             self._finish(t0)
 
@@ -431,18 +434,17 @@ class Solver:
         try:
             game = position.updated_game()
             state = _facing(state_of_game(game), position.to_move)
-            fallback = None
+            units = unit_mask(state[1])
+            if units:
+                return (game.vertices[(units & -units).bit_length() - 1],
+                        self._to_game_result(_WIN, position.to_move))
             value = self._value(state)
             for i in range(game.n):
-                after = child(state, i)
-                if after is None:
-                    return game.vertices[i], self._to_game_result(_WIN, position.to_move)
-                if fallback is None and (value == _LOSS or not self._eval(
-                        after, value == _DRAW, 0)):
-                    fallback = game.vertices[i]
-            if fallback is None:
-                raise AssertionError("no move achieves the computed value")
-            return fallback, self._to_game_result(value, position.to_move)
+                # No pick fills an edge: the mover holds no unit.
+                if value == _LOSS or not self._eval(
+                        self._root(child(state, i)), value == _DRAW, 0):
+                    return game.vertices[i], self._to_game_result(value, position.to_move)
+            raise AssertionError("no move achieves the computed value")
         finally:
             self._finish(t0)
 

@@ -1,5 +1,5 @@
-"""Every demo runs to the end; the hardness-gadget demo (about 2 s) also
-prints its verdicts."""
+"""Every demo runs to the end; the twin demo prints its removed pairs and
+fixpoint, and the hardness-gadget demo (about 2 s) its verdicts."""
 
 import os
 import subprocess
@@ -11,6 +11,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ("01_playing_and_updating.py", "02_solving_and_outcomes.py",
          "03_size2_fast_path.py", "04_hardness_gadgets.py")
+TWIN_LINES = (
+    "  removed pairs: [('a', 'b'), ('x', 'y')]\n",
+    "  fixpoint: Game(vertices=['z'], blue=[], red=[])\n",
+)
 GADGET_VERDICTS = (
     "  Left first, full search: Draw (satisfiable formulas draw, never win)\n",
     "  Left vs the fixed Right strategy: CanonicalRightResult.LEFT_NON_LOSING\n",
@@ -31,6 +35,9 @@ def run_demo(name):
 def test_demo_runs(name):
     done = run_demo(name)
     assert done.returncode == 0, done.stderr
+    if name.startswith("01"):
+        for line in TWIN_LINES:
+            assert line in done.stdout
     if name.startswith("03"):
         assert "agreement: 2000/2000" in done.stdout
     if name.startswith("04"):

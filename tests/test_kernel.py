@@ -19,7 +19,6 @@ from apg.kernel import (
     opponent_reply,
     prunable_mask,
     state_of_game,
-    touched_mask,
     twin_reduce,
     unit_mask,
 )
@@ -133,15 +132,12 @@ def test_candidates_are_unpruned_vertices_by_score():
                          ids=["exhaustive", "random"])
 def test_child_matches_update(states):
     # Each state is checked from both views: Left's pick on (n, blue, red)
-    # and Right's on (n, red, blue).  The child is the opponent's view.  The
-    # touched mask is the other vertices of the opponent's edges through the
-    # pick, the edges the pick kills, as indices of the child.
+    # and Right's on (n, red, blue).  The child is the opponent's view.
     for state in states():
         n, blue, red = state
         game = as_game(state)
         for i, v in enumerate(game.vertices):
-            for left, picks, dying in ((True, ([v], []), game.red_edges),
-                                       (False, ([], [v]), game.blue_edges)):
+            for left, picks in ((True, ([v], [])), (False, ([], [v]))):
                 view = (n, blue, red) if left else (n, red, blue)
                 try:
                     after = update(game, *picks)
@@ -150,21 +146,39 @@ def test_child_matches_update(states):
                     continue
                 m, b, r = state_of_game(after)
                 assert child(view, i) == ((m, r, b) if left else (m, b, r)), (view, i)
-                touched = after.mask_of(set().union(*(e for e in dying if v in e)) - {v})
-                assert touched_mask(view, i) == touched, (view, i)
 
 
 def test_twin_reduce_reaches_a_fixed_point():
     for state in all_states():
-        reduced = twin_reduce(state)
+        reduced, pairs = twin_reduce(state)
         assert reduced == reference_twin_reduce(state), state
         n, blue, red = reduced
         assert blue == tuple(sorted(set(blue))) and red == tuple(sorted(set(red)))
         sigs = signatures(n, blue + red)
         assert len(set(sigs)) == n, (state, reduced)
-        assert twin_reduce(reduced) == reduced
+        assert twin_reduce(reduced) == (reduced, [])
         # pairs are removed, so the move parity is kept
         assert (state[0] - n) % 2 == 0
+        assert replay_pairs(state, pairs) == reduced, (state, pairs)
+
+
+def replay_pairs(state, pairs):
+    """Remove the logged pairs, numbered as in ``state``, one at a time,
+    checking that each is a twin pair when it is removed."""
+    n, blue, red = state
+    index = list(range(n))
+    for a, b in pairs:
+        i, j = index.index(a), index.index(b)
+        sigs = signatures(n, blue + red)
+        units = {m for m in blue + red if m.bit_count() == 1}
+        assert sigs[i] == sigs[j] and not {1 << i, 1 << j} & units, (state, pairs)
+        removed = 1 << i | 1 << j
+        blue = tuple(sorted({compress(m, removed) for m in blue if not m & removed}))
+        red = tuple(sorted({compress(m, removed) for m in red if not m & removed}))
+        n -= 2
+        index.remove(a)
+        index.remove(b)
+    return (n, blue, red)
 
 
 def reference_twin_reduce(state):
@@ -188,53 +202,6 @@ def reference_twin_reduce(state):
         state = (n - removed.bit_count(),
                  tuple(sorted({compress(m, removed) for m in blue if not m & removed})),
                  tuple(sorted({compress(m, removed) for m in red if not m & removed})))
-
-
-def twin_free_children(states):
-    """Every child of the twin-free form of each state, seen from either
-    side, with its touched mask."""
-    for state in states:
-        n, blue, red = reference_twin_reduce(state)
-        for view in ((n, blue, red), (n, red, blue)):
-            for i in range(n):
-                after = child(view, i)
-                if after is not None:
-                    yield after, touched_mask(view, i)
-
-
-def test_twin_reduce_from_touched_matches_full():
-    # Children that gain twins beside units, dead vertices or through a
-    # second sweep must all occur, or the local search is not exercised.
-    seen = {"twins": 0, "units": 0, "dead": 0, "resweep": 0}
-    states = itertools.chain(exhaustive_states(), random_states(31, 4000))
-    for state, touched in twin_free_children(states):
-        full = reference_twin_reduce(state)
-        assert twin_reduce(state, touched) == twin_reduce(state) == full, (state, touched)
-        if full == state:
-            continue
-        n, blue, red = state
-        seen["twins"] += 1
-        seen["units"] += any(m & (m - 1) == 0 for m in blue + red)
-        used = 0
-        for m in blue + red:
-            used |= m
-        seen["dead"] += (((1 << n) - 1) & ~used).bit_count() >= 2
-        seen["resweep"] += n - full[0] > first_sweep_size(state)
-    assert all(seen.values()), seen
-
-
-def first_sweep_size(state):
-    """Vertices one sweep removes: all but the odd one out of each class of
-    non-unit vertices in exactly the same edges (dead vertices included)."""
-    n, blue, red = state
-    edges = blue + red
-    units = {m.bit_length() - 1 for m in edges if m.bit_count() == 1}
-    classes = {}
-    for i in range(n):
-        if i not in units:
-            key = frozenset(e for e, m in enumerate(edges) if m >> i & 1)
-            classes[key] = classes.get(key, 0) + 1
-    return sum(size - size % 2 for size in classes.values())
 
 
 def antichain_states():
@@ -295,7 +262,7 @@ def test_parent_side_reads_match_the_built_child():
             elif reply >= 0:
                 assert reply != i and (value, block) == (None, in_child(reply, i)), (state, i)
         if reply >= 0:
-            assert grandchild(state, i, reply)[0] == child(after, in_child(reply, i))
+            assert grandchild(state, i, reply) == child(after, in_child(reply, i))
         seen["threat"] += threat
         seen["reply"] += reply >= 0 and not threat
         if state[0] >= 2:
@@ -321,26 +288,16 @@ def reply_kind(after):
 
 
 def test_grandchild_matches_two_child_steps():
-    # Every pair of picks, with the touched mask: on a twin-free state it
-    # names a vertex of every twin pair of the grandchild.
-    nones = twins = 0
+    nones = 0
     states = itertools.chain(exhaustive_states(), random_states(53, 1000, 10))
-    for free in {reference_twin_reduce(state) for state in states}:
-        for view in (free, (free[0], free[2], free[1])):
-            n = view[0]
+    for n, blue, red in set(states):
+        for view in ((n, blue, red), (n, red, blue)):
             for i, j in itertools.permutations(range(n), 2):
                 after = child(view, i)
                 want = None if after is None else child(after, in_child(j, i))
-                got = grandchild(view, i, j)
-                if want is None:
-                    assert got is None, (view, i, j)
-                    nones += 1
-                    continue
-                assert got[0] == want, (view, i, j)
-                full = reference_twin_reduce(want)
-                assert twin_reduce(want, got[1]) == full, (view, i, j)
-                twins += full != want
-    assert nones and twins
+                assert grandchild(view, i, j) == want, (view, i, j)
+                nones += want is None
+    assert nones
 
 
 def test_compress_drops_positions_in_order():
@@ -359,8 +316,8 @@ def test_phi3_node_counts_are_pinned():
     # counts.  The default configuration's counts are pinned beside them.
     search_only = SolverConfig(use_leaf_oracle=False, use_potentials=False,
                                use_double_threats=False)
-    for config, draw_nodes, win_nodes in ((search_only, 5937, 621),
-                                          (SolverConfig(), 525, 32)):
+    for config, draw_nodes, win_nodes in ((search_only, 9545, 9690),
+                                          (SolverConfig(), 449, 76)):
         s = Solver(config)
         assert s.solve(sat_draw_game(PHI3).game, Player.LEFT) is GameResult.DRAW
         assert s.last_stats.nodes_expanded == draw_nodes

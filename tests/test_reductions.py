@@ -35,6 +35,7 @@ from apg import (
     solve_against_canonical_right,
     update,
 )
+from apg import solver
 from apg.gadgets import random_game, rng_for
 from apg.kernel import canonical_right_reply, twin_reduce
 
@@ -150,10 +151,10 @@ def test_draw_gadget_unsat_loses():
     g = sat_draw_game(CnfFormula(3, all_sign_clauses())).game
     s = Solver(SEARCH_ONLY)
     assert not s.survives_canonical_right(g)
-    assert s.last_stats.nodes_expanded == 174_917
+    assert s.last_stats.nodes_expanded == 189_120
     s = Solver()
     assert not s.survives_canonical_right(g)
-    assert s.last_stats.nodes_expanded == 13_635
+    assert s.last_stats.nodes_expanded == 13_639
 
 
 def test_canonical_right_priorities():
@@ -227,12 +228,12 @@ def test_canonical_right_agrees_with_full_search(use_domination):
 def test_canonical_right_pinned_nodes():
     s = Solver(SEARCH_ONLY)
     assert not s.survives_canonical_right(sat_draw_game(U3A).game)
-    assert s.last_stats.nodes_expanded == 2_526
+    assert s.last_stats.nodes_expanded == 3_248
     s = Solver()
     assert not s.survives_canonical_right(sat_draw_game(U3A).game)
-    assert s.last_stats.nodes_expanded == 495
-    assert s.last_stats.leaf_calls == 90
-    assert s.last_stats.threat_cutoffs == 1013
+    assert s.last_stats.nodes_expanded == 561
+    assert s.last_stats.leaf_calls == 136
+    assert s.last_stats.threat_cutoffs == 1167
 
 
 def test_canonical_right_shares_the_avoid_memo():
@@ -275,7 +276,7 @@ def test_canonical_right_exhaustive_four_vertex_boards():
                 for config in (SolverConfig(), twins_only):
                     assert Solver(config).survives_canonical_right(g) == want, g
                 checked += 1
-                reduced += twin_reduce((g.n, g.blue, g.red))[0] < g.n
+                reduced += twin_reduce((g.n, g.blue, g.red))[0][0] < g.n
     assert checked == 1 * 1 + 2 * 2 + 5 * 5 + 19 * 18 + 166 * 113
     assert reduced > 1000  # twin pairs are removed on many of these boards
 
@@ -311,27 +312,31 @@ def test_canonical_right_leaf_oracle_agrees():
     assert leaf_calls > 500 and threats > 200 and potentials > 500 and right_wins > 300
 
 
-def test_canonical_right_tiny_memo():
-    tiny = Solver(SolverConfig(memo_flush_entries=2))
+def test_canonical_right_tiny_memo(monkeypatch):
+    # The flush point is read at each store, so the full-memo answers are
+    # taken before it is lowered.
     full = Solver()
     u2c = sat_draw_game(CnfFormula(2, ((1, 1, 2), (1, 1, -2), (-1, -1, 2), (-1, -1, -2))))
-    assert not tiny.survives_canonical_right(u2c.game)
     assert not full.survives_canonical_right(u2c.game)
+    full_nodes = full.last_stats.nodes_expanded
+    rng = rng_for(43, "canonical-right-memo")
+    games = [random_blue3_red2_game(rng) for _ in range(200)]
+    want = [Solver().survives_canonical_right(g) for g in games]
+    monkeypatch.setattr(solver, "MEMO_FLUSH_ENTRIES", 2)
+    tiny = Solver()
+    assert not tiny.survives_canonical_right(u2c.game)
     # The flushes cost the tiny memo its transpositions.
-    assert tiny.last_stats.nodes_expanded > full.last_stats.nodes_expanded
+    assert tiny.last_stats.nodes_expanded > full_nodes
     phi3 = CnfFormula(3, ((1, 2, 3), (-1, -2, 3), (1, -2, -3)))
     assert tiny.survives_canonical_right(sat_draw_game(phi3).game)
-    rng = rng_for(43, "canonical-right-memo")
-    for _ in range(200):
-        g = random_blue3_red2_game(rng)
-        assert tiny.survives_canonical_right(g) == Solver().survives_canonical_right(g)
+    assert [tiny.survives_canonical_right(g) for g in games] == want
 
 
 def test_canonical_right_node_budget():
     g = sat_draw_game(U3A).game
     with pytest.raises(ResourceLimitError):
         solve_against_canonical_right(g, node_limit=100)
-    assert solve_against_canonical_right(g, node_limit=495) is RWINS
+    assert solve_against_canonical_right(g, node_limit=561) is RWINS
 
 
 def test_canonical_right_edge_size_check():

@@ -21,11 +21,14 @@ from apg import (
     solve,
     solve22,
     status,
+    twin_reduce,
     union_outcome_allowed,
     win_in_k,
 )
+from apg import solver
 from apg.gadgets import outcome_exemplar, random_game, rng_for
 from apg.kernel import state_of_game
+from apg.kernel import twin_reduce as kernel_twin_reduce
 from apg.reductions import CnfFormula, sat_draw_game, sat_win_game
 from apg.solver import UNION_OUTCOMES
 
@@ -164,6 +167,23 @@ def test_pruning_toggles_do_not_change_values():
         g = random_game(rng, max_vertices=6, max_edge_size=3)
         for first in (L, R):
             assert plain.solve(g, first) == tuned.solve(g, first), g
+
+
+def test_root_twin_pass_decides_disjoint_triples():
+    # Three disjoint triples of each colour: each triple's vertices are
+    # twins, so the root pass empties the board, and the search alone
+    # (every other rule off) walks thousands of nodes to the same draw.
+    vs = [f"v{i}" for i in range(18)]
+    g = new_game(vs, [vs[k:k + 3] for k in (0, 3, 6)], [vs[k:k + 3] for k in (9, 12, 15)])
+    off = dict(use_domination=False, use_forced_moves=False, use_leaf_oracle=False,
+               use_potentials=False, use_double_threats=False)
+    for twins, nodes in ((True, 2), (False, 2485)):
+        s = Solver(SolverConfig(use_twin_reduction=twins, **off))
+        assert s.solve(g, L) is DR
+        assert s.last_stats.nodes_expanded == nodes
+    reduced, log = twin_reduce(g)
+    assert (reduced.n, reduced.blue, reduced.red) == kernel_twin_reduce(state_of_game(g))[0]
+    assert len(log) == 9
 
 
 def test_determinism_across_solver_instances():
@@ -395,11 +415,12 @@ def test_delay_right_protagonist():
     assert brute_delay(g, R) == 1
 
 
-def test_delay_memo_obeys_the_memo_bounds():
-    s = Solver(SolverConfig(memo_flush_entries=2, memo_max_vertices=0))
+def test_delay_memo_obeys_the_memo_bounds(monkeypatch):
+    monkeypatch.setattr(solver, "MEMO_FLUSH_ENTRIES", 2)
+    s = Solver(SolverConfig(memo_max_vertices=0))
     assert s.delay(win_in_k(4), L) == 3
     assert all(state[0] == 0 for _, state in s._memo_delay)
-    s = Solver(SolverConfig(memo_flush_entries=2))
+    s = Solver()
     assert s.delay(win_in_k(4), L) == 3
     assert 0 < len(s._memo_delay) <= 2
 
