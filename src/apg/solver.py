@@ -75,6 +75,22 @@ never built, ticked or looked up:
     ``kernel.canonical_reply_after`` and folds in every reply: a reply
     that fills a red edge loses the line, and a pick that ends the board
     draws it.
+
+The delay, the pass-move game behind the paper's union law, has a search
+of its own, ``Solver._delay_at_most``.  It answers one boolean question,
+"does the protagonist win with at most d antagonist passes?", and, as in
+``_eval``, a node ends at the first child that decides it; ``Solver.delay``
+asks it for d = L, L + 1, ... and returns the first d answered yes.  Its memo holds
+bounds lo <= delay <= hi per state and side to move, so a question is
+answered from it when d >= hi or d < lo, and each answer tightens one
+bound.  Three rules of the pass game ride on the toggles of the game-value
+rules they mirror and count in their counters: a length bound
+(``use_potentials``), the antagonist's block of one protagonist unit
+(``use_forced_moves``) and the protagonist's double threat
+(``use_double_threats``); ``Solver.delay`` gives their arguments.  Twin
+removal, domination and the leaf oracle are left out: their soundness
+arguments assume alternating picks, and none has been written for a game
+in which one side may pass.
 """
 
 from __future__ import annotations
@@ -481,54 +497,116 @@ class Solver:
 
     # -- delay (pass-move scoring game) -------------------------------------
 
-    def _delay_eval(self, state: State, prot_turn: bool, depth: int) -> float:
+    def _delay_at_most(self, state: State, prot_turn: bool, d: int, depth: int) -> bool:
+        # Whether the protagonist wins with at most ``d`` antagonist passes.
         # ``state`` is seen from the side to move: the protagonist when
         # ``prot_turn``, else the antagonist.
         self._tick(depth)
         key = (prot_turn, state)
-        cached = self._memo_delay.get(key)
-        if cached is not None:
-            self._hits += 1
-            return cached
-
-        n, own, other = state
-        if prot_turn:
-            if any(m & (m - 1) == 0 for m in own):
-                result = 0.0  # the protagonist fills now; no further passes
-            elif n == 0:
-                result = INFINITE_DELAY
-            else:
-                threats = unit_mask(other)
-                if threats & (threats - 1):
-                    result = INFINITE_DELAY  # the antagonist fills next turn
-                else:
-                    moves = (threats.bit_length() - 1,) if threats else range(n)
-                    result = INFINITE_DELAY
-                    for i in moves:
-                        after = child(state, i)
-                        assert after is not None  # no one-vertex own edge here
-                        v = self._delay_eval(after, False, depth + 1)
-                        if v < result:
-                            result = v
-                        if result == 0.0:
-                            break
+        bounds = self._memo_delay.get(key)
+        if bounds is None:
+            lo, hi = 0, INFINITE_DELAY
         else:
-            if any(m & (m - 1) == 0 for m in own):
-                result = INFINITE_DELAY  # the antagonist fills an edge now
-            else:
-                # passing costs the protagonist one more point
-                result = self._delay_eval((n, other, own), True, depth + 1) + 1
-                for i in range(n):
-                    if result == INFINITE_DELAY:
-                        break
-                    after = child(state, i)
-                    assert after is not None
-                    v = self._delay_eval(after, True, depth + 1)
-                    if v > result:
-                        result = v
-
-        self._store(self._memo_delay, key, result, n)
+            lo, hi = bounds
+            if d >= hi or d < lo:
+                self._hits += 1
+                return d >= hi
+        if prot_turn:
+            result = self._delay_prot(state, d, depth)
+        else:
+            result = self._delay_ant(state, d, depth)
+        if result:
+            hi = d
+        else:
+            lo = d + 1
+        self._store(self._memo_delay, key, (lo, hi), state[0])
         return result
+
+    def _delay_prot(self, state: State, d: int, depth: int) -> bool:
+        # The protagonist to move: own holds its edges.
+        n, own, other = state
+        if not own:
+            return False  # nothing left to fill
+        config = self.config
+        least = n  # the smallest own edge size
+        tight = 0  # the vertices of own edges of that size
+        double = seen = 0  # vertices shared by two own pairs
+        for m in own:
+            size = m.bit_count()
+            if size == 1:
+                return True  # fill it now: no further passes
+            if size == 2:
+                double |= seen & m
+                seen |= m
+            if size < least:
+                least, tight = size, m
+            elif size == least:
+                tight |= m
+        units = unit_mask(other)
+        if units & (units - 1):
+            return False  # the antagonist fills one of two units next
+        if config.use_potentials and d < least - 1:
+            # Against an antagonist who always passes, the protagonist
+            # needs ``least`` picks and so concedes ``least - 1`` passes.
+            self._cutoffs += 1
+            return False
+        if (d and double and config.use_double_threats
+                and not units & ~double):
+            # Taking the centre (the blocking one if the antagonist holds a
+            # unit) leaves two own units against none: a pass then scores
+            # 1 and a pick 0, so the delay here is 1.
+            self._threats += 1
+            return True
+        moves = (units.bit_length() - 1,) if units else expand(state, False)[0]
+        if config.use_potentials and d < least:
+            # The bound is tight: a pick off every smallest edge leaves the
+            # child's bound above d.
+            kept = [i for i in moves if tight >> i & 1]
+            self._cutoffs += len(moves) - len(kept)
+            moves = kept
+        # No pick fills an own edge: the protagonist holds no unit.
+        return any(self._delay_at_most(child(state, i), False, d, depth + 1)
+                   for i in moves)
+
+    def _delay_ant(self, state: State, d: int, depth: int) -> bool:
+        # The antagonist to move: own holds its edges, other the
+        # protagonist's.
+        n, own, other = state
+        if not other or unit_mask(own):
+            return False  # the protagonist never fills, or the antagonist fills now
+        if d == 0:
+            return False  # a pass, always legal, scores at least 1
+        config = self.config
+        if config.use_potentials:
+            least = n  # the protagonist's smallest edge size
+            common = -1  # the vertices on all its edges of d + 1 or fewer
+            for m in other:
+                size = m.bit_count()
+                if size < least:
+                    least = size
+                if size <= d + 1:
+                    common &= m
+            if d < least or common:
+                # A pass now and at every later turn concedes ``least``
+                # passes; a pick in ``common`` leaves the protagonist's
+                # length bound above d.
+                self._cutoffs += 1
+                return False
+        units = unit_mask(other)
+        if units and config.use_forced_moves:
+            # A pass scores 1 and a pick off the protagonist's units 0; with
+            # two units the delay here is 1, with one the block decides.
+            self._replies += 1
+            if units & (units - 1):
+                return True
+            return self._delay_at_most(child(state, units.bit_length() - 1),
+                                       True, d, depth + 1)
+        # The pass first, which costs the protagonist one more point.
+        if not self._delay_at_most((n, other, own), True, d - 1, depth + 1):
+            return False
+        # No pick fills an own edge: the antagonist holds no unit.
+        return all(self._delay_at_most(child(state, i), True, d, depth + 1)
+                   for i in expand(state, False)[0])
 
     def delay(self, game: Game, protagonist: Player) -> Delay:
         """Value of the pass-move scoring game for ``protagonist``.
@@ -537,17 +615,54 @@ class Solver:
         The score counts the antagonist's passes up to the protagonist's win
         and is infinite when the protagonist never fills an edge of their
         color (including when the antagonist fills one first).  Finite iff
-        the protagonist wins the plain game as first player.
+        the protagonist wins the plain game as first player, which is
+        checked first with the game-value search.
+
+        A finite value is found by bounded questions, "does the protagonist
+        win with at most d passes?" (``_delay_at_most``), asked for d = L,
+        L + 1, ... until one answers yes.  L is the length bound below, or
+        0 with ``use_potentials`` off.  A finite delay is below the vertex
+        count, since every pass follows a protagonist pick.  The memo keeps
+        bounds lo <= delay <= hi per state, so a question at d is answered
+        from it when d >= hi or d < lo, and each answer tightens one bound.
+
+        Besides the protagonist's fill, the loss to two antagonist units,
+        the protagonist's block of one and the antagonist's own fill, three
+        rules of the pass game run, each on the toggle and counter of the
+        game-value rule it mirrors:
+          * length bound (``use_potentials``, ``potential_cutoffs``): an
+            antagonist who always passes concedes one pass fewer than the
+            protagonist's smallest edge size at the protagonist's turn, and
+            that size at its own, so a question below that is answered no.
+            The bound is also read for the children: where it is tight, a
+            protagonist pick off every smallest edge is skipped, and an
+            antagonist pick on every protagonist edge of d + 1 or fewer
+            vertices answers the antagonist's node no;
+          * antagonist's block (``use_forced_moves``, ``forced_replies``):
+            facing one protagonist unit, a pass scores 1 and a pick off it
+            0, so only the block is asked; facing two, the value is 1;
+          * double threat (``use_double_threats``, ``threat_cutoffs``): a
+            protagonist without a unit that takes a centre of two own pairs,
+            with no antagonist unit off that centre, leaves two units, so
+            the value is 1.
+        Twin removal, domination and the leaf oracle are not used here:
+        their soundness arguments assume alternating picks, and none has
+        been written for a game where one side may pass.  Picks are tried
+        in the game-value search's score order, without domination.
         """
         t0 = self._begin()
         try:
             state = _facing(state_of_game(game), protagonist)
             if self._value(state) != _WIN:
                 return INFINITE_DELAY
-            value = self._delay_eval(state, True, 0)
-            assert value == INFINITE_DELAY or value < max(game.n, 1), \
-                "a finite delay can never reach the vertex-count cap"
-            return int(value) if value != INFINITE_DELAY else INFINITE_DELAY
+            d = 0
+            if self.config.use_potentials:
+                d = min(m.bit_count() for m in state[1]) - 1
+            while d < max(game.n, 1):
+                if self._delay_at_most(state, True, d, 0):
+                    return d
+                d += 1
+            raise AssertionError("a finite delay can never reach the vertex-count cap")
         finally:
             self._finish(t0)
 

@@ -96,6 +96,18 @@ def test_reduce_and_provenance(tmp_path):
     assert len(set(mapping.values())) == 15
 
 
+def test_delay_of_the_sat32_win_gadget(tmp_path):
+    # The 35-vertex win gadget of (1 2 3)(-1 -2 -3): Left wins moving first,
+    # and the pass game's bounded questions settle its delay.
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text("p cnf 3 2\n1 2 3 0\n-1 -2 -3 0\n")
+    game = tmp_path / "w.apg"
+    code, out = invoke(["reduce", "sat32", str(cnf), "-o", str(game)])
+    assert code == 0 and "vertices: 35" in out
+    code, out = invoke(["delay", str(game), "--player", "left"])
+    assert code == 0 and out == "delay: 3\n"
+
+
 def test_reduce_qbf(tmp_path):
     cnf = tmp_path / "psi.cnf"
     cnf.write_text("p cnf 2 1\n1 1 2 0\n")

@@ -1,5 +1,6 @@
 """Solver fixed points, independent-oracle agreement, delay, and union table."""
 
+import itertools
 import math
 
 import pytest
@@ -32,7 +33,7 @@ from apg.kernel import twin_reduce as kernel_twin_reduce
 from apg.reductions import CnfFormula, sat_draw_game, sat_win_game
 from apg.solver import UNION_OUTCOMES
 
-from oracles import brute_delay, brute_result
+from oracles import antichains, brute_delay, brute_result
 
 L, R = Player.LEFT, Player.RIGHT
 LW, DR, RW = GameResult.LEFT_WIN, GameResult.DRAW, GameResult.RIGHT_WIN
@@ -425,13 +426,93 @@ def test_delay_memo_obeys_the_memo_bounds(monkeypatch):
     assert 0 < len(s._memo_delay) <= 2
 
 
+def test_delay_of_the_sat32_win_gadget():
+    # The 35-vertex win gadget of (1 2 3)(-1 -2 -3), a Left win in a few
+    # dozen nodes; its delay takes about 105k.
+    g = sat_win_game(CnfFormula(3, ((1, 2, 3), (-1, -2, -3)))).game
+    assert g.n == 35
+    assert Solver(SolverConfig(node_limit=400_000)).delay(g, L) == 3
+
+
 def test_delay_agrees_with_brute_on_random_games():
     rng = rng_for(31, "delay-brute")
+    games = [random_game(rng, max_vertices=5, max_edge_size=3) for _ in range(60)]
+    games += [random_game(rng, min_vertices=6, max_vertices=7, max_edge_size=3)
+              for _ in range(40)]
     s = Solver()
-    for _ in range(60):
-        g = random_game(rng, max_vertices=5, max_edge_size=3)
+    for g in games:
         for prot in (L, R):
             assert s.delay(g, prot) == brute_delay(g, prot), g
+
+
+# The delay search's three toggled rules, each off alone and all off.
+DELAY_CONFIGS = (SolverConfig(), SolverConfig(use_potentials=False),
+                 SolverConfig(use_forced_moves=False),
+                 SolverConfig(use_double_threats=False),
+                 SolverConfig(use_potentials=False, use_forced_moves=False,
+                              use_double_threats=False))
+
+
+def test_delay_rules_on_every_four_vertex_board():
+    # An edge holding another edge of its colour never decides the pass
+    # game either (the smaller one is filled first), so the antichains of
+    # edges of size <= 3 stand for every board of up to 4 vertices with
+    # such edges.  Right's delay on a board searches the very state that
+    # Left's does on the board with the colours swapped, which is also one
+    # of these, so Left's delays cover both protagonists.
+    boards = []
+    for n in range(5):
+        verts = "abcd"[:n]
+        pool = [c for r in (1, 2, 3) for c in itertools.combinations(verts, r)]
+        families = list(antichains(pool))
+        boards += [new_game(verts, blue, red) for blue in families for red in families]
+    assert len(boards) == sum(k * k for k in (1, 2, 5, 19, 166))
+    wants = [brute_delay(g, L) for g in boards]
+    fired = [0, 0, 0]
+    for config in DELAY_CONFIGS:
+        toggles = (config.use_potentials, config.use_forced_moves,
+                   config.use_double_threats)
+        for g, want in zip(boards, wants):
+            # A fresh solver per board, so every rule firing is checked, none
+            # answered from an earlier board's memo.  The value first, so the
+            # delay query's counters are its search's alone: its value check
+            # is then one memo hit.
+            s = Solver(config)
+            assert (s.solve(g, L) is LW) == (want != math.inf), g
+            assert s.delay(g, L) == want, (g, config)
+            stats = s.last_stats
+            counts = (stats.potential_cutoffs, stats.forced_replies,
+                      stats.threat_cutoffs)
+            assert all(on or not c for c, on in zip(counts, toggles))
+            fired = [f + c for f, c in zip(fired, counts)]
+    # Each rule fires thousands of times: 6,998, 12,335 and 27,762.
+    assert fired[0] > 3000 and fired[1] > 6000 and fired[2] > 10_000
+
+
+def test_delay_question_is_monotone_in_d():
+    # Seeded rank-3 boards whose delay is finite (2 on these), and hub
+    # boards with delays 1 to 3.
+    rng = rng_for(34, "delay-monotone")
+    games = []
+    while len(games) < 10:
+        verts = [f"v{i}" for i in range(rng.randint(6, 8))]
+        g = new_game(verts, [rng.sample(verts, 3) for _ in verts],
+                     [rng.sample(verts, 3) for _ in range(len(verts) // 2)])
+        if brute_delay(g, L) != math.inf:
+            games.append((g, L))
+    games += [(win_in_k(k, color), color) for k in (2, 3, 4) for color in (L, R)]
+    for g, prot in games:
+        want = brute_delay(g, prot)
+        root = (g.n, g.blue, g.red) if prot is L else (g.n, g.red, g.blue)
+        span = range(int(want) + 3)
+        for d in span:
+            assert Solver()._delay_at_most(root, True, d, 0) == (d >= want), (g, d)
+        # Descending on one solver: an upper bound is stored first, then the
+        # questions below it are asked and a lower bound is stored.
+        s = Solver()
+        for d in reversed(span):
+            assert s._delay_at_most(root, True, d, 0) == (d >= want), (g, d)
+        assert s._memo_delay[True, root] == (want, want)
 
 
 def test_delay_finite_iff_first_player_win():
