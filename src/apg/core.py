@@ -294,8 +294,11 @@ def update(game: Game,
     Raises AlreadyWonError(player) if a player has already filled an edge,
     and ValueError if the pick sets overlap.
     """
-    vl = game.mask_of(left_picks)
-    vr = game.mask_of(right_picks)
+    return _residual(game, game.mask_of(left_picks), game.mask_of(right_picks))
+
+
+def _residual(game: Game, vl: int, vr: int) -> Game:
+    """:func:`update` on Left's and Right's picks as masks, ``vl`` and ``vr``."""
     if vl & vr:
         raise ValueError("left and right picks must be disjoint")
     try:
@@ -416,7 +419,7 @@ class Position:
 
     def updated_game(self) -> Game:
         """The normal form of this position: the residual game after the picks."""
-        return update(self.game, self.picked_left, self.picked_right)
+        return _residual(self.game, self.left_mask, self.right_mask)
 
     def summary(self) -> str:
         left = ",".join(sorted(self.picked_left))

@@ -76,6 +76,14 @@ never built, ticked or looked up:
     that fills a red edge loses the line, and a pick that ends the board
     draws it.
 
+Best moves and self-play share one pick rule (``Solver._pick``): the
+mover's lowest one-vertex edge, else the first pick whose child (no query
+root, so not twin-reduced) answers the one question the value decides.
+``Solver.self_play`` is one query: it solves its root once and walks the
+search's own states, where the mover's value only changes sign.  A winning
+pick leaves the opponent a loss; a drawing pick leaves it a draw, as a loss
+would have made the pick a win; any pick of a lost position leaves a win.
+
 The delay, the pass-move game behind the paper's union law, has a search
 of its own, ``Solver._delay_at_most``.  It answers one boolean question,
 "does the protagonist win with at most d antagonist passes?", and, as in
@@ -215,23 +223,17 @@ class Solver:
         self._memo_win: dict[State, bool] = {}
         self._memo_avoid: dict[State, bool] = {}
         self._memo_delay: dict[tuple[bool, State], float] = {}
-        self._nodes = 0
-        self._hits = 0
-        self._leaf_calls = 0
-        self._cutoffs = 0
-        self._threats = 0
-        self._replies = 0
-        self._max_depth = 0
         self.last_stats = SolveStats()
 
     # -- internal search ---------------------------------------------------
 
     def _tick(self, depth: int) -> None:
-        self._nodes += 1
-        if self._nodes > self.config.node_limit:
-            raise ResourceLimitError(self._nodes, self.config.node_limit)
-        if depth > self._max_depth:
-            self._max_depth = depth
+        stats = self.last_stats
+        stats.nodes_expanded += 1
+        if stats.nodes_expanded > self.config.node_limit:
+            raise ResourceLimitError(stats.nodes_expanded, self.config.node_limit)
+        if depth > stats.max_depth:
+            stats.max_depth = depth
 
     def _settle(self, state: State, want_win: bool) -> tuple[Optional[bool], Optional[int]]:
         """The node-entry rule of both searches: ``(value, None)`` when a rule
@@ -261,7 +263,7 @@ class Solver:
                     and units & (units - 1) == 0 and units & ~double == 0):
                 # A centre, the blocking one if the opponent has a unit,
                 # leaves two own units against none of the opponent's.
-                self._threats += 1
+                self.last_stats.threat_cutoffs += 1
                 return True, None
             if units and config.use_forced_moves:
                 if units & (units - 1):
@@ -273,13 +275,13 @@ class Solver:
             # one below 1.
             if want_win:
                 if _potential_below(n, own, 1 << (n - 1)):
-                    self._cutoffs += 1
+                    self.last_stats.potential_cutoffs += 1
                     return False, None
             elif _potential_below(n, other, 1 << n):
-                self._cutoffs += 1
+                self.last_stats.potential_cutoffs += 1
                 return True, None
         if small and config.use_leaf_oracle and all(m.bit_count() <= 2 for m in other):
-            self._leaf_calls += 1
+            self.last_stats.leaf_calls += 1
             value = solve22_masks(n, own, other, Player.LEFT)
             if want_win:
                 return value is GameResult.LEFT_WIN, None
@@ -295,7 +297,7 @@ class Solver:
         memo = self._memo_win if want_win else self._memo_avoid
         cached = memo.get(state)
         if cached is not None:
-            self._hits += 1
+            self.last_stats.memo_hits += 1
             return cached
         result, block = self._settle(state, want_win)
         if result is None and canonical and state[0] == 1:
@@ -315,14 +317,14 @@ class Solver:
                 if threats or folded:
                     threat, reply = reader(reads, i)
                     if threat and threats:
-                        self._threats += 1  # the child is the opponent's win
+                        self.last_stats.threat_cutoffs += 1  # the child is the opponent's win
                         continue
                     if reply >= 0 and folded:
                         after = grandchild(state, i, reply)
                         if after is None:
                             continue  # Right's reply fills a red edge
                         if not canonical:
-                            self._replies += 1
+                            self.last_stats.forced_replies += 1
                         if self._eval(after, want_win, depth + 2, canonical):
                             result = True
                             break
@@ -364,16 +366,11 @@ class Solver:
 
     def _begin(self) -> float:
         # The counters, and with them the node budget, cover one query.
-        self._nodes = self._hits = self._max_depth = 0
-        self._leaf_calls = self._cutoffs = self._threats = self._replies = 0
+        self.last_stats = SolveStats()
         return time.perf_counter()
 
     def _finish(self, t0: float) -> None:
-        # Positional arguments: keywords double the cost, which shows on the
-        # batteries' millions of queries on states of a few vertices.
-        self.last_stats = SolveStats(self._nodes, self._hits, self._max_depth,
-                                     time.perf_counter() - t0, self._leaf_calls,
-                                     self._cutoffs, self._threats, self._replies)
+        self.last_stats.elapsed = time.perf_counter() - t0
 
     # -- public queries ----------------------------------------------------
 
@@ -434,15 +431,24 @@ class Solver:
         finally:
             self._finish(t0)
 
+    def _pick(self, state: State, value: int) -> int:
+        # A pick achieving the mover's ``value`` (the pick rule above).
+        units = unit_mask(state[1])
+        if units:
+            return (units & -units).bit_length() - 1
+        for i in range(state[0]):
+            # No pick fills an edge: the mover holds no unit.
+            if value == _LOSS or not self._eval(child(state, i), value == _DRAW, 0):
+                return i
+        raise AssertionError("no move achieves the computed value")
+
     def best_move(self, position: Position) -> tuple[str, GameResult]:
-        """A move achieving the position's value.
+        """A move achieving the position's value, with that value.
 
         An immediate edge completion is preferred when one exists; otherwise
         ties break to the lowest vertex index, so results are deterministic.
-        Each child costs one question, the one the value decides: after a
-        winning move the opponent cannot avoid losing, after a drawing one
-        the opponent cannot win (no move of a drawn position loses it), and
-        in a lost position every move loses.
+        Each child costs one question, the one the value decides (see the
+        module docstring); :meth:`self_play` picks by the same rule.
         """
         if status(position) != Status(StatusKind.ONGOING):
             raise ValueError("best_move needs an ongoing position")
@@ -450,47 +456,37 @@ class Solver:
         try:
             game = position.updated_game()
             state = _facing(state_of_game(game), position.to_move)
-            units = unit_mask(state[1])
-            if units:
-                return (game.vertices[(units & -units).bit_length() - 1],
-                        self._to_game_result(_WIN, position.to_move))
-            value = self._value(state)
-            for i in range(game.n):
-                # No pick fills an edge: the mover holds no unit.
-                if value == _LOSS or not self._eval(
-                        self._root(child(state, i)), value == _DRAW, 0):
-                    return game.vertices[i], self._to_game_result(value, position.to_move)
-            raise AssertionError("no move achieves the computed value")
+            value = _WIN if unit_mask(state[1]) else self._value(state)
+            return (game.vertices[self._pick(state, value)],
+                    self._to_game_result(value, position.to_move))
         finally:
             self._finish(t0)
 
     def self_play(self, game: Game, first_player: Player) -> Trace:
         """Play best moves for both sides to the end; the final status must
-        agree with the solved value."""
-        expected = self.solve(game, first_player)
-        pos = Position.start(game, first_player)
-        steps: list[TraceStep] = []
-        while status(pos).kind is StatusKind.ONGOING:
-            mover = pos.to_move
-            vertex, value = self.best_move(pos)
-            updated = pos.updated_game()
-            threats = unit_mask(updated.red if mover is Player.LEFT else updated.blue)
-            if value == (GameResult.LEFT_WIN if mover is Player.LEFT
-                         else GameResult.RIGHT_WIN):
-                tag = "winning"
-            elif (threats and threats & (threats - 1) == 0
-                  and updated.vertices[threats.bit_length() - 1] == vertex):
-                tag = "forced"
-            else:
-                tag = "arbitrary"
-            steps.append(TraceStep(pos.summary(), mover, vertex, tag))
-            pos = pos.play(vertex)
+        agree with the solved value.  One query: the root is solved once and
+        each ply picks as :meth:`best_move` does, so ``last_stats`` and the
+        node budget cover the whole trace."""
+        t0 = self._begin()
+        try:
+            state = _facing(state_of_game(game), first_player)
+            value = self._value(state)
+            expected = self._to_game_result(value, first_player)
+            names = game.vertices
+            pos = Position.start(game, first_player)
+            steps: list[TraceStep] = []
+            while status(pos).kind is StatusKind.ONGOING:
+                i = self._pick(state, value)
+                tag = ("winning" if value == _WIN else
+                       "forced" if unit_mask(state[2]) == 1 << i else "arbitrary")
+                steps.append(TraceStep(pos.summary(), pos.to_move, names[i], tag))
+                pos = pos.play(names[i])
+                state, names, value = child(state, i), names[:i] + names[i + 1:], -value
+        finally:
+            self._finish(t0)
         final = status(pos)
-        if final.kind is StatusKind.WON:
-            got = (GameResult.LEFT_WIN if final.winner is Player.LEFT
-                   else GameResult.RIGHT_WIN)
-        else:
-            got = GameResult.DRAW
+        got = (GameResult.DRAW if final.winner is None
+               else self._to_game_result(_WIN, final.winner))
         if got != expected:
             raise AssertionError(f"self-play reached {got}, solver said {expected}")
         return Trace(tuple(steps), final, got)
@@ -509,7 +505,7 @@ class Solver:
         else:
             lo, hi = bounds
             if d >= hi or d < lo:
-                self._hits += 1
+                self.last_stats.memo_hits += 1
                 return d >= hi
         if prot_turn:
             result = self._delay_prot(state, d, depth)
@@ -548,21 +544,21 @@ class Solver:
         if config.use_potentials and d < least - 1:
             # Against an antagonist who always passes, the protagonist
             # needs ``least`` picks and so concedes ``least - 1`` passes.
-            self._cutoffs += 1
+            self.last_stats.potential_cutoffs += 1
             return False
         if (d and double and config.use_double_threats
                 and not units & ~double):
             # Taking the centre (the blocking one if the antagonist holds a
             # unit) leaves two own units against none: a pass then scores
             # 1 and a pick 0, so the delay here is 1.
-            self._threats += 1
+            self.last_stats.threat_cutoffs += 1
             return True
         moves = (units.bit_length() - 1,) if units else expand(state, False)[0]
         if config.use_potentials and d < least:
             # The bound is tight: a pick off every smallest edge leaves the
             # child's bound above d.
             kept = [i for i in moves if tight >> i & 1]
-            self._cutoffs += len(moves) - len(kept)
+            self.last_stats.potential_cutoffs += len(moves) - len(kept)
             moves = kept
         # No pick fills an own edge: the protagonist holds no unit.
         return any(self._delay_at_most(child(state, i), False, d, depth + 1)
@@ -590,13 +586,13 @@ class Solver:
                 # A pass now and at every later turn concedes ``least``
                 # passes; a pick in ``common`` leaves the protagonist's
                 # length bound above d.
-                self._cutoffs += 1
+                self.last_stats.potential_cutoffs += 1
                 return False
         units = unit_mask(other)
         if units and config.use_forced_moves:
             # A pass scores 1 and a pick off the protagonist's units 0; with
             # two units the delay here is 1, with one the block decides.
-            self._replies += 1
+            self.last_stats.forced_replies += 1
             if units & (units - 1):
                 return True
             return self._delay_at_most(child(state, units.bit_length() - 1),

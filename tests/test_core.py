@@ -23,6 +23,7 @@ from apg import (
     update_edges,
     win_in_k,
 )
+from apg.gadgets import random_game, rng_for
 
 L, R = Player.LEFT, Player.RIGHT
 
@@ -115,6 +116,29 @@ def test_update_rejects_overlap():
     g = butterfly()
     with pytest.raises(ValueError):
         update(g, ["alpha"], ["alpha"])
+
+
+def test_updated_game_matches_update_by_names():
+    # Position.updated_game works on the pick masks; update takes names.
+    rng = rng_for(17, "updated-game")
+    won = 0
+    for _ in range(300):
+        pos = Position.start(random_game(rng, max_vertices=8, max_edge_size=3),
+                             rng.choice((L, R)))
+        while True:
+            try:
+                want = update(pos.game, pos.picked_left, pos.picked_right)
+            except AlreadyWonError as exc:
+                with pytest.raises(AlreadyWonError) as got:
+                    pos.updated_game()
+                assert got.value.player is exc.player is pos.winner
+                won += 1
+                break
+            assert pos.updated_game() == want
+            if status(pos).kind is not StatusKind.ONGOING:
+                break
+            pos = pos.play(rng.choice(want.vertices))
+    assert won > 50
 
 
 def test_status_empty_game_is_draw():

@@ -254,9 +254,9 @@ def test_parent_side_reads_match_the_built_child():
         after = child(state, i)
         threat, reply = opponent_reply(reads, i)
         for want_win in (True, False):
-            settler._threats = 0
+            settler.last_stats.threat_cutoffs = 0
             value, block = settler._settle(after, want_win)
-            assert settler._threats == threat, (state, i)
+            assert settler.last_stats.threat_cutoffs == threat, (state, i)
             if threat:
                 assert value is True
             elif reply >= 0:

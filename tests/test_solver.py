@@ -28,10 +28,10 @@ from apg import (
 )
 from apg import solver
 from apg.gadgets import outcome_exemplar, random_game, rng_for
-from apg.kernel import state_of_game
+from apg.kernel import state_of_game, unit_mask
 from apg.kernel import twin_reduce as kernel_twin_reduce
 from apg.reductions import CnfFormula, sat_draw_game, sat_win_game
-from apg.solver import UNION_OUTCOMES
+from apg.solver import UNION_OUTCOMES, TraceStep
 
 from oracles import antichains, brute_delay, brute_result
 
@@ -146,6 +146,53 @@ def test_self_play_alternates_legally():
     players = [s.player for s in trace.steps]
     assert players == [R, L, R, L, R, L, R]
     assert len({s.vertex for s in trace.steps}) == len(trace.steps)
+
+
+def best_move_walk(game, first):
+    # The reference trace: a best_move query at each position, with the
+    # forced tag read from the position's updated game.
+    s = Solver()
+    pos = Position.start(game, first)
+    steps = []
+    while status(pos).kind is StatusKind.ONGOING:
+        mover = pos.to_move
+        vertex, value = s.best_move(pos)
+        updated = pos.updated_game()
+        threats = unit_mask(updated.red if mover is L else updated.blue)
+        if value is (LW if mover is L else RW):
+            tag = "winning"
+        elif threats == 1 << updated.index_of(vertex):
+            tag = "forced"
+        else:
+            tag = "arbitrary"
+        steps.append(TraceStep(pos.summary(), mover, vertex, tag))
+        pos = pos.play(vertex)
+    final = status(pos)
+    result = DR if final.kind is StatusKind.DRAW else LW if final.winner is L else RW
+    return tuple(steps), final, result
+
+
+def sparse_rank3_board(rng, n):
+    """A board like the ``boards`` benchmark corpus: n/2 triples per colour."""
+    verts = [f"v{i}" for i in range(n)]
+    return new_game(verts, [rng.sample(verts, 3) for _ in range(n // 2)],
+                    [rng.sample(verts, 3) for _ in range(n // 2)])
+
+
+def test_self_play_matches_a_best_move_walk():
+    rng = rng_for(17, "self-play-walk")
+    games = [random_game(rng, max_vertices=9, max_edge_size=3) for _ in range(300)]
+    games += [sparse_rank3_board(rng, n) for n in (12, 12, 13, 13, 14, 14)]
+    tags = set()
+    for g in games:
+        for first in (L, R):
+            trace = Solver().self_play(g, first)
+            steps, final, result = best_move_walk(g, first)
+            assert trace.steps == steps, (g, first)
+            assert (trace.final, trace.result) == (final, result), (g, first)
+            assert result is solve(g, first)
+            tags.update(step.justification for step in steps)
+    assert tags == {"winning", "forced", "arbitrary"}
 
 
 # -- oracle agreement ------------------------------------------------------------
@@ -265,13 +312,30 @@ def test_outcome_state_is_one_query_for_both_first_players():
 
 
 def test_move_value_records_its_stats():
-    s = Solver()
-    s.outcome(butterfly())
-    before = s.last_stats
-    pos = Position.start(butterfly(), L)
-    s.move_value(pos, pos.game.vertices[1])
-    assert s.last_stats is not before
-    assert s.last_stats.nodes_expanded > 0
+    # self_play too: one query, so its stats are not the last ply's alone.
+    for query in (
+            lambda s: s.move_value(Position.start(butterfly(), L), butterfly().vertices[1]),
+            lambda s: s.self_play(butterfly(), L)):
+        s = Solver()
+        s.outcome(butterfly())
+        before = s.last_stats
+        query(s)
+        assert s.last_stats is not before
+        assert s.last_stats.nodes_expanded > 0
+
+
+def test_node_budget_covers_the_whole_trace():
+    g = sat_draw_game(CnfFormula(3, ((1, 2, 3),))).game
+    fresh = Solver()
+    fresh.solve(g, L)
+    solve_nodes = fresh.last_stats.nodes_expanded
+    fresh = Solver()
+    fresh.self_play(g, L)
+    assert fresh.last_stats.nodes_expanded > solve_nodes
+    s = Solver(SolverConfig(node_limit=solve_nodes))
+    assert s.solve(g, L) is solve(g, L)
+    with pytest.raises(ResourceLimitError):
+        Solver(SolverConfig(node_limit=solve_nodes)).self_play(g, L)
 
 
 def test_node_budget():
