@@ -24,7 +24,6 @@ from .core import (
     parse_outcome,
     status,
     update,
-    update_edges,
 )
 from .errors import (
     AlreadyWonError,

@@ -126,6 +126,9 @@ def _emit(pairs) -> None:
 
 
 def _cmd_solve(args) -> int:
+    if args.algo == "poly22" and args.trace:
+        raise ValueError("--trace needs --algo search or auto: "
+                         "traces come from the search")
     game = load_game(args.file)
     small = all(m.bit_count() <= 2 for m in game.blue + game.red)
     algo = args.algo

@@ -248,31 +248,6 @@ def game_from_masks(vertices: tuple[str, ...],
 # ---------------------------------------------------------------------------
 # Edge updates
 
-def update_edges(edges: Iterable[frozenset[str] | set[str]],
-                 picked_own: Iterable[str],
-                 picked_other: Iterable[str],
-                 owner: Optional[Player] = None) -> frozenset[frozenset[str]]:
-    """Update one player's edge set after both players picked some vertices.
-
-    Every edge meeting ``picked_other`` is dead and dropped; the owner's picks
-    are subtracted from the survivors.  An edge that ends up empty means the
-    owner has already filled it: this raises AlreadyWonError, flagging a
-    terminal position rather than a bad input.
-    """
-    own = frozenset(picked_own)
-    other = frozenset(picked_other)
-    out = set()
-    for edge in edges:
-        e = frozenset(edge)
-        if e & other:
-            continue
-        e -= own
-        if not e:
-            raise AlreadyWonError(owner)
-        out.add(e)
-    return frozenset(out)
-
-
 def _update_masks(masks: Iterable[int], own: int, other: int) -> list[int]:
     out = []
     for m in masks:

@@ -157,18 +157,11 @@ def twin_reduce(state: State) -> tuple[State, list[tuple[int, int]]]:
             else:
                 removed |= (1 << j) | (1 << i)
                 pairs.append((index[j], index[i]))
-        blue = [m for m in blue if not m & removed]
-        red = [m for m in red if not m & removed]
-        # Drop the removed positions, the highest first so that the lower
-        # ones stay put.  The kept edges miss them all, so they stay
-        # distinct and ordered: no sort is needed.
-        for b in reversed(bits(removed)):
-            low = (1 << b) - 1
-            hi = ~low
-            blue = [(m & low) | ((m >> 1) & hi) for m in blue]
-            red = [(m & low) | ((m >> 1) & hi) for m in red]
-            del index[b]
-        blue, red = tuple(blue), tuple(red)
+        # The kept edges miss every removed position, so dropping those
+        # positions keeps them distinct and ordered: no sort is needed.
+        blue = tuple([compress(m, removed) for m in blue if not m & removed])
+        red = tuple([compress(m, removed) for m in red if not m & removed])
+        index = [v for i, v in enumerate(index) if not removed >> i & 1]
         n -= removed.bit_count()
         state = (n, blue, red)
     return state, pairs

@@ -3,9 +3,9 @@
 The board is held as ``adj = (blue_adj, red_adj)``: for each vertex
 ``0..n-1``, an int mask of its neighbours in the blue and in the red graph
 of the pair edges.  A vertex is alive while one of its masks is nonzero.
-The Left-win question is answered on ``adj``; the full win/draw/loss value
-comes from asking it again with the colors swapped (the tuple reversed) and
-combining the two answers (they can never both say "win").
+One rule, :func:`left_wins`, decides whether Left wins; the full value is
+built from two such decisions, on ``adj`` and on the colour-swapped board
+(the tuple reversed, the mover flipped), which never both say "win".
 
 Pipeline for "does Left win with a given first player":
   1. resolve one-vertex edges: a unit of the mover's color wins, two distinct
@@ -19,9 +19,9 @@ Pipeline for "does Left win with a given first player":
      not; otherwise the red edges form a matching and every candidate move is
      classified by its maximal alternating path (red edges at odd steps, blue
      at even steps).  Even-ended paths are optimal for Right and their
-     vertices can be deleted outright; once only branching or odd-ended
-     vertices remain, Right survives iff some odd-ended path leaves a P3-free
-     blue graph behind.
+     vertices can be deleted outright; once a pass deletes nothing, only
+     branching or odd-ended vertices remain, and Right survives iff some
+     odd-ended path of that pass leaves a P3-free blue graph behind.
 """
 
 from __future__ import annotations
@@ -175,16 +175,19 @@ def right_to_move_rule(adj: Adj) -> bool:
     blue, red = adj
     n = len(blue)
     # Each deletion preserves the value, so a pass scans on after one, and
-    # passes repeat until one deletes nothing.
+    # passes repeat until one deletes nothing: its odd paths are tested.
     deleted = True
     while deleted:
         deleted = False
+        odd = []
         for u in range(n):
             if blue[u] or red[u]:
                 kind, path = classify(adj, u)
                 if kind is PathKind.EVEN:
                     reduce_type3(adj, path)
                     deleted = True
+                elif kind is PathKind.ODD:
+                    odd.append(path)
     # The centres (blue degree >= 2) are where a blue P3 can survive.  Every
     # branching vertex walks to one, so without any the board is empty or
     # every path is odd and leaves no P3: a draw.
@@ -195,12 +198,7 @@ def right_to_move_rule(adj: Adj) -> bool:
     if not centres:
         return False
     count = centres.bit_count()
-    for u in range(n):
-        if not (blue[u] or red[u]):
-            continue
-        kind, path = classify(adj, u)
-        if kind is not PathKind.ODD:
-            continue
+    for path in odd:
         # A P3 survives the path's deletion at a centre off the path that
         # has no neighbour on it, or at a centre next to it that keeps two
         # blue neighbours off it.
@@ -214,8 +212,14 @@ def right_to_move_rule(adj: Adj) -> bool:
         off = ~on_path
         if has_p3([blue[c] & off for c in mask_indices(touched & off)]):
             continue
-        return False  # Right picks u and survives
+        return False  # Right picks path[0] and survives
     return True
+
+
+def left_wins(adj: Adj, mover: int) -> bool:
+    """Whether Left wins the unit-free board ``adj`` with ``mover`` (0 Left,
+    1 Right) to move; ``left_wins(adj[::-1], 1 - mover)`` asks it of Right."""
+    return has_p3(adj[0]) if mover == 0 else right_to_move_rule(adj)
 
 
 def solve22_masks(n: int, blue: Iterable[int], red: Iterable[int],
@@ -227,10 +231,7 @@ def solve22_masks(n: int, blue: Iterable[int], red: Iterable[int],
     decided, adj, mover = resolve_units(n, blue, red, _MOVER[first_player])
     if decided is not None:
         return decided
-    if mover == 0:
-        left, right = has_p3(adj[0]), right_to_move_rule(adj[::-1])
-    else:
-        left, right = right_to_move_rule(adj), has_p3(adj[1])
+    left, right = left_wins(adj, mover), left_wins(adj[::-1], 1 - mover)
     if left and right:
         raise AssertionError("both players cannot have winning strategies")
     if left:

@@ -35,8 +35,9 @@ each individually toggleable:
     a single one forces the blocking move;
   * dominated moves are skipped, keeping one representative per twin class;
   * leaf oracle (``use_leaf_oracle``): a node whose edges all have size <= 2
-    is answered by one ``poly22.solve22_masks`` call, the polynomial
-    procedure for that class, in place of a search below it;
+    is answered by ``poly22`` in place of a search below it, asking one
+    side: the mover is poly22's Left, "win?" is ``poly22.left_wins`` and
+    "avoid losing?" is that rule failing on the colour-swapped board;
   * potential cutoffs (``use_potentials``), after Erdős and Selfridge
     (JCT A 14, 1973): if the sum of 2^-|e| over the mover's edges is below
     1/2, the opponent, playing only to block them while moving second,
@@ -131,7 +132,7 @@ from .kernel import (
     twin_reduce,
     unit_mask,
 )
-from .poly22 import solve22_masks
+from .poly22 import left_wins, resolve_units
 
 _WIN, _DRAW, _LOSS = 1, 0, -1
 
@@ -281,11 +282,15 @@ class Solver:
                 self.last_stats.potential_cutoffs += 1
                 return True, None
         if small and config.use_leaf_oracle and all(m.bit_count() <= 2 for m in other):
+            # The mover is poly22's Left.  The two sides' rules never both
+            # hold, and a board decided by forced picks has one winner.
             self.last_stats.leaf_calls += 1
-            value = solve22_masks(n, own, other, Player.LEFT)
+            decided, adj, mover = resolve_units(n, own, other, 0)
+            if decided is not None:
+                return decided is GameResult.LEFT_WIN, None
             if want_win:
-                return value is GameResult.LEFT_WIN, None
-            return value is not GameResult.RIGHT_WIN, None
+                return left_wins(adj, mover), None
+            return not left_wins(adj[::-1], 1 - mover), None
         return None, block
 
     def _eval(self, state: State, want_win: bool, depth: int,
@@ -645,6 +650,10 @@ class Solver:
         their soundness arguments assume alternating picks, and none has
         been written for a game where one side may pass.  Picks are tried
         in the game-value search's score order, without domination.
+
+        One query, like :meth:`outcome_state`: ``last_stats`` counts the
+        finiteness check and the delay search together.  Solving the game
+        first on the same solver leaves the delay search's counters alone.
         """
         t0 = self._begin()
         try:

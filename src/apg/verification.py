@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 from .core import (
@@ -104,6 +104,12 @@ def iter_22_states(n: int) -> Iterable[tuple[int, tuple[int, ...], tuple[int, ..
 
 _FORBIDDEN = {(RW, LW), (DR, LW), (RW, DR)}
 
+# The search alone, for checks on size-2 boards: with these three cutoffs
+# off, no node is handed to poly22 (the leaf oracle) or decided by its P3
+# step (the double-threat rule).
+_SEARCH_ONLY = SolverConfig(use_leaf_oracle=False, use_potentials=False,
+                            use_double_threats=False)
+
 
 def random_22_state(rng, max_vertices: int, exact: Optional[int] = None):
     n = exact if exact is not None else rng.randint(2, max_vertices)
@@ -124,12 +130,8 @@ def outcome_legality(seed: int = 0,
                      exhaustive_max_vertices: int = 4) -> BatteryReport:
     """No game may produce one of the three impossible outcome rows."""
     report = BatteryReport("outcome-legality")
-    # The exhaustive states are size-2 boards, which the leaf oracle would
-    # hand to poly22 and the double-threat rule (poly22's P3 step) would
-    # partly decide; with the three cutoffs off the search alone is checked.
-    solver = Solver(SolverConfig(memo_max_vertices=max(0, exhaustive_max_vertices - 1),
-                                 use_leaf_oracle=False, use_potentials=False,
-                                 use_double_threats=False))
+    solver = Solver(replace(_SEARCH_ONLY,
+                            memo_max_vertices=max(0, exhaustive_max_vertices - 1)))
     for n in range(exhaustive_max_vertices + 1):
         for state in iter_22_states(n):
             report.checked += 1
@@ -164,12 +166,8 @@ def poly22_agreement(seed: int = 0,
     by a dense seeded sample instead, plus random games up to 14 vertices.
     """
     report = BatteryReport("poly22-agreement")
-    # Both solvers run with the leaf oracle, the potential cutoffs and the
-    # double-threat rule off: the oracle would answer these size-2 boards
-    # with solve22_masks itself, and the rule is its P3 step.
-    solver = Solver(SolverConfig(memo_max_vertices=max(0, exhaustive_max_vertices - 1),
-                                 use_leaf_oracle=False, use_potentials=False,
-                                 use_double_threats=False))
+    solver = Solver(replace(_SEARCH_ONLY,
+                            memo_max_vertices=max(0, exhaustive_max_vertices - 1)))
     for n in range(exhaustive_max_vertices + 1):
         for state in iter_22_states(n):
             report.checked += 1
@@ -178,8 +176,7 @@ def poly22_agreement(seed: int = 0,
                 if got != want:
                     report.fail(f"{state} first={player}: poly {got} vs solver {want}")
     rng = rng_for(seed, "poly22-random")
-    big = Solver(SolverConfig(use_leaf_oracle=False, use_potentials=False,
-                              use_double_threats=False))
+    big = Solver(_SEARCH_ONLY)
     for trials, exact in ((five_vertex_trials, 5), (random_trials, None)):
         for _ in range(trials):
             state = random_22_state(rng, max_vertices=14, exact=exact)
@@ -504,9 +501,15 @@ def delay_battery(seed: int = 0, pairs: int = 500) -> BatteryReport:
 # ---------------------------------------------------------------------------
 # Reductions
 
-def _three_var_clauses() -> list[tuple[int, int, int]]:
-    lits = [1, -1, 2, -2, 3, -3]
-    return sorted({tuple(sorted(c)) for c in itertools.product(lits, repeat=3)})
+def _formulas(variables: int, two_clause: bool = True) -> list[tuple]:
+    """Every formula of one sorted 3-literal clause over ``variables``
+    variables, then, with ``two_clause``, every sorted pair of them."""
+    lits = [s * v for v in range(1, variables + 1) for s in (1, -1)]
+    clauses = sorted({tuple(sorted(c)) for c in itertools.product(lits, repeat=3)})
+    formulas = [(c,) for c in clauses]
+    if two_clause:
+        formulas += [(a, b) for i, a in enumerate(clauses) for b in clauses[i:]]
+    return formulas
 
 
 def _all_sign_clauses() -> tuple:
@@ -523,11 +526,7 @@ def sat_draw_battery(full_two_clause: bool = True) -> BatteryReport:
     """
     report = BatteryReport("sat-draw-gadget")
     s = Solver()
-    clauses = _three_var_clauses()
-    formulas = [(c,) for c in clauses]
-    if full_two_clause:
-        formulas += [tuple(sorted((a, b))) for i, a in enumerate(clauses)
-                     for b in clauses[i:]]
+    formulas = _formulas(3, full_two_clause)
     for cl in formulas:
         phi = CnfFormula(3, cl)
         game = sat_draw_game(phi).game
@@ -556,11 +555,7 @@ def sat_win_battery(full_two_clause: bool = True) -> BatteryReport:
     """Satisfiability must match a first-player Left win of the win gadget."""
     report = BatteryReport("sat-win-gadget")
     s = Solver()
-    clauses = _three_var_clauses()
-    formulas = [(c,) for c in clauses]
-    if full_two_clause:
-        formulas += [tuple(sorted((a, b))) for i, a in enumerate(clauses)
-                     for b in clauses[i:]]
+    formulas = _formulas(3, full_two_clause)
     for cl in formulas:
         phi = CnfFormula(3, cl)
         game = sat_win_game(phi).game
@@ -578,22 +573,14 @@ def sat_win_battery(full_two_clause: bool = True) -> BatteryReport:
     return report
 
 
-def _two_var_qbfs() -> list[tuple]:
-    lits = [1, -1, 2, -2]
-    clauses = sorted({tuple(sorted(c)) for c in itertools.product(lits, repeat=3)})
-    return ([(c,) for c in clauses]
-            + [tuple(sorted((a, b))) for i, a in enumerate(clauses)
-               for b in clauses[i:]])
-
-
-def qbf_battery(node_limit: int = 50_000_000) -> BatteryReport:
+def qbf_battery() -> BatteryReport:
     """Exhaustive 2-variable formulas with up to two clauses: the valuation
     game's winner must match the compiled game, and every choice script must
     replay as forced."""
     report = BatteryReport("qbf-gadget")
-    s = Solver(SolverConfig(node_limit=node_limit))
+    s = Solver()
     skipped_scripts = 0
-    for cl in _two_var_qbfs():
+    for cl in _formulas(2):
         psi = QbfFormula(2, cl)
         out = qbf_game(psi)
         report.checked += 1
@@ -645,7 +632,7 @@ def transversal_battery(max_vertices: int = 4) -> BatteryReport:
     embeddings agree (wins match; blocked boards are draws in one and Right
     wins in the other) and the transversal map is an involution."""
     report = BatteryReport("transversal-embedding")
-    solver = Solver(SolverConfig(memo_max_vertices=max_vertices))
+    solver = Solver()
     for n in range(1, max_vertices + 1):
         verts = [f"v{i}" for i in range(n)]
         pool = [frozenset(c) for r in range(1, n + 1)

@@ -106,7 +106,7 @@ def test_criterion_7_reductions():
     t0 = time.perf_counter()
     reports = [V.sat_draw_battery(full_two_clause=True),
                V.sat_win_battery(full_two_clause=True),
-               V.qbf_battery(node_limit=50_000_000)]
+               V.qbf_battery()]
     _finish_reports("7 (formula reductions)", reports,
                     time.perf_counter() - t0, 1800.0)
 

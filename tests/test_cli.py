@@ -237,6 +237,17 @@ def test_explicit_poly22_algo(tmp_path):
     assert code == 0 and "result: LeftWin" in out and "algo: poly22" in out
 
 
+def test_poly22_trace_is_a_usage_error(tmp_path, capsys):
+    # Traces come from the search; the size-2 procedure has none to print.
+    path = tmp_path / "small.apg"
+    path.write_text("blue a b\nblue b c\n")
+    code, out = invoke(["solve", str(path), "--first", "left", "--algo", "poly22",
+                        "--trace"])
+    assert code == 64 and out == ""
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --trace needs --algo search or auto: traces come from the search"]
+
+
 def test_reduce_bad_dimacs_exit_code(tmp_path):
     cnf = tmp_path / "bad.cnf"
     cnf.write_text("p cnf 2 1\n1 2 0\n")  # clause of size 2

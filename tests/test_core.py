@@ -20,7 +20,6 @@ from apg import (
     outcome_from_results,
     status,
     update,
-    update_edges,
     win_in_k,
 )
 from apg.gadgets import random_game, rng_for
@@ -60,29 +59,6 @@ def test_duplicate_vertex_rejected():
 def test_duplicate_edges_collapse():
     g = new_game(["a", "b"], [["a", "b"], ["b", "a"]], [])
     assert len(g.blue) == 1
-
-
-def test_update_edges_butterfly_steps():
-    blue = [set(e) for e in butterfly().blue_edges]
-    after_alpha = update_edges(blue, {"alpha"}, set())
-    assert after_alpha == frozenset({
-        frozenset({"beta1", "gamma1"}), frozenset({"beta1", "gamma2"}),
-        frozenset({"beta2", "gamma3"}), frozenset({"beta2", "gamma4"}),
-    })
-    after_beta1 = update_edges(after_alpha, set(), {"beta1"})
-    assert after_beta1 == frozenset({
-        frozenset({"beta2", "gamma3"}), frozenset({"beta2", "gamma4"}),
-    })
-
-
-def test_update_edges_identity():
-    blue = [{"a", "b"}, {"b", "c"}]
-    assert update_edges(blue, set(), set()) == frozenset(frozenset(e) for e in blue)
-
-
-def test_update_edges_flags_filled_edge():
-    with pytest.raises(AlreadyWonError):
-        update_edges([{"a"}], {"a"}, set())
 
 
 def test_update_butterfly_midgame():

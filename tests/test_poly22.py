@@ -16,12 +16,14 @@ from apg.poly22 import (
     reduce_type3,
     resolve_units,
     right_to_move_rule,
+    solve22_masks,
 )
+from apg.verification import iter_22_states, random_22_state
 
 L, R = Player.LEFT, Player.RIGHT
 LW, DR, RW = GameResult.LEFT_WIN, GameResult.DRAW, GameResult.RIGHT_WIN
 # The reference for solve22: the search with its size-2 leaf oracle (which
-# is solve22), its potential cutoffs and its double-threat rule (poly22's
+# asks poly22), its potential cutoffs and its double-threat rule (poly22's
 # own P3 step) off.
 SEARCH_ONLY = SolverConfig(use_leaf_oracle=False, use_potentials=False,
                           use_double_threats=False)
@@ -222,6 +224,28 @@ def test_random_alignment_medium_games():
         g = random_game(rng, max_vertices=10, max_edge_size=2, max_edges=12)
         for first in (L, R):
             assert solve22(g, first) == solver.solve(g, first), g
+
+
+def test_one_sided_leaf_oracle_matches_the_two_sided_procedure():
+    # The search's leaf oracle asks one side's rule per question; the value
+    # built from both sides' rules must give the same answers.  Every other
+    # rule is off, so _settle reaches the oracle on each unit-free board.
+    solver = Solver(SolverConfig(use_twin_reduction=False, use_domination=False,
+                                 use_forced_moves=False, use_potentials=False,
+                                 use_double_threats=False))
+    rng = rng_for(23, "one-sided-oracle")
+    states = [state for n in range(4) for state in iter_22_states(n)]
+    states += [random_22_state(rng, 9, exact=rng.randint(5, 9)) for _ in range(2000)]
+    calls = 0
+    for state in states:
+        value = solve22_masks(*state, L)
+        for want_win, want in ((True, value is LW), (False, value is not RW)):
+            before = solver.last_stats.leaf_calls
+            got = solver._settle(state, want_win)[0]
+            if solver.last_stats.leaf_calls > before:
+                calls += 1
+                assert got == want, (state, want_win)
+    assert calls >= 2700  # 1,060 exhaustive and 1,732 random calls
 
 
 def _forcing_chain(n, unit, first_pair, tail=None):
