@@ -14,7 +14,7 @@ import sys
 from typing import Optional
 
 from . import verification
-from .core import Player, parse_outcome
+from .core import Game, Player, parse_outcome
 from .errors import ApgError, ApgParseError, ResourceLimitError
 from .formats import load_game, save_game, save_game_with_comments
 from .gadgets import butterfly, outcome_exemplar, win_in_k
@@ -216,12 +216,9 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    from .core import new_game
-
     game = load_game(args.file)
     h, ul, ur = maker_maker_embedding(game)
-    edges = [sorted(e) for e in sorted(tuple(sorted(e)) for e in h.edge_sets)]
-    symmetric = new_game(h.vertices, edges, edges)
+    symmetric = Game(h.vertices, h.edges, h.edges)
     save_game_with_comments(
         symmetric, args.output,
         [f"symmetric board; anchors: first player {ul}, second player {ur}"])

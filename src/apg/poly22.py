@@ -166,8 +166,11 @@ def right_to_move_rule(adj: Adj) -> bool:
     """With Right to move and no unit edges: does Left win?
 
     A red P3 lets Right win in two moves.  Otherwise even-ended paths are
-    deleted repeatedly; Right then survives iff some odd-ended path, removed
-    from the blue graph, leaves it without a P3.
+    deleted repeatedly; Right then survives iff some odd-ended path of the
+    final board, removed from the blue graph, leaves it without a P3.
+    Testing only the odd paths of the last pass is exact: that pass deleted
+    nothing, so it classified every live vertex of the final board, and its
+    odd paths are all of that board's.
     """
     if has_p3(adj[1]):
         return False

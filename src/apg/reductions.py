@@ -23,6 +23,7 @@ from .core import (
     StatusKind,
     disjoint_union,
     new_game,
+    new_hypergraph,
     status,
 )
 from .errors import (
@@ -476,10 +477,9 @@ def maker_maker_embedding(game: Game) -> tuple[Hypergraph, str, str]:
         u_left, u_right = f"uL#{k}", f"uR#{k}"
         k += 1
     verts = game.vertices + (u_left, u_right)
-    edges = ([sorted(e) + [u_left] for e in sorted(sorted(x) for x in game.blue_edges)]
-             + [sorted(e) + [u_right] for e in sorted(sorted(x) for x in game.red_edges)])
-    h = new_game(verts, edges, ())
-    return Hypergraph(h.vertices, h.blue), u_left, u_right
+    edges = ([e | {u_left} for e in game.blue_edges]
+             + [e | {u_right} for e in game.red_edges])
+    return new_hypergraph(verts, edges), u_left, u_right
 
 
 # ---------------------------------------------------------------------------

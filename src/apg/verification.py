@@ -15,13 +15,13 @@ from typing import Iterable, Optional
 from .core import (
     Game,
     GameResult,
-    Hypergraph,
     Outcome,
     Player,
     Position,
     disjoint_union,
     leq_left,
     new_game,
+    new_hypergraph,
     update,
 )
 from .errors import IllegalOutcomeError
@@ -614,8 +614,7 @@ def mm_embedding_battery(seed: int = 0, trials: int = 200) -> BatteryReport:
     for _ in range(trials):
         g = random_game(rng, max_vertices=6, max_edge_size=3)
         h, ul, ur = maker_maker_embedding(g)
-        mm = new_game(h.vertices, [sorted(e) for e in h.edge_sets],
-                      [sorted(e) for e in h.edge_sets])
+        mm = Game(h.vertices, h.edges, h.edges)
         reduced = update(mm, [ul], [ur])
         report.checked += 1
         if reduced != g:
@@ -639,12 +638,9 @@ def transversal_battery(max_vertices: int = 4) -> BatteryReport:
                 for c in itertools.combinations(verts, r)]
         for bits in range(1, 1 << len(pool)):
             edges = [sorted(pool[i]) for i in range(len(pool)) if bits >> i & 1]
-            h = new_game(verts, edges, ()).blue
-            hyper = Hypergraph(tuple(verts), h)
+            hyper = new_hypergraph(verts, edges)
             report.checked += 1
-            trans = minimal_transversals(hyper)
-            tr_hyper = Hypergraph(
-                tuple(verts), new_game(verts, [sorted(t) for t in trans], ()).blue)
+            tr_hyper = new_hypergraph(verts, minimal_transversals(hyper))
             if minimal_transversals(tr_hyper) != antichain(hyper):
                 report.fail(f"involution failed for {edges}")
             empty = maker_breaker_game(hyper, "empty_red")

@@ -1,5 +1,6 @@
 """Solver fixed points, independent-oracle agreement, delay, and union table."""
 
+import dataclasses
 import itertools
 import math
 
@@ -311,17 +312,33 @@ def test_outcome_state_is_one_query_for_both_first_players():
         assert both.last_stats.nodes_expanded == nodes + apart.last_stats.nodes_expanded
 
 
-def test_move_value_records_its_stats():
-    # self_play too: one query, so its stats are not the last ply's alone.
-    for query in (
-            lambda s: s.move_value(Position.start(butterfly(), L), butterfly().vertices[1]),
-            lambda s: s.self_play(butterfly(), L)):
-        s = Solver()
-        s.outcome(butterfly())
+QUERIES = {
+    "solve_state": lambda s, g: s.solve_state(state_of_game(g), L),
+    "survives_canonical_right": lambda s, g: s.survives_canonical_right(g),
+    "outcome_state": lambda s, g: s.outcome_state(state_of_game(g)),
+    "move_value": lambda s, g: s.move_value(Position.start(g, L), g.vertices[1]),
+    "best_move": lambda s, g: s.best_move(Position.start(g, L)),
+    "self_play": lambda s, g: s.self_play(g, L),
+    "delay": lambda s, g: s.delay(g, L),
+}
+
+
+@pytest.mark.parametrize("name", QUERIES)
+def test_each_query_installs_its_stats(name):
+    # Fresh counters and an elapsed time for each query, also when its node
+    # budget runs out: each query here expands at least two nodes.
+    query, g = QUERIES[name], butterfly()
+    for limit in (SEARCH_ONLY.node_limit, 1):
+        s = Solver(dataclasses.replace(SEARCH_ONLY, node_limit=limit))
         before = s.last_stats
-        query(s)
+        if limit == 1:
+            with pytest.raises(ResourceLimitError):
+                query(s, g)
+        else:
+            query(s, g)
         assert s.last_stats is not before
         assert s.last_stats.nodes_expanded > 0
+        assert s.last_stats.elapsed > 0
 
 
 def test_node_budget_covers_the_whole_trace():
