@@ -14,9 +14,9 @@ import sys
 from typing import Optional
 
 from . import verification
-from .core import Game, Player, parse_outcome
+from .core import Game, Player, disjoint_union, parse_outcome
 from .errors import ApgError, ApgParseError, ResourceLimitError
-from .formats import load_game, save_game, save_game_with_comments
+from .formats import load_game, save_game
 from .gadgets import butterfly, outcome_exemplar, win_in_k
 from .poly22 import solve22
 from .reductions import (
@@ -54,15 +54,12 @@ def _count(text: str) -> int:
 
 
 def _node_limit(text: str) -> int:
-    # The APG_NODE_LIMIT override; anything but a positive integer is a
-    # usage error (run maps the ValueError to exit 64).
+    # The APG_NODE_LIMIT override, parsed as a count; anything but a
+    # positive integer is a usage error (run maps the ValueError to exit 64).
     try:
-        value = int(text)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise ValueError(f"APG_NODE_LIMIT must be a positive integer, got {text!r}")
+        return _count(text)
+    except argparse.ArgumentTypeError:
+        raise ValueError(f"APG_NODE_LIMIT must be a positive integer, got {text!r}") from None
 
 
 def _solver(**settings) -> Solver:
@@ -166,8 +163,6 @@ def _cmd_delay(args) -> int:
 
 
 def _cmd_union(args) -> int:
-    from .core import disjoint_union
-
     solver = _solver()
     g, g2 = load_game(args.file1), load_game(args.file2)
     union, renames = disjoint_union(g, g2)
@@ -218,10 +213,9 @@ def _cmd_reduce(args) -> int:
 def _cmd_embed(args) -> int:
     game = load_game(args.file)
     h, ul, ur = maker_maker_embedding(game)
-    symmetric = Game(h.vertices, h.edges, h.edges)
-    save_game_with_comments(
-        symmetric, args.output,
-        [f"symmetric board; anchors: first player {ul}, second player {ur}"])
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write(f"# symmetric board; anchors: first player {ul}, second player {ur}\n")
+        save_game(Game(h.vertices, h.edges, h.edges), fh)
     _emit([("written", args.output), ("anchors", f"{ul} {ur}"),
            ("rank", h.rank)])
     return 0
@@ -245,7 +239,7 @@ def _cmd_verify(args) -> int:
                    verification.sat_win_battery(full_two_clause=full),
                    verification.qbf_battery()]
     checked = sum(r.checked for r in reports)
-    failed = sum(len(r.failures) for r in reports)
+    failed = sum(r.failed for r in reports)
     _emit([("seed", args.seed)])
     for report in reports:
         for line in report.lines():
@@ -273,12 +267,6 @@ def run(argv: Optional[list[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except RecursionError:
-        # The searches recurse once per move, so a game with more moves than
-        # the interpreter's recursion limit allows is out of resources too.
-        print(f"error: the search went deeper than the recursion limit "
-              f"({sys.getrecursionlimit()})", file=sys.stderr)
         return 3
     except ApgParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,12 +44,8 @@ class EdgeTooLargeError(ApgError):
 
 
 class ResourceLimitError(ApgError):
-    """The solver exceeded its node budget; the answer is unknown, not a value."""
-
-    def __init__(self, nodes: int, limit: int):
-        self.nodes = nodes
-        self.limit = limit
-        super().__init__(f"node budget exhausted ({nodes} >= {limit})")
+    """The solver exceeded its node budget or searched deeper than the
+    recursion limit; the answer is unknown, not a value."""
 
 
 class IllegalOutcomeError(ApgError):

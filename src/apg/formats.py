@@ -9,7 +9,6 @@ edges, each in canonical sorted order, so parse(serialize(g)) == g.
 
 from __future__ import annotations
 
-import io
 from typing import Iterable, TextIO
 
 from .core import Game, mask_indices, new_game
@@ -81,13 +80,3 @@ def save_game(game: Game, path_or_file: str | TextIO) -> None:
             fh.write(text)
     else:
         path_or_file.write(text)
-
-
-
-def save_game_with_comments(game: Game, path: str, comments: Iterable[str]) -> None:
-    buf = io.StringIO()
-    for c in comments:
-        buf.write(f"# {c}\n")
-    buf.write(serialize_game(game))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())

@@ -6,8 +6,8 @@ import itertools
 import random
 from typing import Iterable, Optional
 
-from .core import Game, Outcome, Player, disjoint_union, new_game
-from .errors import KTooLargeError
+from .core import Game, Outcome, Pairing, Player, disjoint_union, new_game
+from .errors import KTooLargeError, ResourceLimitError
 from .solver import Solver, union_outcome_allowed
 
 
@@ -108,15 +108,16 @@ def random_game(rng: random.Random,
     n = rng.randint(min_vertices, max_vertices)
     verts = [f"{prefix}{i}" for i in range(n)]
     cap = max_edges if max_edges is not None else max(2, n)
+    return new_game(verts, _random_edges(rng, verts, cap, max_edge_size),
+                    _random_edges(rng, verts, cap, max_edge_size))
 
-    def edges() -> list[list[str]]:
-        out = []
-        for _ in range(rng.randint(0, cap)):
-            size = rng.randint(1, min(max_edge_size, n))
-            out.append(rng.sample(verts, size))
-        return out
 
-    return new_game(verts, edges(), edges())
+def _random_edges(rng: random.Random, verts: list[str], cap: int,
+                  max_edge_size: int) -> list[list[str]]:
+    # Up to ``cap`` edges, each of 1 to ``max_edge_size`` distinct vertices.
+    size_cap = min(max_edge_size, len(verts))
+    return [rng.sample(verts, rng.randint(1, size_cap))
+            for _ in range(rng.randint(0, cap))]
 
 
 def random_symmetric_game(rng: random.Random,
@@ -124,10 +125,7 @@ def random_symmetric_game(rng: random.Random,
                           max_edge_size: int = 3) -> Game:
     n = rng.randint(1, max_vertices)
     verts = [f"v{i}" for i in range(n)]
-    edges = []
-    for _ in range(rng.randint(0, max(2, n))):
-        size = rng.randint(1, min(max_edge_size, n))
-        edges.append(rng.sample(verts, size))
+    edges = _random_edges(rng, verts, max(2, n), max_edge_size)
     return new_game(verts, edges, edges)
 
 
@@ -136,8 +134,6 @@ def random_paired_game(rng: random.Random,
                        extra_vertices: int = 2,
                        max_edge_size: int = 3):
     """A game plus a pairing that hits every blue edge (for blocking checks)."""
-    from .core import Pairing
-
     n = 2 * pairs + extra_vertices
     verts = [f"v{i}" for i in range(n)]
     pair_list = [(verts[2 * i], verts[2 * i + 1]) for i in range(pairs)]
@@ -149,10 +145,7 @@ def random_paired_game(rng: random.Random,
         while len(edge) < target:
             edge.add(verts[rng.randrange(n)])
         blue.append(sorted(edge))
-    red = []
-    for _ in range(rng.randint(0, 3)):
-        size = rng.randint(1, min(max_edge_size, n))
-        red.append(rng.sample(verts, size))
+    red = _random_edges(rng, verts, 3, max_edge_size)
     return new_game(verts, blue, red), Pairing.of(pair_list)
 
 
@@ -182,8 +175,6 @@ def find_union_witness(cell: tuple[Outcome, Outcome],
     """
     if not union_outcome_allowed(cell[0], cell[1], target):
         raise ValueError(f"{target} is not a possible union outcome for {cell}")
-    from .errors import ResourceLimitError
-
     solver = solver or Solver()
     rng = rng_for(seed, f"union-witness/{cell[0]}/{cell[1]}/{target}")
     first: list[Game] = []

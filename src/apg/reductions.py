@@ -35,7 +35,7 @@ from .errors import (
     TooLargeError,
 )
 from .gadgets import butterfly
-from .kernel import canonical_right_reply
+from .kernel import canonical_right_reply, mask_indices, unit_mask
 from .solver import Solver, SolverConfig
 
 
@@ -403,8 +403,7 @@ def check_forced_script(output: ReductionOutput,
 
     def units_of(updated: Game, color: Player) -> list[str]:
         masks = updated.blue if color is Player.LEFT else updated.red
-        return sorted(updated.vertices[m.bit_length() - 1]
-                      for m in masks if m.bit_count() == 1)
+        return sorted(updated.vertices[i] for i in mask_indices(unit_mask(masks)))
 
     def play_checked(vertex: str) -> None:
         nonlocal pos, step

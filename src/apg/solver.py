@@ -14,9 +14,10 @@ every node cost more than it saved.  The mask-level state operations
 (child states, twin reduction, domination, move order, the canonical
 Right strategy) live in ``kernel.py``; this module holds the memo, the
 node budget and the queries.  Each public query runs in one bracket,
-``Solver._query``: it installs fresh counters (``last_stats``), and with
-them the node budget, and sets the query's elapsed time on the way out,
-also when the budget runs out.
+``_Query``: it installs fresh counters (``last_stats``), and with them the
+node budget, and sets the query's elapsed time on the way out, also when a
+limit is reached.  A query runs out one way, by ``ResourceLimitError``: for
+the node budget, or for a search deeper than the recursion limit.
 
 One search (``Solver._eval``) answers every question but the delay.  Besides
 the game values it answers one question with Right's moves fixed: whether
@@ -110,6 +111,7 @@ in which one side may pass.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -222,11 +224,15 @@ class Trace:
 
 
 class _Query:
-    # The context manager behind Solver._query.  A class rather than a
-    # contextlib generator: on the exhaustive batteries' ~2M queries of at
-    # most four vertices (12-16 us each on a 2-vCPU guest, Python 3.11) a
-    # generator cost 1.8-2.4 us per query more than a plain try/finally,
-    # and this class 0.4-0.9 us.
+    # One public query's bracket: fresh counters, and with them the node
+    # budget, and its elapsed time, set also when a limit is reached.  The
+    # searches recurse once per move (a forced line once per two), so a
+    # game deeper than the interpreter's recursion limit runs out of
+    # resources too: its RecursionError leaves as ResourceLimitError.  A
+    # class rather than a contextlib generator: on the exhaustive
+    # batteries' ~2M queries of at most four vertices (12-16 us each on a
+    # 2-vCPU guest, Python 3.11) a generator cost 1.8-2.4 us per query more
+    # than a plain try/finally, and this class 0.4-0.9 us.
     __slots__ = ("stats", "t0")
 
     def __init__(self, solver: Solver):
@@ -235,8 +241,11 @@ class _Query:
     def __enter__(self) -> None:
         self.t0 = time.perf_counter()
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, kind, exc, tb) -> None:
         self.stats.elapsed = time.perf_counter() - self.t0
+        if isinstance(exc, RecursionError):
+            raise ResourceLimitError(f"the search went deeper than the recursion "
+                                     f"limit ({sys.getrecursionlimit()})") from exc
 
 
 class Solver:
@@ -255,7 +264,8 @@ class Solver:
         stats = self.last_stats
         stats.nodes_expanded += 1
         if stats.nodes_expanded > self.config.node_limit:
-            raise ResourceLimitError(stats.nodes_expanded, self.config.node_limit)
+            raise ResourceLimitError(f"node budget exhausted "
+                                     f"({stats.nodes_expanded} >= {self.config.node_limit})")
         if depth > stats.max_depth:
             stats.max_depth = depth
 
@@ -377,7 +387,7 @@ class Solver:
         return state
 
     def _value(self, state: State) -> int:
-        state = self._root(state)
+        # The mover's value of a query root, which the caller has reduced.
         if self._eval(state, True, 0):
             return _WIN
         if self._eval(state, False, 0):
@@ -392,11 +402,6 @@ class Solver:
             return GameResult.LEFT_WIN
         return GameResult.RIGHT_WIN
 
-    def _query(self) -> _Query:
-        # One query's bracket: fresh counters, and with them the node
-        # budget, and its elapsed time, set also when a limit is raised.
-        return _Query(self)
-
     # -- public queries ----------------------------------------------------
 
     def solve(self, game: Game, first_player: Player) -> GameResult:
@@ -406,8 +411,8 @@ class Solver:
     def solve_state(self, state: State, first_player: Player) -> GameResult:
         """:meth:`solve` on a mask-level state ``(n, blue, red)``, each edge
         tuple deduplicated and sorted (see ``kernel``)."""
-        with self._query():
-            value = self._value(_facing(state, first_player))
+        with _Query(self):
+            value = self._value(self._root(_facing(state, first_player)))
             return self._to_game_result(value, first_player)
 
     def survives_canonical_right(self, game: Game) -> bool:
@@ -420,7 +425,7 @@ class Solver:
         """
         if any(m.bit_count() > 3 for m in game.blue) or any(m.bit_count() > 2 for m in game.red):
             raise EdgeTooLargeError("needs blue edges of size <= 3 and red of size <= 2")
-        with self._query():
+        with _Query(self):
             return self._eval(self._root(state_of_game(game)), False, 0, True)
 
     def outcome(self, game: Game) -> Outcome:
@@ -429,19 +434,21 @@ class Solver:
 
     def outcome_state(self, state: State) -> tuple[GameResult, GameResult]:
         """The values of a mask-level state with Left and with Right first,
-        as one query: ``last_stats`` covers both."""
-        with self._query():
-            right = _facing(state, Player.RIGHT)
-            return (self._to_game_result(self._value(state), Player.LEFT),
-                    self._to_game_result(self._value(right), Player.RIGHT))
+        as one query: ``last_stats`` covers both.  Twin reduction treats the
+        colours alike, so the root is reduced once for both first players."""
+        with _Query(self):
+            root = self._root(state)
+            return (self._to_game_result(self._value(root), Player.LEFT),
+                    self._to_game_result(self._value(_facing(root, Player.RIGHT)),
+                                         Player.RIGHT))
 
     def move_value(self, position: Position, vertex: str) -> GameResult:
         """Value of one candidate move from a position, for the side to move."""
-        with self._query():
+        with _Query(self):
             game = position.updated_game()
             after = child(_facing(state_of_game(game), position.to_move),
                           game.index_of(vertex))
-            value = _WIN if after is None else -self._value(after)
+            value = _WIN if after is None else -self._value(self._root(after))
             return self._to_game_result(value, position.to_move)
 
     def _pick(self, state: State, value: int) -> int:
@@ -465,10 +472,10 @@ class Solver:
         """
         if status(position) != Status(StatusKind.ONGOING):
             raise ValueError("best_move needs an ongoing position")
-        with self._query():
+        with _Query(self):
             game = position.updated_game()
             state = _facing(state_of_game(game), position.to_move)
-            value = _WIN if unit_mask(state[1]) else self._value(state)
+            value = _WIN if unit_mask(state[1]) else self._value(self._root(state))
             return (game.vertices[self._pick(state, value)],
                     self._to_game_result(value, position.to_move))
 
@@ -477,9 +484,9 @@ class Solver:
         agree with the solved value.  One query: the root is solved once and
         each ply picks as :meth:`best_move` does, so ``last_stats`` and the
         node budget cover the whole trace."""
-        with self._query():
+        with _Query(self):
             state = _facing(state_of_game(game), first_player)
-            value = self._value(state)
+            value = self._value(self._root(state))
             expected = self._to_game_result(value, first_player)
             names = game.vertices
             pos = Position.start(game, first_player)
@@ -658,7 +665,7 @@ class Solver:
         finiteness check and the delay search together.  Solving the game
         first on the same solver leaves the delay search's counters alone.
         """
-        with self._query():
+        with _Query(self):
             state = _facing(state_of_game(game), protagonist)
             if not self._eval(self._root(state), True, 0):
                 return INFINITE_DELAY

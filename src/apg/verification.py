@@ -22,6 +22,7 @@ from .core import (
     leq_left,
     new_game,
     new_hypergraph,
+    outcome_from_results,
     update,
 )
 from .errors import IllegalOutcomeError
@@ -32,7 +33,14 @@ from .gadgets import (
     rng_for,
     win_in_k,
 )
-from .ops import antichain, check_pairing, greedy_move, maker_breaker_game, minimal_transversals
+from .ops import (
+    antichain,
+    check_pairing,
+    greedy_move,
+    maker_breaker_game,
+    minimal_transversals,
+    twin_reduce,
+)
 from .poly22 import solve22_masks
 from .reductions import (
     CanonicalRightResult,
@@ -60,12 +68,15 @@ class BatteryReport:
     checked: int = 0
     failures: list[str] = field(default_factory=list)
     info: dict[str, object] = field(default_factory=dict)
+    # Every failure counts here; ``failures`` keeps at most ``cap`` messages.
+    failed: int = field(default=0, init=False)
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failed
 
     def fail(self, message: str, cap: int = 20) -> None:
+        self.failed += 1
         if len(self.failures) < cap:
             self.failures.append(message)
         else:
@@ -74,7 +85,7 @@ class BatteryReport:
     def lines(self) -> list[str]:
         out = [f"battery: {self.name}",
                f"checked: {self.checked}",
-               f"failures: {len(self.failures)}"]
+               f"failures: {self.failed}"]
         for key, value in self.info.items():
             out.append(f"{key}: {value}")
         out += [f"failure_detail: {f}" for f in self.failures[:20]]
@@ -102,13 +113,20 @@ def iter_22_states(n: int) -> Iterable[tuple[int, tuple[int, ...], tuple[int, ..
             yield (n, blue, red)
 
 
-_FORBIDDEN = {(RW, LW), (DR, LW), (RW, DR)}
-
 # The search alone, for checks on size-2 boards: with these three cutoffs
 # off, no node is handed to poly22 (the leaf oracle) or decided by its P3
 # step (the double-threat rule).
 _SEARCH_ONLY = SolverConfig(use_leaf_oracle=False, use_potentials=False,
                             use_double_threats=False)
+
+
+def _exhaustive_22_outcomes(max_vertices: int):
+    """Every state of ``iter_22_states`` up to ``max_vertices`` vertices, with
+    its values (Left first, Right first) from the search alone."""
+    solver = Solver(replace(_SEARCH_ONLY, memo_max_vertices=max(0, max_vertices - 1)))
+    for n in range(max_vertices + 1):
+        for state in iter_22_states(n):
+            yield state, solver.outcome_state(state)
 
 
 def random_22_state(rng, max_vertices: int, exact: Optional[int] = None):
@@ -130,14 +148,12 @@ def outcome_legality(seed: int = 0,
                      exhaustive_max_vertices: int = 4) -> BatteryReport:
     """No game may produce one of the three impossible outcome rows."""
     report = BatteryReport("outcome-legality")
-    solver = Solver(replace(_SEARCH_ONLY,
-                            memo_max_vertices=max(0, exhaustive_max_vertices - 1)))
-    for n in range(exhaustive_max_vertices + 1):
-        for state in iter_22_states(n):
-            report.checked += 1
-            pair = solver.outcome_state(state)
-            if pair in _FORBIDDEN:
-                report.fail(f"illegal outcome {pair} for {state}")
+    for state, pair in _exhaustive_22_outcomes(exhaustive_max_vertices):
+        report.checked += 1
+        try:
+            outcome_from_results(*pair)
+        except IllegalOutcomeError as exc:
+            report.fail(f"{exc} for {state}")
     rng = rng_for(seed, "outcome-legality")
     big = Solver()
     for _ in range(random_trials):
@@ -166,15 +182,12 @@ def poly22_agreement(seed: int = 0,
     by a dense seeded sample instead, plus random games up to 14 vertices.
     """
     report = BatteryReport("poly22-agreement")
-    solver = Solver(replace(_SEARCH_ONLY,
-                            memo_max_vertices=max(0, exhaustive_max_vertices - 1)))
-    for n in range(exhaustive_max_vertices + 1):
-        for state in iter_22_states(n):
-            report.checked += 1
-            for player, want in zip((L, R), solver.outcome_state(state)):
-                got = solve22_masks(*state, player)
-                if got != want:
-                    report.fail(f"{state} first={player}: poly {got} vs solver {want}")
+    for state, pair in _exhaustive_22_outcomes(exhaustive_max_vertices):
+        report.checked += 1
+        for player, want in zip((L, R), pair):
+            got = solve22_masks(*state, player)
+            if got != want:
+                report.fail(f"{state} first={player}: poly {got} vs solver {want}")
     rng = rng_for(seed, "poly22-random")
     big = Solver(_SEARCH_ONLY)
     for trials, exact in ((five_vertex_trials, 5), (random_trials, None)):
@@ -343,8 +356,6 @@ def law_dominating_option(seed: int = 0, trials: int = 1000) -> BatteryReport:
 
 def law_twin_removal(seed: int = 0, trials: int = 1000) -> BatteryReport:
     """Removing a twin pair preserves the outcome exactly, step by step."""
-    from .ops import twin_reduce
-
     report = BatteryReport("law-twin-removal")
     rng = rng_for(seed, "twins")
     s = Solver()

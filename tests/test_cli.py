@@ -7,6 +7,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from apg import verification
 from apg.cli import run
 
 
@@ -132,6 +133,21 @@ def test_verify_deterministic_output():
     _, out1 = invoke(["verify", "table3", "--seed", "7", "--trials", "40"])
     _, out2 = invoke(["verify", "table3", "--seed", "7", "--trials", "40"])
     assert out1 == out2
+
+
+def test_verify_counts_every_failure(monkeypatch):
+    # Only 20 failure messages are kept, but all 50 failures are counted, in
+    # the battery's lines and in the agreement line.
+    report = verification.BatteryReport("stub", checked=100)
+    for i in range(50):
+        report.fail(f"case {i}")
+    assert len(report.failures) == 20 and not report.ok
+    monkeypatch.setattr(verification, "poly22_agreement", lambda **_: report)
+    code, out = invoke(["verify", "poly22"])
+    lines = out.splitlines()
+    assert code == 2
+    assert "failures: 50" in lines and lines[-1] == "agreement: 50/100"
+    assert sum(line.startswith("failure_detail: ") for line in lines) == 20
 
 
 def test_parse_error_exit_code(tmp_path):

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 
 import pytest
 
@@ -299,17 +300,50 @@ def test_max_depth_covers_one_query():
 
 
 def test_outcome_state_is_one_query_for_both_first_players():
+    # One twin reduction of the root, read in both colour orders, asks the
+    # same questions as two solve_state queries: twin reduction treats the
+    # colours alike.  Boards with twins are where the two could differ.
     rng = rng_for(8, "outcome-state")
+    with_twins = 0
     for _ in range(40):
-        state = state_of_game(random_game(rng, max_vertices=8, max_edge_size=3))
+        n, blue, red = state = state_of_game(random_game(rng, max_vertices=8,
+                                                         max_edge_size=3))
+        reduced, pairs = kernel_twin_reduce(state)
+        with_twins += bool(pairs)
+        assert kernel_twin_reduce((n, red, blue))[0] == (reduced[0], reduced[2], reduced[1])
         both = Solver()
         pair = both.outcome_state(state)
         apart = Solver()
         left = apart.solve_state(state, L)
-        nodes = apart.last_stats.nodes_expanded
+        first = apart.last_stats
         right = apart.solve_state(state, R)
+        second = apart.last_stats
         assert pair == (left, right)
-        assert both.last_stats.nodes_expanded == nodes + apart.last_stats.nodes_expanded
+        for name in ("nodes_expanded", "memo_hits", "leaf_calls", "potential_cutoffs",
+                     "threat_cutoffs", "forced_replies"):
+            assert getattr(both.last_stats, name) == getattr(first, name) + getattr(second, name)
+        assert both.last_stats.max_depth == max(first.max_depth, second.max_depth)
+    assert with_twins >= 10
+
+
+def test_a_search_past_the_recursion_limit_raises_resource_limit_error():
+    # A query answers or raises ResourceLimitError, for the recursion limit
+    # as for the node budget, and the solver still answers afterwards.  The
+    # limit is lowered so that a 400-vertex alternating chain passes it.
+    verts = [f"v{i}" for i in range(400)]
+    g = new_game(verts, [verts[i:i + 2] for i in range(0, 399, 2)],
+                 [verts[i:i + 2] for i in range(1, 399, 2)])
+    s = Solver(SolverConfig(use_leaf_oracle=False))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        with pytest.raises(ResourceLimitError) as exc:
+            s.solve(g, L)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert str(exc.value) == "the search went deeper than the recursion limit (200)"
+    assert s.last_stats.nodes_expanded > 0 and s.last_stats.elapsed > 0
+    assert s.solve(butterfly(), L) is LW
 
 
 QUERIES = {
