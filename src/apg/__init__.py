@@ -47,6 +47,7 @@ from .gadgets import butterfly, find_union_witness, outcome_exemplar, win_in_k
 from .ops import (
     check_pairing,
     dominated_moves,
+    find_pairing,
     greedy_move,
     maker_breaker_game,
     minimal_transversals,

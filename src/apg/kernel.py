@@ -9,8 +9,8 @@ to move is ``(n, red, blue)``.  The game is colour-symmetric, so one rule
 serves both players and a position and its colour-swapped mirror share a
 memo entry.  The twin and domination functions treat both sides alike;
 the others read the view.  The functions here are pure; the solver's
-search, ``reductions.canonical_right_move`` and the domination queries of
-``ops`` all call them, so each rule is written once.
+search, ``reductions.canonical_right_move`` and the domination and pairing
+queries of ``ops`` all call them, so each rule is written once.
 
 Per-node costs are kept low by reading each edge's bit positions from a
 bounded cache (:func:`bits`) and by working on whole masks where a vertex
@@ -167,6 +167,86 @@ def twin_reduce(state: State) -> tuple[State, list[tuple[int, int]]]:
         n -= removed.bit_count()
         state = (n, blue, red)
     return state, pairs
+
+
+def pairing(masks: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """A pairing of the distinct edges ``masks``: one two-vertex mask inside
+    each edge, in the order given, no two sharing a vertex; None when there
+    is none.
+
+    It is a matching of two slots per edge into the vertices, so one exists
+    exactly when Hall's condition holds with demand 2: every k of the edges
+    hold at least 2k vertices together.  A one-vertex edge, or fewer than
+    2k vertices under all k edges, rejects at once; pairs are then
+    disjoint exactly when they hold 2k vertices, so a family of pairs needs
+    no more.  Otherwise each edge takes free vertices greedily, and a slot
+    left empty is filled by a breadth-first augmenting path, a loop with no
+    recursion however long the path.
+    """
+    union = 0
+    pairs_only = True
+    for m in masks:
+        high = m & (m - 1)
+        if not high:
+            return None
+        if high & (high - 1):
+            pairs_only = False
+        union |= m
+    if union.bit_count() < 2 * len(masks):
+        return None
+    if pairs_only:
+        return tuple(masks)
+    owner = [-1] * union.bit_length()  # the edge holding each vertex
+    held = [0] * len(masks)  # the vertices each edge holds
+    used = 0
+    for k, m in enumerate(masks):
+        for _ in range(2):
+            free = m & ~used
+            if free:
+                low = free & -free
+                owner[low.bit_length() - 1] = k
+                held[k] |= low
+            else:
+                low = _augment(masks, owner, held, k)
+                if not low:
+                    return None
+            used |= low
+    return tuple(held)
+
+
+def _augment(masks: Sequence[int], owner: list[int], held: list[int],
+             k: int) -> int:
+    # One more vertex for edge k, by a breadth-first search from k for a
+    # vertex no edge holds: each edge on the path gives the vertex it was
+    # entered by to the edge before it and takes the next one.  Returns the
+    # bit of that free vertex, now held, or 0 when there is no such path.
+    via = {}  # each reached vertex: the edge that reached it
+    entry = {k: -1}  # each reached edge: the vertex it was entered by
+    seen = held[k]
+    queue = [k]
+    for f in queue:  # the queue grows while it is read
+        reach = masks[f] & ~seen
+        seen |= reach
+        while reach:
+            low = reach & -reach
+            reach ^= low
+            v = low.bit_length() - 1
+            g = owner[v]
+            if g < 0:
+                # Flip the path back to k.
+                while f != k:
+                    u = entry[f]
+                    owner[v] = f
+                    held[f] ^= (1 << u) | (1 << v)
+                    v, f = u, via[u]
+                owner[v] = k
+                held[k] |= 1 << v
+                return low
+            via[v] = f
+            if g not in entry:
+                entry[g] = v
+                queue.append(g)
+    return 0
 
 
 def _domination(n: int, cover: list[int], units: int) -> tuple[int, int]:

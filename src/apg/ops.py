@@ -7,7 +7,7 @@ are pure; the solver reuses the same rules on its internal states.
 
 from __future__ import annotations
 
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Optional
 
 from .core import (
     Game,
@@ -18,7 +18,7 @@ from .core import (
     mask_indices,
 )
 from .errors import EmptyEdgeError, TooLargeError
-from .kernel import covers, dominated_mask, prunable_mask, state_of_game
+from .kernel import covers, dominated_mask, pairing, prunable_mask, state_of_game
 from .kernel import twin_reduce as kernel_twin_reduce
 
 
@@ -108,6 +108,19 @@ def check_pairing(game: Game, pairing: Pairing, defender: Player) -> bool:
         if not any(edge & pm == pm for pm in pair_masks):
             return False
     return True
+
+
+def find_pairing(game: Game, defender: Player) -> Optional[Pairing]:
+    """A pairing that :func:`check_pairing` accepts for the defender, with
+    one pair inside each attacker edge and none shared (``kernel.pairing``),
+    or None when the attacker's edges admit no such pairing.  An attacker
+    edge may hold a pair of another edge's, so None does not rule out every
+    pairing :func:`check_pairing` would accept."""
+    attacked = game.blue if defender is Player.RIGHT else game.red
+    pairs = pairing(attacked)
+    if pairs is None:
+        return None
+    return Pairing.of(game.names_of(m) for m in pairs)
 
 
 DEFAULT_TRANSVERSAL_BOUND = 20

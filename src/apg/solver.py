@@ -56,6 +56,21 @@ each individually toggleable:
     opponent completes nothing on the next pick and blocks only one of the
     two, so the mover wins: the node is True for both questions.
 
+One rule runs at query roots only, ``_eval`` at depth 0, where ``_settle``
+leaves the node open: the pairing rule (``use_pairing``), after Hales and
+Jewett (Trans. AMS 106, 1963).  A player holding vertex-disjoint pairs, one
+inside each of the other side's edges, answers a pick in a pair with its
+partner and so keeps every such edge from being filled, moving first or
+second.  So "can the mover win?" is False when ``kernel.pairing`` finds
+the opponent a pairing of the mover's edges, and "can the mover avoid
+losing?" is True when it finds the mover one of the opponent's.  Depth 0
+is every query root: the value questions, the canonical query (whose root
+has a game value), the delay's finiteness check and each child question
+of ``_pick``.  A root decided this way saves a whole search, while below
+the roots the matching cost more than it saved: asked at every node it
+was no faster on the benchmark's gadgets and slowed a 65-vertex draw
+gadget by a quarter.
+
 Two more rules settle a child at its parent, from masks the parent reads
 in the pass that orders its moves (``kernel.expand``), so the child is
 never built, ticked or looked up:
@@ -135,6 +150,7 @@ from .kernel import (
     expand,
     grandchild,
     opponent_reply,
+    pairing,
     state_of_game,
     twin_reduce,
     unit_mask,
@@ -179,6 +195,7 @@ class SolveStats:
     potential_cutoffs: int = 0
     threat_cutoffs: int = 0
     forced_replies: int = 0
+    pairing_cutoffs: int = 0
 
     def as_text(self) -> str:
         return (f"nodes_expanded: {self.nodes_expanded}\n"
@@ -187,7 +204,8 @@ class SolveStats:
                 f"leaf_calls: {self.leaf_calls}\n"
                 f"potential_cutoffs: {self.potential_cutoffs}\n"
                 f"threat_cutoffs: {self.threat_cutoffs}\n"
-                f"forced_replies: {self.forced_replies}")
+                f"forced_replies: {self.forced_replies}\n"
+                f"pairing_cutoffs: {self.pairing_cutoffs}")
 
 
 @dataclass
@@ -199,6 +217,7 @@ class SolverConfig:
     use_leaf_oracle: bool = True
     use_potentials: bool = True
     use_double_threats: bool = True
+    use_pairing: bool = True
     # When set, memoize only positions with at most this many free vertices;
     # exhaustive batteries use it to keep the table tiny while their top-level
     # queries still share all sub-position work.
@@ -338,6 +357,13 @@ class Solver:
             self.last_stats.memo_hits += 1
             return cached
         result, block = self._settle(state, want_win)
+        if result is None and depth == 0 and self.config.use_pairing:
+            # The query roots' pairing rule: the opponent pairing the
+            # mover's edges stops a win, the mover pairing the opponent's
+            # stops a loss.
+            if pairing(state[1] if want_win else state[2]) is not None:
+                self.last_stats.pairing_cutoffs += 1
+                result = not want_win
         if result is None and canonical and state[0] == 1:
             result = True  # the board runs out before Right's reply
         if result is None:
@@ -627,7 +653,9 @@ class Solver:
         color (including when the antagonist fills one first).  Finite iff
         the protagonist wins the plain game as first player, which is
         checked first with one question of the game-value search, "can
-        the mover win?".
+        the mover win?".  That question's root gets the pairing rule: an
+        antagonist who pairs the protagonist's edges blocks every one of
+        them, passing or not, so the delay is infinite.
 
         A finite value is found by bounded questions, "does the protagonist
         win with at most d passes?" (``_delay_at_most``), asked for d = L,

@@ -36,6 +36,7 @@ from .gadgets import (
 from .ops import (
     antichain,
     check_pairing,
+    find_pairing,
     greedy_move,
     maker_breaker_game,
     minimal_transversals,
@@ -113,11 +114,11 @@ def iter_22_states(n: int) -> Iterable[tuple[int, tuple[int, ...], tuple[int, ..
             yield (n, blue, red)
 
 
-# The search alone, for checks on size-2 boards: with these three cutoffs
+# The search alone, for checks on size-2 boards: with these four cutoffs
 # off, no node is handed to poly22 (the leaf oracle) or decided by its P3
-# step (the double-threat rule).
+# step (the double-threat rule) or by a pairing.
 _SEARCH_ONLY = SolverConfig(use_leaf_oracle=False, use_potentials=False,
-                            use_double_threats=False)
+                            use_double_threats=False, use_pairing=False)
 
 
 def _exhaustive_22_outcomes(max_vertices: int):
@@ -290,10 +291,14 @@ def law_edge_monotonicity(seed: int = 0, trials: int = 1000) -> BatteryReport:
 
 
 def law_pairing_blocks(seed: int = 0, trials: int = 1000) -> BatteryReport:
-    """A complete pairing of the blue edges keeps Left from ever winning."""
+    """A complete pairing of the blue edges keeps Left from ever winning: the
+    generator's pairing, and the one ``find_pairing`` finds, which must pass
+    ``check_pairing``.  The values come from the search with the pairing
+    rule off, so the rule does not answer for the law it rests on."""
     report = BatteryReport("law-pairing")
     rng = rng_for(seed, "pairing")
-    s = Solver()
+    s = Solver(SolverConfig(use_pairing=False))
+    certified = 0
     for _ in range(trials):
         g, pairing = random_paired_game(rng, pairs=rng.randint(1, 3),
                                         extra_vertices=rng.randint(0, 2))
@@ -301,9 +306,15 @@ def law_pairing_blocks(seed: int = 0, trials: int = 1000) -> BatteryReport:
             report.fail(f"generator produced a non-covering pairing for {g!r}")
             continue
         report.checked += 1
+        found = find_pairing(g, R)
+        if found is not None:
+            certified += 1
+            if not check_pairing(g, found, R):
+                report.fail(f"find_pairing returned a non-covering pairing for {g!r}")
         if s.outcome(g) not in (Outcome.D, Outcome.R_MINUS, Outcome.R):
             report.fail(f"Left won a paired game: {g!r}")
     report.info["seed"] = seed
+    report.info["certified"] = certified
     return report
 
 

@@ -15,12 +15,24 @@ LEFT, RIGHT = Player.LEFT, Player.RIGHT
 
 
 def antichains(pool):
-    """Every set of edges from ``pool`` with no edge inside another."""
+    """Every set of edges from ``pool`` with no edge inside another, in the
+    order of the bitmask over ``pool`` that chooses it.  Sets are chosen
+    from the last edge down, and a set holding a nested pair is never
+    extended, so the cost follows the number of antichains, not 2^|pool|."""
     sets = [frozenset(e) for e in pool]
-    for bits in range(1 << len(pool)):
-        chosen = [s for i, s in enumerate(sets) if bits >> i & 1]
-        if not any(a < b for a in chosen for b in chosen):
-            yield [sorted(s) for s in chosen]
+
+    def extend(k, chosen):
+        # ``chosen``, from sets[k:] with the highest index first, extended by
+        # every choice among sets[:k].
+        if k == 0:
+            yield [sorted(s) for s in reversed(chosen)]
+            return
+        s = sets[k - 1]
+        yield from extend(k - 1, chosen)
+        if not any(s < c or c < s for c in chosen):
+            yield from extend(k - 1, chosen + [s])
+
+    yield from extend(len(sets), [])
 
 
 def brute_result(game: Game, first_player: Player) -> GameResult:

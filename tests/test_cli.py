@@ -198,12 +198,19 @@ def test_resource_limit_exit_code(butterfly_file, monkeypatch):
     assert code == 3
 
 
-def chain_file(tmp_path, n):
-    """An alternating chain of blue and red pairs over ``n`` vertices."""
+def chain_file(tmp_path, n, lead=""):
+    """An alternating chain of blue and red pairs over ``n`` vertices, after
+    the lines ``lead``."""
     path = tmp_path / "chain.apg"
-    path.write_text("".join(f"{'blue' if i % 2 == 0 else 'red'} v{i} v{i + 1}\n"
-                            for i in range(n - 1)))
+    path.write_text(lead + "".join(f"{'blue' if i % 2 == 0 else 'red'} v{i} v{i + 1}\n"
+                                   for i in range(n - 1)))
     return str(path)
+
+
+# A red unit at the chain's head blocks every pairing of Right's edges, so
+# the root does not settle "can Left avoid losing?" and the search follows
+# the forced line down the chain.
+DEEP = "red v0\n"
 
 
 def test_deep_search_exit_code(tmp_path, capsys):
@@ -211,7 +218,7 @@ def test_deep_search_exit_code(tmp_path, capsys):
     # 3 with one error line, not 1 with a traceback.  The limit is lowered for
     # the test so that a short chain reaches it quickly; a forced line takes
     # one frame per two moves.
-    path = chain_file(tmp_path, 400)
+    path = chain_file(tmp_path, 400, DEEP)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:
@@ -224,15 +231,26 @@ def test_deep_search_exit_code(tmp_path, capsys):
 
 
 def test_long_chain_search_is_bounded_by_the_node_budget(tmp_path, capsys, monkeypatch):
-    # Under the default recursion limit the search of a 1500-vertex chain
-    # runs until its node budget is spent, and exits 3 with one error line.
-    # A search that took a frame per move would pass that limit first.
-    path = chain_file(tmp_path, 1500)
-    monkeypatch.setenv("APG_NODE_LIMIT", "2000")
+    # Under the default recursion limit the search of a 1500-vertex chain,
+    # which decides in 750 nodes, runs until its smaller node budget is
+    # spent, and exits 3 with one error line.  A search that took a frame
+    # per move would pass the recursion limit first.
+    path = chain_file(tmp_path, 1500, DEEP)
+    monkeypatch.setenv("APG_NODE_LIMIT", "500")
     code, out = invoke(["solve", path, "--first", "left", "--algo", "search"])
     assert code == 3 and out == ""
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: node budget exhausted (2001 >= 2000)"]
+    assert err == ["error: node budget exhausted (501 >= 500)"]
+
+
+def test_paired_chain_is_decided_at_the_root(tmp_path):
+    # Deeper than the recursion limit for the search, but each colour's
+    # pairs are disjoint, so each side pairs the other's edges and both
+    # questions are settled at the root.
+    path = chain_file(tmp_path, 2000)
+    code, out = invoke(["solve", path, "--first", "left", "--algo", "search"])
+    assert code == 0
+    assert "result: Draw" in out and "pairing_cutoffs: 2" in out
 
 
 def test_roundtrip_through_cli(tmp_path, butterfly_file):

@@ -17,12 +17,15 @@ from apg.kernel import (
     expand,
     grandchild,
     opponent_reply,
+    pairing,
     prunable_mask,
     state_of_game,
     twin_reduce,
     unit_mask,
 )
 from apg.reductions import CnfFormula, sat_draw_game, sat_win_game
+
+from oracles import antichains
 
 PHI3 = CnfFormula(3, ((1, 2, 3), (-1, -2, 3), (1, -2, -3)))
 
@@ -309,15 +312,79 @@ def test_compress_drops_positions_in_order():
         assert compress(mask, removed) == want
 
 
+def brute_pairing(masks):
+    """Whether each edge can take a pair of its own, disjoint from the
+    others', by trying every pair of each edge in turn."""
+    def fill(k, used):
+        if k == len(masks):
+            return True
+        return any(fill(k + 1, used | 1 << a | 1 << b)
+                   for a, b in itertools.combinations(bits(masks[k]), 2)
+                   if not (used >> a | used >> b) & 1)
+    return fill(0, 0)
+
+
+def assert_pairs(masks, pairs):
+    # One pair inside each edge, no two sharing a vertex.
+    assert len(pairs) == len(masks)
+    used = 0
+    for pair, m in zip(pairs, masks):
+        assert pair.bit_count() == 2 and pair & ~m == 0 and not pair & used
+        used |= pair
+
+
+def test_pairing_agrees_with_brute_force():
+    # Every antichain of nonempty edges over at most five vertices, in both
+    # edge orders, then seeded random families on more vertices, where an
+    # edge's slots are filled by augmenting paths more often.
+    found = missing = 0
+    families = []
+    for n in range(6):
+        pool = [c for r in range(1, n + 1) for c in itertools.combinations(range(n), r)]
+        for family in antichains(pool):
+            masks = [sum(1 << i for i in e) for e in family]
+            families += [masks, masks[::-1]]
+    rng = random.Random(17)
+    for _ in range(3000):
+        n = rng.randint(6, 9)
+        families.append(list({rng.getrandbits(n) | 1 << rng.randrange(n)
+                              for _ in range(rng.randint(2, 4))}))
+    for masks in families:
+        got = pairing(masks)
+        assert (got is not None) == brute_pairing(masks), masks
+        if got is None:
+            missing += 1
+        else:
+            found += 1
+            assert_pairs(masks, got)
+    assert found > 1000 and missing > 1000
+
+
+def test_pairing_follows_a_long_augmenting_path():
+    # Edge i holds vertices 2i+1..2i+3 and each takes its lowest two; the
+    # last edge, {0, 1, 2}, then fills its second slot by a path through
+    # every edge to vertex 2E-1.  A recursive search would go E frames deep,
+    # past the default recursion limit.
+    count = 2000
+    masks = [0b111 << (2 * i + 1) for i in range(count - 1)] + [0b111]
+    got = pairing(masks)
+    assert got == tuple(0b11 << (2 * i + 2) for i in range(count - 1)) + (0b11,)
+    assert_pairs(masks, got)
+    # One edge more on the chain's 2E vertices, {0, 1}, leaves them too
+    # few, and is refused after the whole chain is searched; the far edge
+    # brings four vertices of its own, so the count over all edges passes.
+    assert pairing(masks + [0b1111 << (2 * count), 0b11]) is None
+
+
 def test_phi3_node_counts_are_pinned():
     # Exact search size without the cutoffs that end nodes early (forced
     # blocks and the forced replies that ride on them stay on): any change
     # to the candidate set, their order or the canonical states moves these
     # counts.  The default configuration's counts are pinned beside them.
     search_only = SolverConfig(use_leaf_oracle=False, use_potentials=False,
-                               use_double_threats=False)
+                               use_double_threats=False, use_pairing=False)
     for config, draw_nodes, win_nodes in ((search_only, 9545, 9690),
-                                          (SolverConfig(), 449, 76)):
+                                          (SolverConfig(), 13, 76)):
         s = Solver(config)
         assert s.solve(sat_draw_game(PHI3).game, Player.LEFT) is GameResult.DRAW
         assert s.last_stats.nodes_expanded == draw_nodes

@@ -11,6 +11,7 @@ from apg import (
     butterfly,
     check_pairing,
     dominated_moves,
+    find_pairing,
     greedy_move,
     maker_breaker_game,
     minimal_transversals,
@@ -189,6 +190,20 @@ def test_pairing_validation():
         Pairing.of([("a", "a")])
     with pytest.raises(ValueError):
         Pairing.of([("a", "b"), ("b", "c")])
+
+
+def test_find_pairing_is_one_pair_per_edge():
+    # Two blue triples through a and b take disjoint pairs of their own; a
+    # third leaves five vertices for three pairs, so none is found, though
+    # the shared pair {a, b} alone still blocks every one of them.
+    vs = list("abcde")
+    g = new_game(vs, [["a", "b", "c"], ["a", "b", "d"]], [["e"]])
+    found = find_pairing(g, R)
+    assert found is not None and check_pairing(g, found, R)
+    assert find_pairing(g, L) is None  # a one-vertex red edge holds no pair
+    g = new_game(vs, [["a", "b", v] for v in "cde"], [])
+    assert find_pairing(g, R) is None
+    assert check_pairing(g, Pairing.of([("a", "b")]), R)
 
 
 # -- transversals ---------------------------------------------------------------

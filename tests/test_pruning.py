@@ -1,10 +1,13 @@
 """Pruning soundness: every cutoff and reduction can be switched off without
 changing any value."""
 
+import dataclasses
 import itertools
 
 from apg import Player, Solver, SolverConfig, new_game
-from apg.gadgets import random_game, rng_for
+from apg.core import game_from_masks
+from apg.gadgets import random_game, random_paired_game, rng_for
+from apg.kernel import bits, pairing
 
 from oracles import antichains, brute_result
 
@@ -12,10 +15,14 @@ L, R = Player.LEFT, Player.RIGHT
 
 PLAIN = SolverConfig(use_twin_reduction=False, use_domination=False,
                      use_forced_moves=False, use_leaf_oracle=False,
-                     use_potentials=False, use_double_threats=False)
+                     use_potentials=False, use_double_threats=False,
+                     use_pairing=False)
 
 
 NO_THREATS = SolverConfig(use_double_threats=False)
+
+# The pairing rule alone, on the plain search.
+PAIRING = dataclasses.replace(PLAIN, use_pairing=True)
 
 
 def test_exhaustive_three_vertex_games_any_rank():
@@ -43,12 +50,13 @@ def test_exhaustive_four_vertex_games_rank3():
     # An edge holding another edge of its colour never decides a game (the
     # smaller one is filled first), so the antichains of edges of size <= 3
     # stand for every board of up to 4 vertices with such edges.
-    checked = threats = replies = 0
+    checked = threats = replies = paired = 0
     for n in range(5):
         verts = "abcd"[:n]
         pool = [c for r in (1, 2, 3) for c in itertools.combinations(verts, r)]
         families = list(antichains(pool))
         plain, tuned, no_threats = Solver(PLAIN), Solver(), Solver(NO_THREATS)
+        pairs_only = Solver(PAIRING)
         for blue in families:
             for red in families:
                 g = new_game(verts, blue, red)
@@ -58,44 +66,97 @@ def test_exhaustive_four_vertex_games_rank3():
                     assert plain.solve(g, first) == want, g
                     assert no_threats.solve(g, first) == want, g
                     assert tuned.solve(g, first) == want, g
+                    assert pairs_only.solve(g, first) == want, g
                     threats += tuned.last_stats.threat_cutoffs
                     replies += tuned.last_stats.forced_replies
+                    paired += pairs_only.last_stats.pairing_cutoffs
                     assert no_threats.last_stats.threat_cutoffs == 0
     assert checked == 2 * sum(k * k for k in (1, 2, 5, 19, 166))
-    assert threats > 1000 and replies > 1000
+    assert threats > 1000 and replies > 1000 and paired > 1000
 
 
 def test_rank4_games_against_plain_and_brute_force():
     # Fresh tuned solvers per board, so every rule firing of their searches
     # is checked, none answered from an earlier memo.  The double-threat
     # rule ends many nodes before the leaf oracle or the potentials are
-    # asked, so those two are counted on a second solver with it off.
+    # asked, so those two are counted on a second solver with it off.  The
+    # pairing rule is counted alone on the plain search.
     rng = rng_for(92, "pruning-rank4")
     plain = Solver(PLAIN)
-    fired = [0, 0, 0, 0]
+    fired = [0, 0, 0, 0, 0]
     for _ in range(3000):
         g = random_game(rng, max_vertices=8, max_edge_size=4)
         for first in (L, R):
             tuned, no_threats = Solver(), Solver(NO_THREATS)
+            pairs_only = Solver(PAIRING)
             want = brute_result(g, first)
             assert tuned.solve(g, first) == want, g
             assert no_threats.solve(g, first) == want, g
             assert plain.solve(g, first) == want, g
+            assert pairs_only.solve(g, first) == want, g
             fired[0] += no_threats.last_stats.leaf_calls
             fired[1] += no_threats.last_stats.potential_cutoffs
             fired[2] += tuned.last_stats.threat_cutoffs
             fired[3] += tuned.last_stats.forced_replies
-    assert min(fired) > 100  # all four rules are exercised
+            fired[4] += pairs_only.last_stats.pairing_cutoffs
+    assert min(fired) > 100  # all five rules are exercised
 
 
 def test_random_larger_games():
     rng = rng_for(90, "pruning-large")
     plain = Solver(PLAIN)
     tuned = Solver()
+    paired = 0
     for _ in range(200):
         g = random_game(rng, max_vertices=8, max_edge_size=3)
         for first in (L, R):
-            assert plain.solve(g, first) == tuned.solve(g, first), g
+            want = brute_result(g, first)
+            pairs_only = Solver(PAIRING)
+            assert plain.solve(g, first) == want, g
+            assert tuned.solve(g, first) == want, g
+            assert pairs_only.solve(g, first) == want, g
+            paired += pairs_only.last_stats.pairing_cutoffs
+    assert paired > 100
+
+
+def past_hall(g):
+    """``g`` with one blue edge more: two vertices of its first blue edge
+    when that edge has three, else one of its two and another vertex.  The
+    two edges span three vertices, too few for two disjoint pairs, so
+    Hall's condition fails.  Needs three vertices or more."""
+    e = g.blue[0]
+    if e.bit_count() == 3:
+        extra = e & (e - 1)  # e without its lowest vertex
+    else:
+        a, b = bits(e)
+        c = next(i for i in range(g.n) if i not in (a, b))
+        extra = 1 << b | 1 << c
+    return game_from_masks(g.vertices, g.blue + (extra,), g.red)
+
+
+def test_pairing_rule_on_paired_boards_and_one_edge_past_them():
+    # Boards built so that a pair of the generator's hits every blue edge,
+    # and the same boards with one blue edge more that breaks Hall's
+    # condition: the rule fires on the first kind when each blue edge can
+    # take a pair of its own, and must leave Left's edges of the second
+    # kind to the search.
+    rng = rng_for(93, "pruning-pairing")
+    plain = Solver(PLAIN)
+    fired = [0, 0]
+    for _ in range(400):
+        g, _ = random_paired_game(rng, pairs=rng.randint(1, 3),
+                                  extra_vertices=rng.randint(1, 2))
+        broken = past_hall(g)
+        assert pairing(broken.blue) is None, broken
+        for k, board in enumerate((g, broken)):
+            for first in (L, R):
+                want = brute_result(board, first)
+                pairs_only = Solver(PAIRING)
+                assert plain.solve(board, first) == want, board
+                assert pairs_only.solve(board, first) == want, board
+                assert Solver().solve(board, first) == want, board
+                fired[k] += pairs_only.last_stats.pairing_cutoffs
+    assert fired[0] > 500 and fired[1] > 100
 
 
 def test_each_toggle_individually():
@@ -107,6 +168,7 @@ def test_each_toggle_individually():
         Solver(SolverConfig(use_leaf_oracle=False)),
         Solver(SolverConfig(use_potentials=False)),
         Solver(NO_THREATS),
+        Solver(SolverConfig(use_pairing=False)),
     ]
     reference = Solver()
     for _ in range(120):

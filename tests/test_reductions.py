@@ -45,7 +45,7 @@ L, R = Player.LEFT, Player.RIGHT
 LW, DR, RW = GameResult.LEFT_WIN, GameResult.DRAW, GameResult.RIGHT_WIN
 NONLOSS = CanonicalRightResult.LEFT_NON_LOSING
 SEARCH_ONLY = SolverConfig(use_leaf_oracle=False, use_potentials=False,
-                          use_double_threats=False)
+                          use_double_threats=False, use_pairing=False)
 RWINS = CanonicalRightResult.RIGHT_WINS
 
 
@@ -290,7 +290,8 @@ def test_canonical_right_leaf_oracle_agrees():
     # potentials off.
     rng = rng_for(44, "canonical-right-leaf")
     toggles = ("use_twin_reduction", "use_domination", "use_forced_moves",
-               "use_leaf_oracle", "use_potentials", "use_double_threats")
+               "use_leaf_oracle", "use_potentials", "use_double_threats",
+               "use_pairing")
     plain = Solver(SolverConfig(**dict.fromkeys(toggles, False)))
     leaf_calls = threats = potentials = right_wins = 0
     for _ in range(1500):

@@ -40,7 +40,7 @@ from oracles import antichains, brute_delay, brute_result
 L, R = Player.LEFT, Player.RIGHT
 LW, DR, RW = GameResult.LEFT_WIN, GameResult.DRAW, GameResult.RIGHT_WIN
 SEARCH_ONLY = SolverConfig(use_leaf_oracle=False, use_potentials=False,
-                          use_double_threats=False)
+                          use_double_threats=False, use_pairing=False)
 
 
 # -- fixed points -------------------------------------------------------------
@@ -226,7 +226,7 @@ def test_root_twin_pass_decides_disjoint_triples():
     vs = [f"v{i}" for i in range(18)]
     g = new_game(vs, [vs[k:k + 3] for k in (0, 3, 6)], [vs[k:k + 3] for k in (9, 12, 15)])
     off = dict(use_domination=False, use_forced_moves=False, use_leaf_oracle=False,
-               use_potentials=False, use_double_threats=False)
+               use_potentials=False, use_double_threats=False, use_pairing=False)
     for twins, nodes in ((True, 2), (False, 2485)):
         s = Solver(SolverConfig(use_twin_reduction=twins, **off))
         assert s.solve(g, L) is DR
@@ -329,10 +329,12 @@ def test_outcome_state_is_one_query_for_both_first_players():
 def test_a_search_past_the_recursion_limit_raises_resource_limit_error():
     # A query answers or raises ResourceLimitError, for the recursion limit
     # as for the node budget, and the solver still answers afterwards.  The
-    # limit is lowered so that a 400-vertex alternating chain passes it.
+    # limit is lowered so that a 400-vertex alternating chain passes it.  A
+    # red unit at its head blocks every pairing of Right's edges, so the
+    # root leaves "can Left avoid losing?" to the forced line.
     verts = [f"v{i}" for i in range(400)]
     g = new_game(verts, [verts[i:i + 2] for i in range(0, 399, 2)],
-                 [verts[i:i + 2] for i in range(1, 399, 2)])
+                 [verts[:1]] + [verts[i:i + 2] for i in range(1, 399, 2)])
     s = Solver(SolverConfig(use_leaf_oracle=False))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
@@ -464,7 +466,9 @@ def test_counters_count_firings_and_stay_zero_when_toggled_off():
             ("threat_cutoffs", "use_double_threats",
              new_game(["a", "b", "c"], [["a", "b"], ["b", "c"]], [])),
             ("forced_replies", "use_forced_moves",
-             sat_win_game(CnfFormula(3, ((1, 2, 3),))).game)):
+             sat_win_game(CnfFormula(3, ((1, 2, 3),))).game),
+            ("pairing_cutoffs", "use_pairing",
+             sat_draw_game(CnfFormula(3, ((1, 2, 3),))).game)):
         on, off = Solver(), Solver(SolverConfig(**{toggle: False}))
         assert on.solve(game, L) is off.solve(game, L)
         count = getattr(on.last_stats, field)
