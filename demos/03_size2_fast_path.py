@@ -5,8 +5,9 @@ Run:  python demos/03_size2_fast_path.py
 
 import time
 
-from apg import Player, Solver, SolverConfig, solve22
+from apg import Player, Solver, solve22
 from apg.gadgets import random_game, rng_for
+from apg.solver import SEARCH_ONLY
 
 L = Player.LEFT
 
@@ -20,8 +21,7 @@ t_fast = time.perf_counter() - t0
 
 # Search alone: the default solver would hand these games to solve22 itself,
 # and its double-threat rule is solve22's own P3 step.
-solver = Solver(SolverConfig(use_leaf_oracle=False, use_potentials=False,
-                             use_double_threats=False))
+solver = Solver(SEARCH_ONLY)
 t0 = time.perf_counter()
 slow = [solver.solve(g, L) for g in games]
 t_slow = time.perf_counter() - t0

@@ -63,11 +63,10 @@ def _node_limit(text: str) -> int:
 
 
 def _solver(**settings) -> Solver:
-    config = SolverConfig(**settings)
     limit = os.environ.get("APG_NODE_LIMIT")
     if limit:
-        config.node_limit = _node_limit(limit)
-    return Solver(config)
+        settings["node_limit"] = _node_limit(limit)
+    return Solver(SolverConfig(**settings))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -177,40 +177,24 @@ def pairing(masks: Sequence[int]) -> Optional[tuple[int, ...]]:
     It is a matching of two slots per edge into the vertices, so one exists
     exactly when Hall's condition holds with demand 2: every k of the edges
     hold at least 2k vertices together.  A one-vertex edge, or fewer than
-    2k vertices under all k edges, rejects at once; pairs are then
-    disjoint exactly when they hold 2k vertices, so a family of pairs needs
-    no more.  Otherwise each edge takes free vertices greedily, and a slot
-    left empty is filled by a breadth-first augmenting path, a loop with no
+    2k vertices under all k edges, rejects at once.  Otherwise each slot in
+    turn is filled by a breadth-first augmenting path, which takes the
+    edge's lowest free vertex when it has one; the search is a loop with no
     recursion however long the path.
     """
     union = 0
-    pairs_only = True
     for m in masks:
-        high = m & (m - 1)
-        if not high:
+        if not m & (m - 1):
             return None
-        if high & (high - 1):
-            pairs_only = False
         union |= m
     if union.bit_count() < 2 * len(masks):
         return None
-    if pairs_only:
-        return tuple(masks)
     owner = [-1] * union.bit_length()  # the edge holding each vertex
     held = [0] * len(masks)  # the vertices each edge holds
-    used = 0
-    for k, m in enumerate(masks):
-        for _ in range(2):
-            free = m & ~used
-            if free:
-                low = free & -free
-                owner[low.bit_length() - 1] = k
-                held[k] |= low
-            else:
-                low = _augment(masks, owner, held, k)
-                if not low:
-                    return None
-            used |= low
+    for k in range(len(masks)):
+        for _ in range(2):  # two slots per edge
+            if not _augment(masks, owner, held, k):
+                return None
     return tuple(held)
 
 

@@ -7,7 +7,7 @@ are pure; the solver reuses the same rules on its internal states.
 
 from __future__ import annotations
 
-from typing import Iterable, Literal, Optional
+from typing import Literal, Optional, Sequence
 
 from .core import (
     Game,
@@ -126,13 +126,8 @@ def find_pairing(game: Game, defender: Player) -> Optional[Pairing]:
 DEFAULT_TRANSVERSAL_BOUND = 20
 
 
-def minimal_transversals(h: Hypergraph, max_vertices: int = DEFAULT_TRANSVERSAL_BOUND
-                         ) -> frozenset[frozenset[str]]:
-    """All inclusion-minimal vertex sets meeting every edge (brute force).
-
-    Applied twice this yields the antichain reduction of the input.  An
-    edgeless hypergraph has the empty set as its one minimal transversal.
-    """
+def _minimal_transversal_masks(h: Hypergraph, max_vertices: int) -> list[int]:
+    # The masks of minimal_transversals, found in increasing size order.
     if h.n > max_vertices:
         raise TooLargeError(f"{h.n} vertices exceeds the bound {max_vertices}")
     minimal: list[int] = []
@@ -147,16 +142,34 @@ def minimal_transversals(h: Hypergraph, max_vertices: int = DEFAULT_TRANSVERSAL_
                 continue
             if all(e & s for e in h.edges):
                 minimal.append(s)
-    return frozenset(h.names_of(s) for s in minimal)
+    return minimal
+
+
+def minimal_transversals(h: Hypergraph, max_vertices: int = DEFAULT_TRANSVERSAL_BOUND
+                         ) -> frozenset[frozenset[str]]:
+    """All inclusion-minimal vertex sets meeting every edge (brute force).
+
+    Applied twice this yields the antichain reduction of the input.  An
+    edgeless hypergraph has the empty set as its one minimal transversal.
+    """
+    return frozenset(h.names_of(s) for s in _minimal_transversal_masks(h, max_vertices))
+
+
+def _split_minimal(masks: Sequence[int]) -> tuple[list[int], list[int]]:
+    # The inclusion-minimal masks and the rest, each in the order given.
+    keep: list[int] = []
+    drop: list[int] = []
+    for m in masks:
+        if any(f != m and f & ~m == 0 for f in masks):
+            drop.append(m)
+        else:
+            keep.append(m)
+    return keep, drop
 
 
 def antichain(h: Hypergraph) -> frozenset[frozenset[str]]:
     """Inclusion-minimal edges of ``h``."""
-    keep = []
-    for e in h.edges:
-        if not any(f != e and f & ~e == 0 for f in h.edges):
-            keep.append(e)
-    return frozenset(h.names_of(e) for e in keep)
+    return frozenset(h.names_of(e) for e in _split_minimal(h.edges)[0])
 
 
 def maker_breaker_game(h: Hypergraph,
@@ -171,13 +184,11 @@ def maker_breaker_game(h: Hypergraph,
     if mode == "empty_red":
         return Game(h.vertices, h.edges, ())
     if mode == "transversal_red":
-        reds = minimal_transversals(h, max_vertices=max_vertices)
-        if any(not t for t in reds):
+        reds = _minimal_transversal_masks(h, max_vertices)
+        if 0 in reds:
             raise EmptyEdgeError(
                 "an edgeless board has the empty transversal; no game exists")
-        return game_from_masks(
-            h.vertices, h.edges,
-            (sum(1 << h.vertices.index(v) for v in t) for t in reds))
+        return game_from_masks(h.vertices, h.edges, reds)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -188,18 +199,8 @@ def prune_superset_edges(game: Game) -> tuple[Game, list[tuple[Player, frozenset
     removing it changes no results.  Never applied silently; the removals are
     returned for logging.
     """
-    log: list[tuple[Player, frozenset[str]]] = []
-
-    def keep(masks: Iterable[int], who: Player) -> list[int]:
-        masks = list(masks)
-        out = []
-        for m in masks:
-            if any(f != m and f & ~m == 0 for f in masks):
-                log.append((who, game.names_of(m)))
-            else:
-                out.append(m)
-        return out
-
-    blue = keep(game.blue, Player.LEFT)
-    red = keep(game.red, Player.RIGHT)
+    blue, blue_gone = _split_minimal(game.blue)
+    red, red_gone = _split_minimal(game.red)
+    log = [(Player.LEFT, game.names_of(m)) for m in blue_gone]
+    log += [(Player.RIGHT, game.names_of(m)) for m in red_gone]
     return game_from_masks(game.vertices, blue, red), log

@@ -30,6 +30,13 @@ move whose Right replies are read, not searched.  The two kinds of query
 differ only in their reply rule, chosen once per query and described last
 below; they share the node entry, the memo and every cutoff.
 
+Each rule is declared once: a ``use_*`` toggle of ``SolverConfig`` (frozen,
+every toggle on by default) and, when it counts its firings, a counter of
+``SolveStats``, which ``as_text`` prints field by field.  The reference
+configurations ``PLAIN`` (every toggle off) and ``SEARCH_ONLY`` (only twin
+reduction, domination and forced moves) are built from those fields, so a
+new rule starts off in both.
+
 Every node starts with one node-entry rule (:meth:`Solver._settle`), which
 ends the node before any move is tried or names the forced block.  It
 applies the rules below, all but domination.  Pruning used by default,
@@ -128,7 +135,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional
 
 from .core import (
@@ -187,6 +194,8 @@ def _potential_below(n: int, masks: Iterable[int], bound: int) -> bool:
 
 @dataclass
 class SolveStats:
+    """One query's counters.  Each rule's counter is a field here;
+    :meth:`as_text` prints every field but ``elapsed``, in this order."""
     nodes_expanded: int = 0
     memo_hits: int = 0
     max_depth: int = 0
@@ -198,18 +207,14 @@ class SolveStats:
     pairing_cutoffs: int = 0
 
     def as_text(self) -> str:
-        return (f"nodes_expanded: {self.nodes_expanded}\n"
-                f"memo_hits: {self.memo_hits}\n"
-                f"max_depth: {self.max_depth}\n"
-                f"leaf_calls: {self.leaf_calls}\n"
-                f"potential_cutoffs: {self.potential_cutoffs}\n"
-                f"threat_cutoffs: {self.threat_cutoffs}\n"
-                f"forced_replies: {self.forced_replies}\n"
-                f"pairing_cutoffs: {self.pairing_cutoffs}")
+        return "\n".join(f"{f.name}: {getattr(self, f.name)}"
+                         for f in fields(self) if f.name != "elapsed")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
+    """The search's settings.  Each rule is one ``use_*`` field, on by
+    default; ``PLAIN`` and ``SEARCH_ONLY`` below are derived from them."""
     node_limit: int = 50_000_000
     use_twin_reduction: bool = True
     use_domination: bool = True
@@ -222,6 +227,18 @@ class SolverConfig:
     # exhaustive batteries use it to keep the table tiny while their top-level
     # queries still share all sub-position work.
     memo_max_vertices: Optional[int] = None
+
+
+# Each rule's toggle, and the reference configurations, which a new rule's
+# toggle joins turned off.  PLAIN: every rule off, the pruning-free search.
+# SEARCH_ONLY: the move-level rules alone (twin reduction, domination,
+# forced moves).  With the cutoffs, the leaf oracle and the pairing rule off,
+# no node of a size-2 board is handed to poly22, by the leaf oracle or by
+# its P3 step (the double-threat rule).
+TOGGLES = tuple(f.name for f in fields(SolverConfig) if f.name.startswith("use_"))
+PLAIN = SolverConfig(**dict.fromkeys(TOGGLES, False))
+SEARCH_ONLY = replace(PLAIN, use_twin_reduction=True, use_domination=True,
+                      use_forced_moves=True)
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ from .reductions import (
     sat_win_game,
     solve_against_canonical_right,
 )
-from .solver import Solver, SolverConfig, union_outcome_allowed
+from .solver import SEARCH_ONLY, Solver, SolverConfig, union_outcome_allowed
 
 L, R = Player.LEFT, Player.RIGHT
 LW, DR, RW = GameResult.LEFT_WIN, GameResult.DRAW, GameResult.RIGHT_WIN
@@ -114,17 +114,10 @@ def iter_22_states(n: int) -> Iterable[tuple[int, tuple[int, ...], tuple[int, ..
             yield (n, blue, red)
 
 
-# The search alone, for checks on size-2 boards: with these four cutoffs
-# off, no node is handed to poly22 (the leaf oracle) or decided by its P3
-# step (the double-threat rule) or by a pairing.
-_SEARCH_ONLY = SolverConfig(use_leaf_oracle=False, use_potentials=False,
-                            use_double_threats=False, use_pairing=False)
-
-
 def _exhaustive_22_outcomes(max_vertices: int):
     """Every state of ``iter_22_states`` up to ``max_vertices`` vertices, with
     its values (Left first, Right first) from the search alone."""
-    solver = Solver(replace(_SEARCH_ONLY, memo_max_vertices=max(0, max_vertices - 1)))
+    solver = Solver(replace(SEARCH_ONLY, memo_max_vertices=max(0, max_vertices - 1)))
     for n in range(max_vertices + 1):
         for state in iter_22_states(n):
             yield state, solver.outcome_state(state)
@@ -190,7 +183,7 @@ def poly22_agreement(seed: int = 0,
             if got != want:
                 report.fail(f"{state} first={player}: poly {got} vs solver {want}")
     rng = rng_for(seed, "poly22-random")
-    big = Solver(_SEARCH_ONLY)
+    big = Solver(SEARCH_ONLY)
     for trials, exact in ((five_vertex_trials, 5), (random_trials, None)):
         for _ in range(trials):
             state = random_22_state(rng, max_vertices=14, exact=exact)

@@ -24,6 +24,7 @@ from apg.kernel import (
     unit_mask,
 )
 from apg.reductions import CnfFormula, sat_draw_game, sat_win_game
+from apg.solver import SEARCH_ONLY
 
 from oracles import antichains
 
@@ -381,9 +382,7 @@ def test_phi3_node_counts_are_pinned():
     # blocks and the forced replies that ride on them stay on): any change
     # to the candidate set, their order or the canonical states moves these
     # counts.  The default configuration's counts are pinned beside them.
-    search_only = SolverConfig(use_leaf_oracle=False, use_potentials=False,
-                               use_double_threats=False, use_pairing=False)
-    for config, draw_nodes, win_nodes in ((search_only, 9545, 9690),
+    for config, draw_nodes, win_nodes in ((SEARCH_ONLY, 9545, 9690),
                                           (SolverConfig(), 13, 76)):
         s = Solver(config)
         assert s.solve(sat_draw_game(PHI3).game, Player.LEFT) is GameResult.DRAW

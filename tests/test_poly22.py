@@ -1,11 +1,12 @@
 """The polynomial size-2 procedure: unit preprocessing, path classification,
 and oracle agreement with the exact solver."""
 
+import dataclasses
 import itertools
 
 import pytest
 
-from apg import EdgeTooLargeError, GameResult, Player, Solver, SolverConfig, new_game, solve22
+from apg import EdgeTooLargeError, GameResult, Player, Solver, new_game, solve22
 from apg.errors import InvalidPathError
 from apg.gadgets import random_game, rng_for
 from apg.kernel import mask_indices
@@ -18,15 +19,14 @@ from apg.poly22 import (
     right_to_move_rule,
     solve22_masks,
 )
+from apg.solver import PLAIN, SEARCH_ONLY
 from apg.verification import iter_22_states, random_22_state
 
 L, R = Player.LEFT, Player.RIGHT
 LW, DR, RW = GameResult.LEFT_WIN, GameResult.DRAW, GameResult.RIGHT_WIN
-# The reference for solve22: the search with its size-2 leaf oracle (which
-# asks poly22), its potential cutoffs and its double-threat rule (poly22's
-# own P3 step) off.
-SEARCH_ONLY = SolverConfig(use_leaf_oracle=False, use_potentials=False,
-                          use_double_threats=False)
+# The reference for solve22 is SEARCH_ONLY: the search with its size-2 leaf
+# oracle (which asks poly22), its double-threat rule (poly22's own P3 step)
+# and its other cutoffs off.
 
 
 def graph2(blue_pairs, red_pairs):
@@ -230,9 +230,7 @@ def test_one_sided_leaf_oracle_matches_the_two_sided_procedure():
     # The search's leaf oracle asks one side's rule per question; the value
     # built from both sides' rules must give the same answers.  Every other
     # rule is off, so _settle reaches the oracle on each unit-free board.
-    solver = Solver(SolverConfig(use_twin_reduction=False, use_domination=False,
-                                 use_forced_moves=False, use_potentials=False,
-                                 use_double_threats=False))
+    solver = Solver(dataclasses.replace(PLAIN, use_leaf_oracle=True))
     rng = rng_for(23, "one-sided-oracle")
     states = [state for n in range(4) for state in iter_22_states(n)]
     states += [random_22_state(rng, 9, exact=rng.randint(5, 9)) for _ in range(2000)]

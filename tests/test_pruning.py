@@ -8,16 +8,11 @@ from apg import Player, Solver, SolverConfig, new_game
 from apg.core import game_from_masks
 from apg.gadgets import random_game, random_paired_game, rng_for
 from apg.kernel import bits, pairing
+from apg.solver import PLAIN, TOGGLES
 
 from oracles import antichains, brute_result
 
 L, R = Player.LEFT, Player.RIGHT
-
-PLAIN = SolverConfig(use_twin_reduction=False, use_domination=False,
-                     use_forced_moves=False, use_leaf_oracle=False,
-                     use_potentials=False, use_double_threats=False,
-                     use_pairing=False)
-
 
 NO_THREATS = SolverConfig(use_double_threats=False)
 
@@ -161,15 +156,7 @@ def test_pairing_rule_on_paired_boards_and_one_edge_past_them():
 
 def test_each_toggle_individually():
     rng = rng_for(91, "pruning-single")
-    variants = [
-        Solver(SolverConfig(use_twin_reduction=False)),
-        Solver(SolverConfig(use_domination=False)),
-        Solver(SolverConfig(use_forced_moves=False)),
-        Solver(SolverConfig(use_leaf_oracle=False)),
-        Solver(SolverConfig(use_potentials=False)),
-        Solver(NO_THREATS),
-        Solver(SolverConfig(use_pairing=False)),
-    ]
+    variants = [Solver(SolverConfig(**{toggle: False})) for toggle in TOGGLES]
     reference = Solver()
     for _ in range(120):
         g = random_game(rng, max_vertices=7, max_edge_size=3)

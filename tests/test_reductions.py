@@ -1,5 +1,6 @@
 """Formula parsing, the gadget compilers, their oracles and script checks."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -38,14 +39,13 @@ from apg import (
 from apg import solver
 from apg.gadgets import random_game, rng_for
 from apg.kernel import canonical_right_reply, twin_reduce
+from apg.solver import PLAIN, SEARCH_ONLY, TOGGLES
 
 from oracles import antichains, brute_result
 
 L, R = Player.LEFT, Player.RIGHT
 LW, DR, RW = GameResult.LEFT_WIN, GameResult.DRAW, GameResult.RIGHT_WIN
 NONLOSS = CanonicalRightResult.LEFT_NON_LOSING
-SEARCH_ONLY = SolverConfig(use_leaf_oracle=False, use_potentials=False,
-                          use_double_threats=False, use_pairing=False)
 RWINS = CanonicalRightResult.RIGHT_WINS
 
 
@@ -260,9 +260,7 @@ def test_canonical_right_exhaustive_four_vertex_boards():
     # other edge of their colour, against brute force, with every rule on
     # and with twin reduction the only rule.  Each board gets fresh
     # solvers, so no node is answered by an earlier board's memo.
-    twins_only = SolverConfig(use_domination=False, use_forced_moves=False,
-                              use_leaf_oracle=False, use_potentials=False,
-                              use_double_threats=False)
+    twins_only = dataclasses.replace(PLAIN, use_twin_reduction=True)
     checked = reduced = 0
     for n in range(5):
         verts = "abcd"[:n]
@@ -289,10 +287,7 @@ def test_canonical_right_leaf_oracle_agrees():
     # oracle or a threat is tried, so those two are counted with the
     # potentials off.
     rng = rng_for(44, "canonical-right-leaf")
-    toggles = ("use_twin_reduction", "use_domination", "use_forced_moves",
-               "use_leaf_oracle", "use_potentials", "use_double_threats",
-               "use_pairing")
-    plain = Solver(SolverConfig(**dict.fromkeys(toggles, False)))
+    plain = Solver(PLAIN)
     leaf_calls = threats = potentials = right_wins = 0
     for _ in range(1500):
         g = random_blue3_red2_game(rng)
@@ -302,7 +297,7 @@ def test_canonical_right_leaf_oracle_agrees():
         assert got == no_potentials.survives_canonical_right(g), g
         assert got == without.survives_canonical_right(g), g
         assert got == (plain.solve(g, L) is not RW), g
-        for toggle in toggles:
+        for toggle in TOGGLES:
             assert Solver(SolverConfig(**{toggle: False})).survives_canonical_right(g) == got, (toggle, g)
         assert without.last_stats.threat_cutoffs == 0
         assert no_potentials.last_stats.potential_cutoffs == 0

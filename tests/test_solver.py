@@ -33,14 +33,12 @@ from apg.gadgets import outcome_exemplar, random_game, rng_for
 from apg.kernel import state_of_game, unit_mask
 from apg.kernel import twin_reduce as kernel_twin_reduce
 from apg.reductions import CnfFormula, sat_draw_game, sat_win_game
-from apg.solver import UNION_OUTCOMES, TraceStep
+from apg.solver import PLAIN, SEARCH_ONLY, TOGGLES, UNION_OUTCOMES, SolveStats, TraceStep
 
 from oracles import antichains, brute_delay, brute_result
 
 L, R = Player.LEFT, Player.RIGHT
 LW, DR, RW = GameResult.LEFT_WIN, GameResult.DRAW, GameResult.RIGHT_WIN
-SEARCH_ONLY = SolverConfig(use_leaf_oracle=False, use_potentials=False,
-                          use_double_threats=False, use_pairing=False)
 
 
 # -- fixed points -------------------------------------------------------------
@@ -225,10 +223,8 @@ def test_root_twin_pass_decides_disjoint_triples():
     # (every other rule off) walks thousands of nodes to the same draw.
     vs = [f"v{i}" for i in range(18)]
     g = new_game(vs, [vs[k:k + 3] for k in (0, 3, 6)], [vs[k:k + 3] for k in (9, 12, 15)])
-    off = dict(use_domination=False, use_forced_moves=False, use_leaf_oracle=False,
-               use_potentials=False, use_double_threats=False, use_pairing=False)
     for twins, nodes in ((True, 2), (False, 2485)):
-        s = Solver(SolverConfig(use_twin_reduction=twins, **off))
+        s = Solver(dataclasses.replace(PLAIN, use_twin_reduction=twins))
         assert s.solve(g, L) is DR
         assert s.last_stats.nodes_expanded == nodes
     reduced, log = twin_reduce(g)
@@ -392,8 +388,7 @@ def test_node_budget_covers_the_whole_trace():
 
 
 def test_node_budget():
-    s = Solver(SolverConfig(node_limit=3, use_leaf_oracle=False, use_potentials=False,
-                            use_double_threats=False))
+    s = Solver(dataclasses.replace(SEARCH_ONLY, node_limit=3))
     with pytest.raises(ResourceLimitError):
         s.solve(butterfly(), L)
 
@@ -460,20 +455,49 @@ def test_potential_cutoffs_fire_at_the_root_with_exact_sums(board):
 
 
 def test_counters_count_firings_and_stay_zero_when_toggled_off():
-    for field, toggle, game in (
-            ("potential_cutoffs", "use_potentials", blue_potential_board(False)),
+    rows = (("potential_cutoffs", "use_potentials", blue_potential_board(False)),
             ("leaf_calls", "use_leaf_oracle", butterfly()),
             ("threat_cutoffs", "use_double_threats",
              new_game(["a", "b", "c"], [["a", "b"], ["b", "c"]], [])),
             ("forced_replies", "use_forced_moves",
              sat_win_game(CnfFormula(3, ((1, 2, 3),))).game),
             ("pairing_cutoffs", "use_pairing",
-             sat_draw_game(CnfFormula(3, ((1, 2, 3),))).game)):
+             sat_draw_game(CnfFormula(3, ((1, 2, 3),))).game))
+    # Every rule's counter has a row: the fields past the query's own four.
+    query = {"nodes_expanded", "memo_hits", "max_depth", "elapsed"}
+    counters = {f.name for f in dataclasses.fields(SolveStats)} - query
+    assert {field for field, _, _ in rows} == counters
+    for field, toggle, game in rows:
         on, off = Solver(), Solver(SolverConfig(**{toggle: False}))
         assert on.solve(game, L) is off.solve(game, L)
         count = getattr(on.last_stats, field)
         assert count >= 1 and getattr(off.last_stats, field) == 0
         assert f"{field}: {count}" in on.last_stats.as_text()
+
+
+def test_reference_configurations_follow_the_toggles():
+    toggles = [f.name for f in dataclasses.fields(SolverConfig) if f.name.startswith("use_")]
+    assert list(TOGGLES) == toggles
+    assert not any(getattr(PLAIN, t) for t in toggles)
+    assert all(getattr(SolverConfig(), t) for t in toggles)
+    assert {t for t in toggles if getattr(SEARCH_ONLY, t) != getattr(PLAIN, t)} == {
+        "use_twin_reduction", "use_domination", "use_forced_moves"}
+    # Both keep the default budget and memo, and no caller can change them.
+    for config in (PLAIN, SEARCH_ONLY):
+        assert (config.node_limit, config.memo_max_vertices) == (
+            SolverConfig().node_limit, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.use_pairing = True
+
+
+def test_stats_text_prints_every_counter_but_elapsed():
+    # The text of apg solve's stats block: one line per field in declaration
+    # order, so a new rule's counter is printed after these.
+    lines = SolveStats(*range(1, 10)).as_text().splitlines()
+    assert lines[:8] == ["nodes_expanded: 1", "memo_hits: 2", "max_depth: 3",
+                         "leaf_calls: 5", "potential_cutoffs: 6", "threat_cutoffs: 7",
+                         "forced_replies: 8", "pairing_cutoffs: 9"]
+    assert len(lines) == len(dataclasses.fields(SolveStats)) - 1
 
 
 @pytest.mark.parametrize("unit, want", [("b", LW), ("d", DR), (None, LW)])
