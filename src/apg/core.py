@@ -248,14 +248,15 @@ def game_from_masks(vertices: tuple[str, ...],
 # ---------------------------------------------------------------------------
 # Edge updates
 
-def _update_masks(masks: Iterable[int], own: int, other: int) -> list[int]:
+def _update_masks(masks: Iterable[int], own: int, other: int,
+                  owner: Player) -> list[int]:
     out = []
     for m in masks:
         if m & other:
             continue
         m &= ~own
         if m == 0:
-            raise AlreadyWonError()
+            raise AlreadyWonError(owner)
         out.append(m)
     return out
 
@@ -276,14 +277,8 @@ def _residual(game: Game, vl: int, vr: int) -> Game:
     """:func:`update` on Left's and Right's picks as masks, ``vl`` and ``vr``."""
     if vl & vr:
         raise ValueError("left and right picks must be disjoint")
-    try:
-        blue = _update_masks(game.blue, vl, vr)
-    except AlreadyWonError:
-        raise AlreadyWonError(Player.LEFT) from None
-    try:
-        red = _update_masks(game.red, vr, vl)
-    except AlreadyWonError:
-        raise AlreadyWonError(Player.RIGHT) from None
+    blue = _update_masks(game.blue, vl, vr, Player.LEFT)
+    red = _update_masks(game.red, vr, vl, Player.RIGHT)
     removed = vl | vr
     verts = tuple(v for i, v in enumerate(game.vertices) if not removed >> i & 1)
     blue = [compress(m, removed) for m in blue]

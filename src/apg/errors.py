@@ -23,12 +23,12 @@ class AlreadyWonError(ApgError):
     """An edge update produced an empty edge: its owner has already filled it.
 
     This flags a terminal position, not a malformed input.  ``player`` is the
-    owner of the filled edge when known.
+    owner of the filled edge.
     """
 
-    def __init__(self, player=None, message: str | None = None):
+    def __init__(self, player):
         self.player = player
-        super().__init__(message or f"player {player} has already filled an edge")
+        super().__init__(f"player {player} has already filled an edge")
 
 
 class TooLargeError(ApgError):

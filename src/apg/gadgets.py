@@ -120,19 +120,16 @@ def _random_edges(rng: random.Random, verts: list[str], cap: int,
             for _ in range(rng.randint(0, cap))]
 
 
-def random_symmetric_game(rng: random.Random,
-                          max_vertices: int = 6,
-                          max_edge_size: int = 3) -> Game:
-    n = rng.randint(1, max_vertices)
+def random_symmetric_game(rng: random.Random) -> Game:
+    n = rng.randint(1, 6)
     verts = [f"v{i}" for i in range(n)]
-    edges = _random_edges(rng, verts, max(2, n), max_edge_size)
+    edges = _random_edges(rng, verts, max(2, n), 3)
     return new_game(verts, edges, edges)
 
 
 def random_paired_game(rng: random.Random,
                        pairs: int = 2,
-                       extra_vertices: int = 2,
-                       max_edge_size: int = 3):
+                       extra_vertices: int = 2):
     """A game plus a pairing that hits every blue edge (for blocking checks)."""
     n = 2 * pairs + extra_vertices
     verts = [f"v{i}" for i in range(n)]
@@ -141,11 +138,11 @@ def random_paired_game(rng: random.Random,
     for _ in range(rng.randint(1, 4)):
         a, b = pair_list[rng.randrange(pairs)]
         edge = {a, b}
-        target = rng.randint(2, min(max_edge_size, n))
+        target = rng.randint(2, min(3, n))
         while len(edge) < target:
             edge.add(verts[rng.randrange(n)])
         blue.append(sorted(edge))
-    red = _random_edges(rng, verts, 3, max_edge_size)
+    red = _random_edges(rng, verts, 3, 3)
     return new_game(verts, blue, red), Pairing.of(pair_list)
 
 
@@ -166,8 +163,7 @@ def _component_pool(rng: random.Random, budget: int) -> Iterable[Game]:
 def find_union_witness(cell: tuple[Outcome, Outcome],
                        target: Outcome,
                        seed: int = 0,
-                       budget: int = 3000,
-                       solver: Optional[Solver] = None) -> Optional[tuple[Game, Game]]:
+                       budget: int = 3000) -> Optional[tuple[Game, Game]]:
     """Search small games for a pair with the given component outcomes whose
     disjoint union has the target outcome.  Returns the first hit or None.
 
@@ -175,7 +171,7 @@ def find_union_witness(cell: tuple[Outcome, Outcome],
     """
     if not union_outcome_allowed(cell[0], cell[1], target):
         raise ValueError(f"{target} is not a possible union outcome for {cell}")
-    solver = solver or Solver()
+    solver = Solver()
     rng = rng_for(seed, f"union-witness/{cell[0]}/{cell[1]}/{target}")
     first: list[Game] = []
     second: list[Game] = []

@@ -304,22 +304,16 @@ def covers(state: State) -> tuple[list[int], list[int], int]:
     return _scan(state)[:3]
 
 
-def dominated_mask(state: State) -> int:
-    """Vertices dominated by another vertex.
+def domination(state: State) -> tuple[int, int]:
+    """The dominated vertices, and those of them safe to skip together.
 
     Vertex i is dominated by j != i when neither is a unit and every edge
     holding i holds j.  A unit's own edge leaves it dominated by nothing.
+    The prunable ones are the strict dominations plus all but the
+    lowest-indexed member of each mutual class.
     """
     cover, _, units = covers(state)
-    return _domination(state[0], cover, units)[0]
-
-
-def prunable_mask(state: State) -> int:
-    """Dominated vertices safe to skip together (see :func:`dominated_mask`):
-    strict dominations plus all but the lowest-indexed member of each mutual
-    class."""
-    cover, _, units = covers(state)
-    return _domination(state[0], cover, units)[1]
+    return _domination(state[0], cover, units)
 
 
 def expand(state: State, prune: bool,
@@ -330,7 +324,7 @@ def expand(state: State, prune: bool,
     With ``block`` the one pick is ``block`` (the forced block of the
     opponent's only unit), and of the mover's edges only those through it
     are read.  Otherwise the picks are every vertex, less the
-    :func:`prunable_mask` vertices with ``prune``; on more than six
+    :func:`domination` prunable vertices with ``prune``; on more than six
     vertices they are ordered by descending score (3 per two-vertex edge,
     1 per other edge through the vertex), ties by index.  The pair reads
     come from the pass that builds the covers and scores.

@@ -18,7 +18,7 @@ from .core import (
     mask_indices,
 )
 from .errors import EmptyEdgeError, TooLargeError
-from .kernel import covers, dominated_mask, pairing, prunable_mask, state_of_game
+from .kernel import covers, domination, pairing, state_of_game
 from .kernel import twin_reduce as kernel_twin_reduce
 
 
@@ -41,17 +41,16 @@ def twin_reduce(game: Game) -> tuple[Game, list[tuple[str, str]]]:
     return game_from_masks(verts, blue, red), log
 
 
-def dominated_moves(game: Game, mover: Player) -> frozenset[str]:
-    """Vertices the mover may prune from their candidate moves.
+def dominated_moves(game: Game) -> frozenset[str]:
+    """Vertices either player may prune from their candidate moves.
 
     A vertex u is dominated by v when neither forms a one-vertex edge and
     every edge containing u also contains v; picking v is then at least as
-    good for either player, so the relation does not depend on ``mover``.
+    good for either player, so the relation does not depend on the mover.
     Mutually dominating vertices (twins) all appear in the result; a solver
     pruning with it must keep one representative per twin class.
     """
-    del mover  # the domination condition is mover-independent
-    return game.names_of(dominated_mask(state_of_game(game)))
+    return game.names_of(domination(state_of_game(game))[0])
 
 
 def prunable_moves(game: Game) -> frozenset[str]:
@@ -61,7 +60,7 @@ def prunable_moves(game: Game) -> frozenset[str]:
     twins every vertex except the lowest-indexed one is included, so at least
     one optimal representative always survives.
     """
-    return game.names_of(prunable_mask(state_of_game(game)))
+    return game.names_of(domination(state_of_game(game))[1])
 
 
 def greedy_move(game: Game, player: Player) -> tuple[str, str] | None:
@@ -96,12 +95,8 @@ def check_pairing(game: Game, pairing: Pairing, defender: Player) -> bool:
     True iff every edge of the attacker's color (blue when the defender is
     Right) fully contains some pair: answering each attacker pick inside a
     pair with its partner then blocks every attacker edge, as first or second
-    player.
+    player.  Raises UnknownVertexError for a pair vertex not in the game.
     """
-    for pair in pairing.pairs:
-        for v in pair:
-            if v not in game.vertices:
-                raise ValueError(f"pairing vertex {v!r} is not in the game")
     pair_masks = [game.mask_of(p) for p in pairing.pairs]
     attacked = game.blue if defender is Player.RIGHT else game.red
     for edge in attacked:
@@ -123,13 +118,14 @@ def find_pairing(game: Game, defender: Player) -> Optional[Pairing]:
     return Pairing.of(game.names_of(m) for m in pairs)
 
 
-DEFAULT_TRANSVERSAL_BOUND = 20
+MAX_TRANSVERSAL_VERTICES = 20
 
 
-def _minimal_transversal_masks(h: Hypergraph, max_vertices: int) -> list[int]:
+def _minimal_transversal_masks(h: Hypergraph) -> list[int]:
     # The masks of minimal_transversals, found in increasing size order.
-    if h.n > max_vertices:
-        raise TooLargeError(f"{h.n} vertices exceeds the bound {max_vertices}")
+    if h.n > MAX_TRANSVERSAL_VERTICES:
+        raise TooLargeError(
+            f"{h.n} vertices exceeds the bound {MAX_TRANSVERSAL_VERTICES}")
     minimal: list[int] = []
     # Subsets in increasing popcount order, so supersets of found transversals
     # can be skipped by a subset test.
@@ -145,14 +141,13 @@ def _minimal_transversal_masks(h: Hypergraph, max_vertices: int) -> list[int]:
     return minimal
 
 
-def minimal_transversals(h: Hypergraph, max_vertices: int = DEFAULT_TRANSVERSAL_BOUND
-                         ) -> frozenset[frozenset[str]]:
+def minimal_transversals(h: Hypergraph) -> frozenset[frozenset[str]]:
     """All inclusion-minimal vertex sets meeting every edge (brute force).
 
     Applied twice this yields the antichain reduction of the input.  An
     edgeless hypergraph has the empty set as its one minimal transversal.
     """
-    return frozenset(h.names_of(s) for s in _minimal_transversal_masks(h, max_vertices))
+    return frozenset(h.names_of(s) for s in _minimal_transversal_masks(h))
 
 
 def _split_minimal(masks: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -173,8 +168,7 @@ def antichain(h: Hypergraph) -> frozenset[frozenset[str]]:
 
 
 def maker_breaker_game(h: Hypergraph,
-                       mode: Literal["empty_red", "transversal_red"],
-                       max_vertices: int = DEFAULT_TRANSVERSAL_BOUND) -> Game:
+                       mode: Literal["empty_red", "transversal_red"]) -> Game:
     """Embed a Maker-Breaker board as an achievement game.
 
     ``empty_red`` leaves Right with no winning sets (her wins are renamed
@@ -184,7 +178,7 @@ def maker_breaker_game(h: Hypergraph,
     if mode == "empty_red":
         return Game(h.vertices, h.edges, ())
     if mode == "transversal_red":
-        reds = _minimal_transversal_masks(h, max_vertices)
+        reds = _minimal_transversal_masks(h)
         if 0 in reds:
             raise EmptyEdgeError(
                 "an edgeless board has the empty transversal; no game exists")

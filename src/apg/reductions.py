@@ -21,7 +21,6 @@ from .core import (
     Player,
     Position,
     StatusKind,
-    disjoint_union,
     new_game,
     new_hypergraph,
     status,
@@ -36,7 +35,7 @@ from .errors import (
 )
 from .gadgets import butterfly
 from .kernel import canonical_right_reply, mask_indices, unit_mask
-from .solver import Solver, SolverConfig
+from .solver import Solver
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +206,14 @@ def sat_draw_game(phi: CnfFormula) -> ReductionOutput:
     triangle.  A final red two-edge star forces Left to keep the initiative
     until every triangle is broken.
     """
+    out = _finish(*_sat_draw_lists(phi))
+    assert all(m.bit_count() <= 3 for m in out.game.blue)
+    assert all(m.bit_count() <= 2 for m in out.game.red)
+    return out
+
+
+def _sat_draw_lists(phi: CnfFormula):
+    # The vertices, blue and red edges and provenance of sat_draw_game.
     verts: list[str] = []
     prov: dict[str, str] = {}
     blue: list[list[str]] = []
@@ -232,10 +239,7 @@ def sat_draw_game(phi: CnfFormula) -> ReductionOutput:
     prov["omega'"] = "omega1"
     prov["omega''"] = "omega2"
     red += [["omega", "omega1"], ["omega", "omega2"]]
-    out = _finish(verts, blue, red, prov)
-    assert all(m.bit_count() <= 3 for m in out.game.blue)
-    assert all(m.bit_count() <= 2 for m in out.game.red)
-    return out
+    return verts, blue, red, prov
 
 
 def sat_win_game(phi: CnfFormula) -> ReductionOutput:
@@ -244,21 +248,14 @@ def sat_win_game(phi: CnfFormula) -> ReductionOutput:
     The draw construction plus two disjoint blue butterflies: once Left has
     broken every red triangle, Right can kill only one of them.
     """
-    base = sat_draw_game(phi)
-    game, prov = base.game, dict(base.provenance)
+    verts, blue, red, prov = _sat_draw_lists(phi)
+    wing = butterfly(Player.LEFT)
     for tag in ("bf1", "bf2"):
-        wing = butterfly(Player.LEFT)
-        renamed = new_game([f"{tag}_{v}" for v in wing.vertices],
-                           [[f"{tag}_{v}" for v in e] for e in
-                            sorted(sorted(edge) for edge in wing.blue_edges)],
-                           [])
-        game, renames = disjoint_union(game, renamed)
-        assert not renames
-        for v in renamed.vertices:
-            prov[f"{tag}.{v.split('_', 1)[1]}"] = v
-    out = ReductionOutput(game, prov)
-    assert sorted(prov.values()) == sorted(game.vertices)
-    return out
+        for v in wing.vertices:
+            verts.append(f"{tag}_{v}")
+            prov[f"{tag}.{v}"] = f"{tag}_{v}"
+        blue += [[f"{tag}_{v}" for v in edge] for edge in wing.blue_edges]
+    return _finish(verts, blue, red, prov)
 
 
 # ---------------------------------------------------------------------------
@@ -505,17 +502,17 @@ class CanonicalRightResult(Enum):
     RIGHT_WINS = "RightWins"
 
 
-def solve_against_canonical_right(game: Game,
-                                  node_limit: int = 50_000_000) -> CanonicalRightResult:
+def solve_against_canonical_right(game: Game) -> CanonicalRightResult:
     """Explore Left's options with Right fixed to the canonical strategy.
 
     Left moves first.  If some Left line ends in a draw or a Left win the
     answer is LeftNonLosing; since the canonical strategy is a winning one
     whenever Right has any, exhausting every line proves RightWins.  The
-    search is :meth:`Solver.survives_canonical_right` under a fresh solver;
-    it raises EdgeTooLargeError unless blue edges have size <= 3 and red
-    edges size <= 2, and ResourceLimitError past ``node_limit`` nodes.
+    search is :meth:`Solver.survives_canonical_right` under a fresh default
+    solver; it raises EdgeTooLargeError unless blue edges have size <= 3 and
+    red edges size <= 2, and ResourceLimitError past the default node budget
+    (another budget: that method on a solver with its ``node_limit``).
     """
-    survived = Solver(SolverConfig(node_limit=node_limit)).survives_canonical_right(game)
+    survived = Solver().survives_canonical_right(game)
     return (CanonicalRightResult.LEFT_NON_LOSING if survived
             else CanonicalRightResult.RIGHT_WINS)

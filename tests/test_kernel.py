@@ -14,11 +14,11 @@ from apg.kernel import (
     canonical_right_reply,
     child,
     compress,
+    domination,
     expand,
     grandchild,
     opponent_reply,
     pairing,
-    prunable_mask,
     state_of_game,
     twin_reduce,
     unit_mask,
@@ -116,7 +116,7 @@ def as_game(state):
                          ids=["exhaustive", "random"])
 def test_prunable_mask_matches_pairwise_definition(states):
     for state in states():
-        assert prunable_mask(state) == pairwise_prunable(state), state
+        assert domination(state)[1] == pairwise_prunable(state), state
 
 
 def test_candidates_are_unpruned_vertices_by_score():
@@ -125,7 +125,7 @@ def test_candidates_are_unpruned_vertices_by_score():
         score = [sum(3 if m.bit_count() == 2 else 1 for m in blue + red if m >> i & 1)
                  for i in range(n)]
         for prune in (True, False):
-            pruned = prunable_mask(state) if prune else 0
+            pruned = domination(state)[1] if prune else 0
             want = [i for i in range(n) if not pruned >> i & 1]
             if n > 6 and len(want) > 2:
                 want.sort(key=lambda i: (-score[i], i))

@@ -8,6 +8,7 @@ from apg import (
     Player,
     Solver,
     TooLargeError,
+    UnknownVertexError,
     butterfly,
     check_pairing,
     dominated_moves,
@@ -74,33 +75,33 @@ def test_twin_reduce_respects_unit_edges():
 
 def test_isolated_vertex_dominated():
     g = new_game(["a", "b", "c"], [["a", "b"]], [])
-    assert "c" in dominated_moves(g, L)
+    assert "c" in dominated_moves(g)
 
 
 def test_shared_vertex_dominates():
     g = new_game(["a", "b", "c"], [["a", "b"], ["a", "c"]], [])
-    dom = dominated_moves(g, L)
+    dom = dominated_moves(g)
     assert {"b", "c"} <= dom
     assert "a" not in dom
 
 
 def test_butterfly_hub_dominates():
     g = butterfly()
-    dom = dominated_moves(g, L)
+    dom = dominated_moves(g)
     assert "beta1" in dom
     assert "alpha" not in dom
 
 
 def test_unit_edge_vertices_never_dominated():
     g = new_game(["a", "b"], [["a"], ["a", "b"]], [])
-    assert "a" not in dominated_moves(g, L)
+    assert "a" not in dominated_moves(g)
 
 
 def test_prunable_subset_keeps_twin_representative():
     from apg.ops import prunable_moves
 
     g = new_game(["a", "b"], [["a", "b"]], [])
-    assert dominated_moves(g, L) == {"a", "b"}
+    assert dominated_moves(g) == {"a", "b"}
     assert prunable_moves(g) == {"b"}  # the lowest-indexed twin survives
 
 
@@ -130,7 +131,7 @@ def test_domination_matches_pairwise_reference():
     for _ in range(200):
         g = random_game(rng, max_vertices=7, max_edge_size=3)
         dominated, prunable = _pairwise_domination(g)
-        assert dominated_moves(g, L) == dominated == dominated_moves(g, R), g
+        assert dominated_moves(g) == dominated, g
         assert prunable_moves(g) == prunable, g
 
 
@@ -185,6 +186,12 @@ def test_pairing_matching():
     assert check_pairing(g, Pairing.of([("a", "b"), ("c", "d")]), R)
 
 
+def test_pairing_vertex_not_in_game():
+    g = new_game(["a", "b"], [["a", "b"]], [])
+    with pytest.raises(UnknownVertexError):
+        check_pairing(g, Pairing.of([("a", "z")]), R)
+
+
 def test_pairing_validation():
     with pytest.raises(ValueError):
         Pairing.of([("a", "a")])
@@ -220,9 +227,11 @@ def test_transversals_path():
 
 
 def test_transversals_bound():
-    h = new_hypergraph([f"v{i}" for i in range(6)], [["v0"]])
+    h = new_hypergraph([f"v{i}" for i in range(21)], [["v0"]])
     with pytest.raises(TooLargeError):
-        minimal_transversals(h, max_vertices=5)
+        minimal_transversals(h)
+    with pytest.raises(TooLargeError):
+        maker_breaker_game(h, "transversal_red")
 
 
 def test_transversal_properties():

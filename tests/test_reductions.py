@@ -23,6 +23,7 @@ from apg import (
     SolverConfig,
     butterfly,
     canonical_right_move,
+    disjoint_union,
     check_forced_script,
     maker_maker_embedding,
     new_game,
@@ -40,6 +41,7 @@ from apg import solver
 from apg.gadgets import random_game, rng_for
 from apg.kernel import canonical_right_reply, twin_reduce
 from apg.solver import PLAIN, SEARCH_ONLY, TOGGLES
+from apg.verification import _formulas
 
 from oracles import antichains, brute_result
 
@@ -331,8 +333,8 @@ def test_canonical_right_tiny_memo(monkeypatch):
 def test_canonical_right_node_budget():
     g = sat_draw_game(U3A).game
     with pytest.raises(ResourceLimitError):
-        solve_against_canonical_right(g, node_limit=100)
-    assert solve_against_canonical_right(g, node_limit=561) is RWINS
+        Solver(SolverConfig(node_limit=100)).survives_canonical_right(g)
+    assert not Solver(SolverConfig(node_limit=561)).survives_canonical_right(g)
 
 
 def test_canonical_right_edge_size_check():
@@ -346,6 +348,26 @@ def test_win_gadget_counts():
     out = sat_win_game(CnfFormula(3, ((1, 2, 3),)))
     assert out.game.n == 15 + 14 == 29
     assert sorted(out.provenance.values()) == sorted(out.game.vertices)
+
+
+def test_win_gadget_is_the_draw_gadget_joined_with_two_butterflies():
+    # The reference construction: the draw gadget, then each butterfly
+    # renamed with its tag and joined by disjoint_union, which must rename
+    # nothing.  Game equality compares the vertex order too.
+    wing = butterfly(L)
+    for clauses in _formulas(3, False) + [all_sign_clauses()]:
+        phi = CnfFormula(3, clauses)
+        draw = sat_draw_game(phi)
+        game, prov = draw.game, dict(draw.provenance)
+        for tag in ("bf1", "bf2"):
+            renamed = new_game([f"{tag}_{v}" for v in wing.vertices],
+                               [[f"{tag}_{v}" for v in e] for e in wing.blue_edges], [])
+            game, renames = disjoint_union(game, renamed)
+            assert not renames
+            prov.update((f"{tag}.{v}", f"{tag}_{v}") for v in wing.vertices)
+        out = sat_win_game(phi)
+        assert out.game == game, clauses
+        assert list(out.provenance.items()) == list(prov.items()), clauses
 
 
 def test_win_gadget_satisfiable_wins():
