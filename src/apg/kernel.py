@@ -33,6 +33,10 @@ where a pick is searched, so a pick gives it units only at the other ends
 of its pairs through the pick, and leaves the opponent's edges that miss
 the pick as they were.  :func:`grandchild` then applies a pick and its
 reply in one pass.
+
+:func:`automorphism` looks for a permutation of a state's vertices that
+keeps each side's edge set and joins two given picks, for the search's
+symmetry rule; only its final check on the edges vouches for a map.
 """
 
 from __future__ import annotations
@@ -231,6 +235,90 @@ def _augment(masks: Sequence[int], owner: list[int], held: list[int],
                 entry[g] = v
                 queue.append(g)
     return 0
+
+
+def _refine(n: int, edges: list[tuple[int, tuple[int, ...]]],
+            incident: list[list[int]], colour: list[int]) -> list[int]:
+    # Colour refinement on the vertex-edge incidence structure: an edge's
+    # colour hashes its side and its vertices' colours, a vertex's its own
+    # colour and its edges' colours, until the number of colours stops
+    # growing or every vertex has its own.  Only ints and tuples of ints are
+    # hashed, so the colours do not depend on PYTHONHASHSEED.
+    count = len(set(colour))
+    while count < n:
+        ecol = [hash((side, tuple(sorted([colour[v] for v in vs]))))
+                for side, vs in edges]
+        colour = [hash((colour[v], tuple(sorted([ecol[e] for e in incident[v]]))))
+                  for v in range(n)]
+        new = len(set(colour))
+        if new == count:
+            break
+        count = new
+    return colour
+
+
+def _first_repeat(colour: list[int]) -> Optional[int]:
+    # The first colour met twice, or None when every vertex has its own.
+    seen = set()
+    for c in colour:
+        if c in seen:
+            return c
+        seen.add(c)
+    return None
+
+
+def automorphism(state: State, earlier: Sequence[int],
+                 j: int) -> Optional[tuple[int, ...]]:
+    """A permutation ``p`` of the state's vertices (``p[v]`` is the image
+    of ``v``) that maps the ``own`` edges onto themselves, the ``other``
+    edges onto themselves and a vertex of ``earlier`` onto ``j``; None when
+    none is found.
+
+    One attempt, with no backtracking: the vertex tried is the first of
+    ``earlier`` whose refined colour is ``j``'s (no automorphism joins two
+    colours).  It is individualised in one copy of the colouring and ``j``
+    in another; then, while a colour holds two vertices, the lowest vertex
+    of that colour is individualised in each copy, each refined in turn,
+    until every vertex has its own colour and ``p`` matches the colours.
+    The refinement stops as soon as the colours are distinct, so only the
+    final edge-set check vouches for ``p``.
+    """
+    n, own, other = state
+    edges = [(0, bits(m)) for m in own] + [(1, bits(m)) for m in other]
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for e, (_, vs) in enumerate(edges):
+        for v in vs:
+            incident[v].append(e)
+    a = _refine(n, edges, incident, [0] * n)
+    i = next((k for k in earlier if a[k] == a[j]), None)
+    if i is None:
+        return None
+    b = a[:]
+    for _ in range(n):
+        a[i] = b[j] = hash((a[i], -1))
+        a = _refine(n, edges, incident, a)
+        b = _refine(n, edges, incident, b)
+        c = _first_repeat(a)
+        if c is None:
+            break
+        if c not in b:
+            return None
+        i, j = a.index(c), b.index(c)
+    else:
+        return None
+    where = {c: v for v, c in enumerate(b)}
+    if len(where) < n or any(c not in where for c in a):
+        return None
+    p = tuple([where[c] for c in a])
+    for masks in (own, other):
+        kept = set(masks)
+        for m in masks:
+            image = 0
+            for v in bits(m):
+                image |= 1 << p[v]
+            if image not in kept:
+                return None
+    return p
 
 
 def _domination(n: int, cover: list[int], units: int) -> tuple[int, int]:

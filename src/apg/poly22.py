@@ -27,11 +27,11 @@ Pipeline for "does Left win with a given first player":
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .core import Game, GameResult, Player
 from .errors import EdgeTooLargeError, InvalidPathError
-from .kernel import mask_indices
+from .kernel import mask_indices, unit_mask
 
 _MOVER = {Player.LEFT: 0, Player.RIGHT: 1}
 _WINS = (GameResult.LEFT_WIN, GameResult.RIGHT_WIN)
@@ -79,6 +79,13 @@ def resolve_units(n: int, blue: Iterable[int], red: Iterable[int],
                 low = m ^ high
                 masks[low.bit_length() - 1] |= high
                 masks[high.bit_length() - 1] |= low
+    return _resolve(adj, units, mover)
+
+
+def _resolve(adj: Adj, units: list[int],
+             mover: int) -> tuple[Optional[GameResult], Adj, int]:
+    # The forced picks of resolve_units on a built board; ``units`` and,
+    # at a forced pick, ``adj`` are changed in place.
     while True:
         if units[mover]:
             return _WINS[mover], adj, mover  # fill a one-vertex edge now
@@ -225,13 +232,9 @@ def left_wins(adj: Adj, mover: int) -> bool:
     return has_p3(adj[0]) if mover == 0 else right_to_move_rule(adj)
 
 
-def solve22_masks(n: int, blue: Iterable[int], red: Iterable[int],
-                  first_player: Player) -> GameResult:
-    """:func:`solve22` on edge masks over ``n`` vertices, which sizes the
-    board's neighbour lists.  The forced picks are the same with the colors
-    swapped, so they are resolved once; the rule run on the swapped board
-    says whether Right wins."""
-    decided, adj, mover = resolve_units(n, blue, red, _MOVER[first_player])
+def _value(decided: Optional[GameResult], adj: Adj, mover: int) -> GameResult:
+    # The full value from resolve_units' answer: the rule run on the
+    # swapped board says whether Right wins.
     if decided is not None:
         return decided
     left, right = left_wins(adj, mover), left_wins(adj[::-1], 1 - mover)
@@ -242,6 +245,26 @@ def solve22_masks(n: int, blue: Iterable[int], red: Iterable[int],
     if right:
         return GameResult.RIGHT_WIN
     return GameResult.DRAW
+
+
+def solve22_masks(n: int, blue: Iterable[int], red: Iterable[int],
+                  first_player: Player) -> GameResult:
+    """:func:`solve22` on edge masks over ``n`` vertices, which sizes the
+    board's neighbour lists.  The forced picks are the same with the colors
+    swapped, so they are resolved once; the rule run on the swapped board
+    says whether Right wins."""
+    return _value(*resolve_units(n, blue, red, _MOVER[first_player]))
+
+
+def solve22_outcome_masks(n: int, blue: Sequence[int],
+                          red: Sequence[int]) -> tuple[GameResult, GameResult]:
+    """:func:`solve22_masks` with Left and with Right first, from one build
+    of the neighbour lists.  Left's forced pick changes the board only when
+    Right holds one unit and Left none, and Right, moving first, then fills
+    it without reading the board."""
+    decided, adj, mover = resolve_units(n, blue, red, 0)
+    left = _value(decided, adj, mover)
+    return left, _value(*_resolve(adj, [unit_mask(blue), unit_mask(red)], 1))
 
 
 def solve22(game: Game, first_player: Player) -> GameResult:

@@ -42,7 +42,7 @@ from .ops import (
     minimal_transversals,
     twin_reduce,
 )
-from .poly22 import solve22_masks
+from .poly22 import solve22_outcome_masks
 from .reductions import (
     CanonicalRightResult,
     CnfFormula,
@@ -190,8 +190,7 @@ def poly22_agreement(seed: int = 0,
     for state, pair in itertools.chain(
             _exhaustive_22_outcomes(exhaustive_max_vertices), sampled()):
         report.checked += 1
-        for player, want in zip((L, R), pair):
-            got = solve22_masks(*state, player)
+        for player, want, got in zip((L, R), pair, solve22_outcome_masks(*state)):
             if got != want:
                 report.fail(f"{state} first={player}: poly {got} vs solver {want}")
     report.info["seed"] = seed

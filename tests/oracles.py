@@ -35,6 +35,26 @@ def antichains(pool):
     yield from extend(len(sets), [])
 
 
+def closed_state(rng, n, blue_sizes, red_sizes):
+    """A random state ``(n, blue, red)`` whose edges of each colour are
+    closed under one random permutation of the vertices, and that
+    permutation: each edge drawn, of a size from the colour's sizes,
+    brings its whole orbit."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+
+    def edges(sizes):
+        out = set()
+        for _ in range(rng.randint(1, 3)):
+            m = sum(1 << v for v in rng.sample(range(n), min(n, rng.choice(sizes))))
+            while m not in out:
+                out.add(m)
+                m = sum(1 << perm[v] for v in range(n) if m >> v & 1)
+        return tuple(sorted(out))
+
+    return (n, edges(blue_sizes), edges(red_sizes)), tuple(perm)
+
+
 def brute_result(game: Game, first_player: Player) -> GameResult:
     edges = {LEFT: [frozenset(e) for e in game.blue_edges],
              RIGHT: [frozenset(e) for e in game.red_edges]}

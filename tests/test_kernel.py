@@ -6,9 +6,10 @@ import random
 
 import pytest
 
-from apg import AlreadyWonError, GameResult, Player, Solver, SolverConfig, update
+from apg import AlreadyWonError, GameResult, Player, Solver, SolverConfig, kernel, update
 from apg.core import game_from_masks
 from apg.kernel import (
+    automorphism,
     bits,
     canonical_reply_after,
     canonical_right_reply,
@@ -26,7 +27,7 @@ from apg.kernel import (
 from apg.reductions import CnfFormula, sat_draw_game, sat_win_game
 from apg.solver import SEARCH_ONLY
 
-from oracles import antichains
+from oracles import antichains, closed_state
 
 PHI3 = CnfFormula(3, ((1, 2, 3), (-1, -2, 3), (1, -2, -3)))
 
@@ -375,6 +376,90 @@ def test_pairing_follows_a_long_augmenting_path():
     # few, and is refused after the whole chain is searched; the far edge
     # brings four vertices of its own, so the count over all edges passes.
     assert pairing(masks + [0b1111 << (2 * count), 0b11]) is None
+
+
+def permuted(mask, p):
+    return sum(1 << p[v] for v in bits(mask))
+
+
+def is_automorphism(state, p):
+    """Whether the permutation ``p`` maps each side's edges onto themselves."""
+    n, own, other = state
+    return sorted(p) == list(range(n)) and all(
+        {permuted(m, p) for m in side} == set(side) for side in (own, other))
+
+
+def automorphisms(state):
+    """Every automorphism of the state, by trying every permutation."""
+    return {p for p in itertools.permutations(range(state[0])) if is_automorphism(state, p)}
+
+
+def symmetry_states():
+    """Small seeded random states, mostly rigid, and states with a planted
+    automorphism, with their automorphisms."""
+    rng = random.Random(29)
+    states = list(random_states(31, 300, max_vertices=6))
+    states += [closed_state(rng, rng.randint(2, 6), (1, 2, 3), (1, 2, 3))[0] for _ in range(300)]
+    return [(state, automorphisms(state)) for state in states]
+
+
+def test_automorphism_agrees_with_brute_force():
+    # Every map returned is an automorphism sending i to j; a pair that no
+    # automorphism joins (every pair of a rigid state) gets None, and on
+    # these small states a pair that one joins is always found.
+    rigid = found = 0
+    for state, autos in symmetry_states():
+        n = state[0]
+        joined = {(i, p[i]) for p in autos for i in range(n)}
+        rigid += len(autos) == 1
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    got = automorphism(state, [i], j)
+                    assert (got is not None) == ((i, j) in joined), (state, i, j)
+                    if got is not None:
+                        assert got[i] == j and got in autos, (state, i, j)
+                        found += 1
+    assert rigid > 100 and found > 1000
+
+
+def test_automorphism_tries_the_first_earlier_vertex_of_its_colour():
+    # A vertex of another degree goes before one the planted automorphism
+    # sends to j: no automorphism joins vertices of different degrees, so
+    # the first is passed over for the second.
+    rng = random.Random(37)
+    tried = 0
+    while tried < 200:
+        state, p = closed_state(rng, rng.randint(3, 9), (1, 2, 3), (1, 2, 3))
+        n, own, other = state
+        degree = [sum(m >> v & 1 for m in own + other) for v in range(n)]
+        for i in range(n):
+            j = p[i]
+            far = [x for x in range(n) if degree[x] != degree[j]]
+            if i != j and far:
+                got = automorphism(state, [far[0], i], j)
+                assert got is not None and got[i] == j and is_automorphism(state, got)
+                tried += 1
+
+
+def test_automorphism_is_vouched_for_by_its_final_check(monkeypatch):
+    # With a refinement that sees only degrees, the colours pair vertices
+    # that no automorphism joins, and only the final edge-set check can
+    # refuse the map.
+    monkeypatch.setattr(kernel, "_refine", lambda n, edges, incident, colour: [
+        hash((c, len(incident[v]))) for v, c in enumerate(colour)])
+    refused = 0
+    for state, autos in symmetry_states():
+        n = state[0]
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    got = automorphism(state, [i], j)
+                    if got is None:
+                        refused += 1
+                    else:
+                        assert got[i] == j and got in autos, (state, i, j)
+    assert refused > 1000
 
 
 def test_phi3_node_counts_are_pinned():

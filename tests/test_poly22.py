@@ -18,6 +18,7 @@ from apg.poly22 import (
     resolve_units,
     right_to_move_rule,
     solve22_masks,
+    solve22_outcome_masks,
 )
 from apg.solver import PLAIN, SEARCH_ONLY
 from apg.verification import iter_22_states, random_22_state
@@ -244,6 +245,17 @@ def test_one_sided_leaf_oracle_matches_the_two_sided_procedure():
                 calls += 1
                 assert got == want, (state, want_win)
     assert calls >= 2700  # 1,060 exhaustive and 1,732 random calls
+
+
+def test_outcome_entry_matches_one_call_per_first_player():
+    # One build of the neighbour lists serves both first players: a board
+    # with units is copied before Left's forced picks change it.
+    rng = rng_for(24, "outcome-entry")
+    states = [state for n in range(4) for state in iter_22_states(n)]
+    states += [random_22_state(rng, 12) for _ in range(2000)]
+    for state in states:
+        assert solve22_outcome_masks(*state) == (solve22_masks(*state, L),
+                                                 solve22_masks(*state, R)), state
 
 
 def _forcing_chain(n, unit, first_pair, tail=None):

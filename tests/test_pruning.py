@@ -4,13 +4,13 @@ changing any value."""
 import dataclasses
 import itertools
 
-from apg import Player, Solver, SolverConfig, new_game
+from apg import GameResult, Player, Solver, SolverConfig, new_game, solver
 from apg.core import game_from_masks
 from apg.gadgets import random_game, random_paired_game, rng_for
 from apg.kernel import bits, pairing
 from apg.solver import PLAIN, TOGGLES
 
-from oracles import antichains, brute_result
+from oracles import antichains, brute_result, closed_state
 
 L, R = Player.LEFT, Player.RIGHT
 
@@ -18,6 +18,8 @@ NO_THREATS = SolverConfig(use_double_threats=False)
 
 # The pairing rule alone, on the plain search.
 PAIRING = dataclasses.replace(PLAIN, use_pairing=True)
+# The symmetry rule alone, on the plain search.
+SYMMETRY = dataclasses.replace(PLAIN, use_symmetry=True)
 
 
 def test_exhaustive_three_vertex_games_any_rank():
@@ -152,6 +154,45 @@ def test_pairing_rule_on_paired_boards_and_one_edge_past_them():
                 assert Solver().solve(board, first) == want, board
                 fired[k] += pairs_only.last_stats.pairing_cutoffs
     assert fired[0] > 500 and fired[1] > 100
+
+
+def closed_board(rng, n, blue_sizes, red_sizes):
+    """A board on ``n`` vertices whose edges of each colour are closed under
+    one random permutation of the vertices."""
+    _, blue, red = closed_state(rng, n, blue_sizes, red_sizes)[0]
+    return game_from_masks(tuple(f"v{i}" for i in range(n)), blue, red)
+
+
+def test_symmetry_rule_on_boards_closed_under_a_permutation(monkeypatch):
+    # With the gate at 0 every searched pick but a node's first is checked
+    # against the picks before it, by the rule alone and with every rule.
+    # Both first players against the plain search and brute force, then
+    # blue<=3 / red<=2 boards through the canonical-Right query, whose every
+    # node has the game value "can Left avoid losing?".  Fresh solvers per
+    # board, so no firing is answered from an earlier board's memo.
+    monkeypatch.setattr(solver, "SYMMETRY_MIN_NODES", 0)
+    rng = rng_for(94, "pruning-symmetry")
+    plain = Solver(PLAIN)
+    fired = [0, 0, 0, 0]  # alone and with every rule, per query kind
+    for _ in range(150):
+        g = closed_board(rng, rng.randint(6, 10), (1, 2, 3, 3), (1, 2, 3, 3))
+        for first in (L, R):
+            want = brute_result(g, first)
+            assert plain.solve(g, first) == want, g
+            for k, config in enumerate((SYMMETRY, SolverConfig())):
+                tuned = Solver(config)
+                assert tuned.solve(g, first) == want, g
+                fired[k] += tuned.last_stats.symmetry_cutoffs
+    for _ in range(150):
+        g = closed_board(rng, rng.randint(6, 10), (2, 3, 3), (1, 2, 2))
+        want = brute_result(g, L) is not GameResult.RIGHT_WIN
+        for k, config in enumerate((SYMMETRY, SolverConfig()), 2):
+            tuned = Solver(config)
+            assert tuned.survives_canonical_right(g) == want, g
+            fired[k] += tuned.last_stats.symmetry_cutoffs
+    # The other rules end most nodes first, so the rule fires far less
+    # often beside them.
+    assert fired[0] > 1000 and fired[2] > 300 and fired[1] + fired[3] > 50
 
 
 def test_each_toggle_individually():

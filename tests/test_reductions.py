@@ -2,6 +2,10 @@
 
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -149,14 +153,35 @@ def test_draw_gadget_never_left_win():
 
 def test_draw_gadget_unsat_loses():
     # Pinned so that a change to the search's pruning or order shows: the
-    # search alone, and with the cutoffs that end nodes early.
+    # search alone, with the cutoffs that end nodes early, and with those
+    # but the symmetry rule, which the gadget's sign flips set off.
     g = sat_draw_game(CnfFormula(3, all_sign_clauses())).game
     s = Solver(SEARCH_ONLY)
     assert not s.survives_canonical_right(g)
     assert s.last_stats.nodes_expanded == 189_120
-    s = Solver()
+    s = Solver(SolverConfig(use_symmetry=False))
     assert not s.survives_canonical_right(g)
     assert s.last_stats.nodes_expanded == 13_639
+    s = Solver()
+    assert not s.survives_canonical_right(g)
+    assert (s.last_stats.nodes_expanded, s.last_stats.symmetry_cutoffs) == (2_490, 13)
+
+
+def test_symmetry_rule_repeats_under_any_hash_seed():
+    # The refinement hashes only ints and tuples of ints, whose hashes
+    # PYTHONHASHSEED leaves alone, so the all-sign refutation expands the
+    # same nodes in every interpreter.
+    code = ("from apg import CnfFormula, Solver, sat_draw_game\n"
+            "clauses = tuple((a, b, c) for a in (1, -1) for b in (2, -2) for c in (3, -3))\n"
+            "s = Solver()\n"
+            "s.survives_canonical_right(sat_draw_game(CnfFormula(3, clauses)).game)\n"
+            "print(s.last_stats.nodes_expanded, s.last_stats.symmetry_cutoffs)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    counts = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=120,
+                             env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)).stdout
+              for seed in ("1", "4242")}
+    assert counts == {"2490 13\n"}
 
 
 def test_canonical_right_priorities():

@@ -462,7 +462,13 @@ def test_counters_count_firings_and_stay_zero_when_toggled_off():
             ("forced_replies", "use_forced_moves",
              sat_win_game(CnfFormula(3, ((1, 2, 3),))).game),
             ("pairing_cutoffs", "use_pairing",
-             sat_draw_game(CnfFormula(3, ((1, 2, 3),))).game))
+             sat_draw_game(CnfFormula(3, ((1, 2, 3),))).game),
+            # The all-sign formula, unsatisfiable: its gadget's subtrees
+            # reach the symmetry rule's gate.
+            ("symmetry_cutoffs", "use_symmetry",
+             sat_draw_game(CnfFormula(3, tuple((a, b, c) for a in (1, -1)
+                                               for b in (2, -2)
+                                               for c in (3, -3)))).game))
     # Every rule's counter has a row: the fields past the query's own four.
     query = {"nodes_expanded", "memo_hits", "max_depth", "elapsed"}
     counters = {f.name for f in dataclasses.fields(SolveStats)} - query
@@ -493,10 +499,10 @@ def test_reference_configurations_follow_the_toggles():
 def test_stats_text_prints_every_counter_but_elapsed():
     # The text of apg solve's stats block: one line per field in declaration
     # order, so a new rule's counter is printed after these.
-    lines = SolveStats(*range(1, 10)).as_text().splitlines()
-    assert lines[:8] == ["nodes_expanded: 1", "memo_hits: 2", "max_depth: 3",
+    lines = SolveStats(*range(1, 11)).as_text().splitlines()
+    assert lines[:9] == ["nodes_expanded: 1", "memo_hits: 2", "max_depth: 3",
                          "leaf_calls: 5", "potential_cutoffs: 6", "threat_cutoffs: 7",
-                         "forced_replies: 8", "pairing_cutoffs: 9"]
+                         "forced_replies: 8", "pairing_cutoffs: 9", "symmetry_cutoffs: 10"]
     assert len(lines) == len(dataclasses.fields(SolveStats)) - 1
 
 
