@@ -280,8 +280,10 @@ def automorphism(state: State, earlier: Sequence[int],
     in another; then, while a colour holds two vertices, the lowest vertex
     of that colour is individualised in each copy, each refined in turn,
     until every vertex has its own colour and ``p`` matches the colours.
-    The refinement stops as soon as the colours are distinct, so only the
-    final edge-set check vouches for ``p``.
+    The refinement stops as soon as the colours are distinct and hashed
+    colours may collide, so only the final check vouches for ``p``: that
+    it maps each edge set onto itself and the chosen earlier vertex onto
+    ``j``.
     """
     n, own, other = state
     edges = [(0, bits(m)) for m in own] + [(1, bits(m)) for m in other]
@@ -293,6 +295,7 @@ def automorphism(state: State, earlier: Sequence[int],
     i = next((k for k in earlier if a[k] == a[j]), None)
     if i is None:
         return None
+    source, target = i, j
     b = a[:]
     for _ in range(n):
         a[i] = b[j] = hash((a[i], -1))
@@ -310,6 +313,8 @@ def automorphism(state: State, earlier: Sequence[int],
     if len(where) < n or any(c not in where for c in a):
         return None
     p = tuple([where[c] for c in a])
+    if p[source] != target:
+        return None
     for masks in (own, other):
         kept = set(masks)
         for m in masks:

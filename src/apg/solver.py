@@ -17,7 +17,8 @@ node budget and the queries.  Each public query runs in one bracket,
 ``_Query``: it installs fresh counters (``last_stats``), and with them the
 node budget, and sets the query's elapsed time on the way out, also when a
 limit is reached.  A query runs out one way, by ``ResourceLimitError``: for
-the node budget, or for a search deeper than the recursion limit.
+the node budget, for a search deeper than the recursion limit, or for a
+search that runs out of memory, which also clears the memo tables.
 
 One search (``Solver._eval``) answers every question but the delay.  Besides
 the game values it answers one question with Right's moves fixed: whether
@@ -237,8 +238,9 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The search's settings.  Each rule is one ``use_*`` field, on by
-    default; ``PLAIN`` and ``SEARCH_ONLY`` below are derived from them."""
+    """The search's settings: the node budget and the rules.  Each rule is
+    one ``use_*`` field, on by default; ``PLAIN`` and ``SEARCH_ONLY`` below
+    are derived from them."""
     node_limit: int = 50_000_000
     use_twin_reduction: bool = True
     use_domination: bool = True
@@ -248,10 +250,6 @@ class SolverConfig:
     use_double_threats: bool = True
     use_pairing: bool = True
     use_symmetry: bool = True
-    # When set, memoize only positions with at most this many free vertices;
-    # exhaustive batteries use it to keep the table tiny while their top-level
-    # queries still share all sub-position work.
-    memo_max_vertices: Optional[int] = None
 
 
 # Each rule's toggle, and the reference configurations, which a new rule's
@@ -289,14 +287,17 @@ class _Query:
     # budget, and its elapsed time, set also when a limit is reached.  The
     # searches recurse once per move (a forced line once per two), so a
     # game deeper than the interpreter's recursion limit runs out of
-    # resources too: its RecursionError leaves as ResourceLimitError.  A
-    # class rather than a contextlib generator: on the exhaustive
-    # batteries' ~2M queries of at most four vertices (12-16 us each on a
-    # 2-vCPU guest, Python 3.11) a generator cost 1.8-2.4 us per query more
-    # than a plain try/finally, and this class 0.4-0.9 us.
-    __slots__ = ("stats", "t0")
+    # resources too: its RecursionError leaves as ResourceLimitError.  So
+    # does a MemoryError, after the memo tables are cleared, so that the
+    # solver answers later queries.  A class rather than a contextlib
+    # generator: on the exhaustive batteries' ~2M queries of at most four
+    # vertices (12-16 us each on a 2-vCPU guest, Python 3.11) a generator
+    # cost 1.8-2.4 us per query more than a plain try/finally, and this
+    # class 0.4-0.9 us.
+    __slots__ = ("solver", "stats", "t0")
 
     def __init__(self, solver: Solver):
+        self.solver = solver
         self.stats = solver.last_stats = SolveStats()
 
     def __enter__(self) -> None:
@@ -307,6 +308,11 @@ class _Query:
         if isinstance(exc, RecursionError):
             raise ResourceLimitError(f"the search went deeper than the recursion "
                                      f"limit ({sys.getrecursionlimit()})") from exc
+        if isinstance(exc, MemoryError):
+            solver = self.solver
+            for memo in (solver._memo_win, solver._memo_avoid, solver._memo_delay):
+                memo.clear()
+            raise ResourceLimitError("the search ran out of memory") from exc
 
 
 class Solver:
@@ -452,15 +458,13 @@ class Solver:
                 if not self._eval(child(state, i), not want_win, depth + 1):
                     result = True
                     break
-        self._store(memo, state, result, state[0])
+        self._store(memo, state, result)
         return result
 
-    def _store(self, memo: dict, key, result, n: int) -> None:
-        limit = self.config.memo_max_vertices
-        if limit is None or n <= limit:
-            if len(memo) >= MEMO_FLUSH_ENTRIES:
-                memo.clear()
-            memo[key] = result
+    def _store(self, memo: dict, key, result) -> None:
+        if len(memo) >= MEMO_FLUSH_ENTRIES:
+            memo.clear()
+        memo[key] = result
 
     def _root(self, state: State) -> State:
         # A query's root, twin-reduced once: no node below it is.
@@ -611,7 +615,7 @@ class Solver:
             hi = d
         else:
             lo = d + 1
-        self._store(self._memo_delay, key, (lo, hi), state[0])
+        self._store(self._memo_delay, key, (lo, hi))
         return result
 
     def _delay_prot(self, state: State, d: int, depth: int) -> bool:

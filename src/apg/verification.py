@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .core import (
@@ -105,25 +105,41 @@ def _edge_masks_22(n: int) -> list[int]:
     return singles + pairs
 
 
+def _edge_sets_22(n: int) -> list[tuple[int, ...]]:
+    """Every set of edges of size <= 2 on ``n`` vertices, each sorted."""
+    masks = _edge_masks_22(n)
+    return [tuple(sorted(masks[i] for i in range(len(masks)) if bits >> i & 1))
+            for bits in range(1 << len(masks))]
+
+
 def iter_22_states(n: int) -> Iterable[tuple[int, tuple[int, ...], tuple[int, ...]]]:
     """Every game on exactly ``n`` vertices whose edges all have size <= 2."""
-    masks = _edge_masks_22(n)
-    subsets: list[tuple[int, ...]] = []
-    for bits in range(1 << len(masks)):
-        subsets.append(tuple(sorted(masks[i] for i in range(len(masks))
-                                    if bits >> i & 1)))
-    for blue in subsets:
-        for red in subsets:
+    sets = _edge_sets_22(n)
+    for blue in sets:
+        for red in sets:
             yield (n, blue, red)
 
 
+# The exhaustive size-<=2 pass covers every board on at most this many
+# vertices: about a million of them.
+EXHAUSTIVE_22_MAX_VERTICES = 4
+
+
 def _exhaustive_22_outcomes(max_vertices: int):
-    """Every state of ``iter_22_states`` up to ``max_vertices`` vertices, with
-    its values (Left first, Right first) from the search alone."""
-    solver = Solver(replace(SEARCH_ONLY, memo_max_vertices=max(0, max_vertices - 1)))
+    """Every state of ``iter_22_states`` up to ``max_vertices`` vertices, in
+    another order, with its values (Left first, Right first) from the search
+    alone.  A fresh solver for each blue edge set bounds the memo (one solver
+    for the whole 4-vertex pass holds over a million entries); it also takes
+    each board's colour-swapped mirror, whose Left-first root is the board's
+    Right-first root, so the two share their memo entries."""
     for n in range(max_vertices + 1):
-        for state in iter_22_states(n):
-            yield state, solver.outcome_state(state)
+        sets = _edge_sets_22(n)
+        for i, blue in enumerate(sets):
+            solver = Solver(SEARCH_ONLY)
+            for red in sets[i:]:
+                yield (n, blue, red), solver.outcome_state((n, blue, red))
+                if red != blue:
+                    yield (n, red, blue), solver.outcome_state((n, red, blue))
 
 
 def random_22_state(rng, max_vertices: int, exact: Optional[int] = None):
@@ -140,12 +156,13 @@ def random_22_state(rng, max_vertices: int, exact: Optional[int] = None):
 # ---------------------------------------------------------------------------
 # Outcome legality
 
-def outcome_legality(seed: int = 0,
-                     random_trials: int = 5000,
-                     exhaustive_max_vertices: int = 4) -> BatteryReport:
+LEGALITY_RANDOM_TRIALS = 5000
+
+
+def outcome_legality(seed: int = 0) -> BatteryReport:
     """No game may produce one of the three impossible outcome rows."""
     report = BatteryReport("outcome-legality")
-    for state, pair in _exhaustive_22_outcomes(exhaustive_max_vertices):
+    for state, pair in _exhaustive_22_outcomes(EXHAUSTIVE_22_MAX_VERTICES):
         report.checked += 1
         try:
             outcome_from_results(*pair)
@@ -153,15 +170,15 @@ def outcome_legality(seed: int = 0,
             report.fail(f"{exc} for {state}")
     rng = rng_for(seed, "outcome-legality")
     big = Solver()
-    for _ in range(random_trials):
+    for _ in range(LEGALITY_RANDOM_TRIALS):
         game = random_game(rng, max_vertices=7, max_edge_size=3)
         report.checked += 1
         try:
             big.outcome(game)
         except IllegalOutcomeError as exc:
             report.fail(f"{exc} for {game!r}")
-    report.info["exhaustive_max_vertices"] = exhaustive_max_vertices
-    report.info["random_trials"] = random_trials
+    report.info["exhaustive_max_vertices"] = EXHAUSTIVE_22_MAX_VERTICES
+    report.info["random_trials"] = LEGALITY_RANDOM_TRIALS
     report.info["seed"] = seed
     return report
 
@@ -171,7 +188,7 @@ def outcome_legality(seed: int = 0,
 
 def poly22_agreement(seed: int = 0,
                      random_trials: int = 10000,
-                     exhaustive_max_vertices: int = 4,
+                     exhaustive_max_vertices: int = EXHAUSTIVE_22_MAX_VERTICES,
                      five_vertex_trials: int = 25000) -> BatteryReport:
     """solve22 must equal the exact solver for both first players.
 
@@ -473,7 +490,10 @@ def union_table_battery(seed: int = 0,
     return report
 
 
-def delay_battery(seed: int = 0, pairs: int = 500) -> BatteryReport:
+DELAY_UNION_PAIRS = 500
+
+
+def delay_battery(seed: int = 0) -> BatteryReport:
     """Pass-counting delays of the hub family, and the union law: the side
     with the smaller delay wins the disjoint union moving first."""
     report = BatteryReport("delay")
@@ -486,7 +506,7 @@ def delay_battery(seed: int = 0, pairs: int = 500) -> BatteryReport:
     rng = rng_for(seed, "delay-union")
     made = 0
     attempts = 0
-    while made < pairs and attempts < pairs * 60:
+    while made < DELAY_UNION_PAIRS and attempts < DELAY_UNION_PAIRS * 60:
         attempts += 1
         g = random_game(rng, max_vertices=6, max_edge_size=3)
         if s.solve(g, L) is not LW:
@@ -506,8 +526,8 @@ def delay_battery(seed: int = 0, pairs: int = 500) -> BatteryReport:
             report.fail(f"d={d} <= d'={d2} but Left does not win first: {g!r}|{g2!r}")
         if d2 <= d and s.solve(u, R) is not RW:
             report.fail(f"d'={d2} <= d={d} but Right does not win first: {g!r}|{g2!r}")
-    if made < pairs:
-        report.fail(f"generator produced only {made}/{pairs} pairs")
+    if made < DELAY_UNION_PAIRS:
+        report.fail(f"generator produced only {made}/{DELAY_UNION_PAIRS} pairs")
     report.info["seed"] = seed
     report.info["pairs"] = made
     return report
@@ -620,13 +640,16 @@ def qbf_battery() -> BatteryReport:
     return report
 
 
-def mm_embedding_battery(seed: int = 0, trials: int = 200) -> BatteryReport:
+MM_EMBEDDING_TRIALS = 200
+
+
+def mm_embedding_battery(seed: int = 0) -> BatteryReport:
     """Embedding a game into a symmetric rank-4 board and replaying the two
     anchor picks must reproduce the game and its value."""
     report = BatteryReport("mm-embedding")
     rng = rng_for(seed, "mm-embedding")
     s = Solver()
-    for _ in range(trials):
+    for _ in range(MM_EMBEDDING_TRIALS):
         g = random_game(rng, max_vertices=6, max_edge_size=3)
         h, ul, ur = maker_maker_embedding(g)
         mm = Game(h.vertices, h.edges, h.edges)
@@ -641,13 +664,16 @@ def mm_embedding_battery(seed: int = 0, trials: int = 200) -> BatteryReport:
     return report
 
 
-def transversal_battery(max_vertices: int = 4) -> BatteryReport:
+TRANSVERSAL_MAX_VERTICES = 4
+
+
+def transversal_battery() -> BatteryReport:
     """Over every hypergraph with at least one edge: the two Maker-Breaker
     embeddings agree (wins match; blocked boards are draws in one and Right
     wins in the other) and the transversal map is an involution."""
     report = BatteryReport("transversal-embedding")
     solver = Solver()
-    for n in range(1, max_vertices + 1):
+    for n in range(1, TRANSVERSAL_MAX_VERTICES + 1):
         verts = [f"v{i}" for i in range(n)]
         pool = [frozenset(c) for r in range(1, n + 1)
                 for c in itertools.combinations(verts, r)]
@@ -670,5 +696,5 @@ def transversal_battery(max_vertices: int = 4) -> BatteryReport:
                 report.fail(f"empty-red board cannot be a Right win: {edges}")
             if r_full is DR:
                 report.fail(f"transversal board cannot draw: {edges}")
-    report.info["max_vertices"] = max_vertices
+    report.info["max_vertices"] = TRANSVERSAL_MAX_VERTICES
     return report

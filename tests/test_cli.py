@@ -7,7 +7,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from apg import verification
+from apg import solver, verification
 from apg.cli import run
 
 
@@ -196,6 +196,17 @@ def test_resource_limit_exit_code(butterfly_file, monkeypatch):
     monkeypatch.setenv("APG_NODE_LIMIT", "1")
     code, _ = invoke(["solve", butterfly_file, "--first", "left"])
     assert code == 3
+
+
+def test_out_of_memory_exit_code(butterfly_file, monkeypatch, capsys):
+    # A search that runs out of memory exits 3 with one error line, not 1
+    # with a traceback.  No memory is spent: the move generator raises.
+    def exhausted(*args):
+        raise MemoryError
+    monkeypatch.setattr(solver, "expand", exhausted)
+    code, out = invoke(["solve", butterfly_file, "--first", "left"])
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err.splitlines() == ["error: the search ran out of memory"]
 
 
 def chain_file(tmp_path, n, lead=""):

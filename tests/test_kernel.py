@@ -462,6 +462,17 @@ def test_automorphism_is_vouched_for_by_its_final_check(monkeypatch):
     assert refused > 1000
 
 
+def test_automorphism_checks_the_pair_it_was_asked_about(monkeypatch):
+    # A refinement that splits every colour at once, whatever the edges
+    # say, hands the final check the identity: it fixes both edge sets but
+    # sends 0 onto 0, not onto the 2 asked for, which no automorphism does.
+    monkeypatch.setattr(kernel, "_refine", lambda n, edges, incident, colour:
+                        colour if len(set(colour)) == 1 else list(range(n)))
+    state = (3, (0b011,), (0b110,))
+    assert automorphisms(state) == {(0, 1, 2)}
+    assert automorphism(state, [0], 2) is None
+
+
 def test_phi3_node_counts_are_pinned():
     # Exact search size without the cutoffs that end nodes early (forced
     # blocks and the forced replies that ride on them stay on): any change

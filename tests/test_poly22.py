@@ -21,7 +21,7 @@ from apg.poly22 import (
     solve22_outcome_masks,
 )
 from apg.solver import PLAIN, SEARCH_ONLY
-from apg.verification import iter_22_states, random_22_state
+from apg.verification import _exhaustive_22_outcomes, iter_22_states, random_22_state
 
 L, R = Player.LEFT, Player.RIGHT
 LW, DR, RW = GameResult.LEFT_WIN, GameResult.DRAW, GameResult.RIGHT_WIN
@@ -256,6 +256,17 @@ def test_outcome_entry_matches_one_call_per_first_player():
     for state in states:
         assert solve22_outcome_masks(*state) == (solve22_masks(*state, L),
                                                  solve22_masks(*state, R)), state
+
+
+def test_exhaustive_pass_takes_every_board_once_with_its_search_values():
+    # The pass takes each board next to its colour-swapped mirror in one
+    # solver per blue edge set: the same boards as iter_22_states, each
+    # with the values a fresh solver gives it.
+    got = list(_exhaustive_22_outcomes(3))
+    assert sorted(state for state, _ in got) == sorted(
+        state for n in range(4) for state in iter_22_states(n))
+    for state, pair in got:
+        assert pair == Solver(SEARCH_ONLY).outcome_state(state), state
 
 
 def _forcing_chain(n, unit, first_pair, tail=None):

@@ -344,6 +344,25 @@ def test_a_search_past_the_recursion_limit_raises_resource_limit_error():
     assert s.solve(butterfly(), L) is LW
 
 
+def test_a_search_out_of_memory_raises_resource_limit_error(monkeypatch):
+    # A MemoryError leaves a query as ResourceLimitError and empties the
+    # memo tables, and the solver still answers afterwards.  No memory is
+    # spent: the move generator raises.
+    s = Solver()
+    assert s.solve(butterfly(), L) is LW and s.delay(butterfly(), L) == 2
+    assert s._memo_win and s._memo_avoid and s._memo_delay
+    def exhausted(*args):
+        raise MemoryError
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "expand", exhausted)
+        with pytest.raises(ResourceLimitError) as exc:
+            s.solve(win_in_k(3), L)
+    assert str(exc.value) == "the search ran out of memory"
+    assert s.last_stats.nodes_expanded > 0 and s.last_stats.elapsed > 0
+    assert not (s._memo_win or s._memo_avoid or s._memo_delay)
+    assert s.solve(win_in_k(3), L) is LW and s.delay(butterfly(), L) == 2
+
+
 QUERIES = {
     "solve_state": lambda s, g: s.solve_state(state_of_game(g), L),
     "survives_canonical_right": lambda s, g: s.survives_canonical_right(g),
@@ -488,10 +507,11 @@ def test_reference_configurations_follow_the_toggles():
     assert all(getattr(SolverConfig(), t) for t in toggles)
     assert {t for t in toggles if getattr(SEARCH_ONLY, t) != getattr(PLAIN, t)} == {
         "use_twin_reduction", "use_domination", "use_forced_moves"}
-    # Both keep the default budget and memo, and no caller can change them.
+    # A config holds the node budget and the rules, nothing else.  Both
+    # keep the default budget, and no caller can change them.
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["node_limit", *TOGGLES]
     for config in (PLAIN, SEARCH_ONLY):
-        assert (config.node_limit, config.memo_max_vertices) == (
-            SolverConfig().node_limit, None)
+        assert config.node_limit == SolverConfig().node_limit
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.use_pairing = True
 
@@ -567,9 +587,6 @@ def test_delay_right_protagonist():
 
 def test_delay_memo_obeys_the_memo_bounds(monkeypatch):
     monkeypatch.setattr(solver, "MEMO_FLUSH_ENTRIES", 2)
-    s = Solver(SolverConfig(memo_max_vertices=0))
-    assert s.delay(win_in_k(4), L) == 3
-    assert all(state[0] == 0 for _, state in s._memo_delay)
     s = Solver()
     assert s.delay(win_in_k(4), L) == 3
     assert 0 < len(s._memo_delay) <= 2
