@@ -34,9 +34,10 @@ of its pairs through the pick, and leaves the opponent's edges that miss
 the pick as they were.  :func:`grandchild` then applies a pick and its
 reply in one pass.
 
-:func:`automorphism` looks for a permutation of a state's vertices that
-keeps each side's edge set and joins two given picks, for the search's
-symmetry rule; only its final check on the edges vouches for a map.
+:class:`MapFinder` looks for permutations of one state's vertices that
+keep each side's edge set and join two given picks, for the search's
+symmetry rule; it builds each colouring it needs once per state, and only
+its final check on the edges vouches for a map.
 """
 
 from __future__ import annotations
@@ -267,63 +268,117 @@ def _first_repeat(colour: list[int]) -> Optional[int]:
     return None
 
 
-def automorphism(state: State, earlier: Sequence[int],
-                 j: int) -> Optional[tuple[int, ...]]:
-    """A permutation ``p`` of the state's vertices (``p[v]`` is the image
-    of ``v``) that maps the ``own`` edges onto themselves, the ``other``
-    edges onto themselves and a vertex of ``earlier`` onto ``j``; None when
-    none is found.
+def _pair_in_order(a: list[int], b: list[int]) -> Optional[list[int]]:
+    # The map that sends the k-th vertex of each colour of ``a`` onto the
+    # k-th vertex of that colour in ``b``, both in index order; None when a
+    # colour has fewer vertices in ``b`` than in ``a``.  The two have the
+    # same length, so a map returned takes every vertex once: a permutation.
+    members: dict[int, list[int]] = {}
+    for v in range(len(b) - 1, -1, -1):  # each list highest first, popped lowest
+        members.setdefault(b[v], []).append(v)
+    p = []
+    for c in a:
+        vs = members.get(c)
+        if not vs:
+            return None
+        p.append(vs.pop())
+    return p
 
-    One attempt, with no backtracking: the vertex tried is the first of
-    ``earlier`` whose refined colour is ``j``'s (no automorphism joins two
-    colours).  It is individualised in one copy of the colouring and ``j``
-    in another; then, while a colour holds two vertices, the lowest vertex
-    of that colour is individualised in each copy, each refined in turn,
-    until every vertex has its own colour and ``p`` matches the colours.
-    The refinement stops as soon as the colours are distinct and hashed
-    colours may collide, so only the final check vouches for ``p``: that
-    it maps each edge set onto itself and the chosen earlier vertex onto
-    ``j``.
+
+class MapFinder:
+    """Permutations of one state's vertices (``p[v]`` is the image of
+    ``v``) that map the ``own`` edges onto themselves and the ``other``
+    edges onto themselves, asked pick by pick for the search's symmetry
+    rule.  One finder serves one node: it builds the edge and incidence
+    lists, the refined base colouring and, at its first use, each vertex's
+    individualised and refined colouring once, and every later question at
+    the node reads them.
+
+    :meth:`find` makes one attempt, with no backtracking.  The vertex
+    tried is the first earlier pick whose base colour is the pick's (no
+    automorphism joins two colours).  First the shortcut: the two
+    vertices' individualised colourings are paired class by class in
+    index order.  A state's symmetric parts are usually numbered in the
+    same relative order, so that pairing is usually the map.  When it
+    fails, the chain goes on from the same two colourings: while a colour
+    holds two vertices, the lowest vertex of that colour is individualised
+    in each copy and each is refined in turn, until every vertex has its
+    own colour and the map matches the colours.  Refinement stops as soon
+    as the colours are distinct and hashed colours may collide, so neither
+    step vouches for a map: only the final check does, that it maps each
+    edge set onto itself and the earlier pick onto the pick.
     """
-    n, own, other = state
-    edges = [(0, bits(m)) for m in own] + [(1, bits(m)) for m in other]
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for e, (_, vs) in enumerate(edges):
-        for v in vs:
-            incident[v].append(e)
-    a = _refine(n, edges, incident, [0] * n)
-    i = next((k for k in earlier if a[k] == a[j]), None)
-    if i is None:
-        return None
-    source, target = i, j
-    b = a[:]
-    for _ in range(n):
-        a[i] = b[j] = hash((a[i], -1))
-        a = _refine(n, edges, incident, a)
-        b = _refine(n, edges, incident, b)
+
+    __slots__ = ("n", "edges", "incident", "sides", "base", "_single")
+
+    def __init__(self, state: State):
+        n, own, other = state
+        self.n = n
+        self.edges = [(0, bits(m)) for m in own] + [(1, bits(m)) for m in other]
+        self.incident: list[list[int]] = [[] for _ in range(n)]
+        for e, (_, vs) in enumerate(self.edges):
+            for v in vs:
+                self.incident[v].append(e)
+        self.sides = (frozenset(own), frozenset(other))
+        self.base = _refine(n, self.edges, self.incident, [0] * n)
+        self._single: dict[int, list[int]] = {}
+
+    def _individualised(self, v: int) -> list[int]:
+        # The base colouring with v given a colour of its own, refined; the
+        # caller copies it before changing it.
+        colour = self._single.get(v)
+        if colour is None:
+            colour = self.base[:]
+            colour[v] = hash((colour[v], -1))
+            colour = self._single[v] = _refine(self.n, self.edges, self.incident, colour)
+        return colour
+
+    def _keeps(self, p: Sequence[int], i: int, j: int) -> bool:
+        # The final check: p sends i onto j and each edge onto an edge of
+        # its own side.
+        if p[i] != j:
+            return False
+        sides = self.sides
+        for side, vs in self.edges:
+            image = 0
+            for v in vs:
+                image |= 1 << p[v]
+            if image not in sides[side]:
+                return False
+        return True
+
+    def find(self, earlier: Sequence[int], j: int) -> Optional[tuple[int, ...]]:
+        """A checked map that sends a vertex of ``earlier`` onto ``j``;
+        None when the attempt finds none."""
+        base = self.base
+        i = next((k for k in earlier if base[k] == base[j]), None)
+        if i is None:
+            return None
+        a, b = self._individualised(i), self._individualised(j)
+        p = _pair_in_order(a, b)
+        if p is not None and self._keeps(p, i, j):
+            return tuple(p)
         c = _first_repeat(a)
         if c is None:
-            break
-        if c not in b:
-            return None
-        i, j = a.index(c), b.index(c)
-    else:
-        return None
-    where = {c: v for v, c in enumerate(b)}
-    if len(where) < n or any(c not in where for c in a):
-        return None
-    p = tuple([where[c] for c in a])
-    if p[source] != target:
-        return None
-    for masks in (own, other):
-        kept = set(masks)
-        for m in masks:
-            image = 0
-            for v in bits(m):
-                image |= 1 << p[v]
-            if image not in kept:
+            return None  # the chain would end with the map just refused
+        a, b = a[:], b[:]
+        n, edges, incident = self.n, self.edges, self.incident
+        for _ in range(n - 1):
+            if c not in b:
                 return None
-    return p
+            u, v = a.index(c), b.index(c)
+            a[u] = b[v] = hash((a[u], -1))
+            a = _refine(n, edges, incident, a)
+            b = _refine(n, edges, incident, b)
+            c = _first_repeat(a)
+            if c is None:
+                break
+        else:
+            return None
+        p = _pair_in_order(a, b)
+        if p is None or not self._keeps(p, i, j):
+            return None
+        return tuple(p)
 
 
 def _domination(n: int, cover: list[int], units: int) -> tuple[int, int]:

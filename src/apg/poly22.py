@@ -21,7 +21,10 @@ Pipeline for "does Left win with a given first player":
      at even steps).  Even-ended paths are optimal for Right and their
      vertices can be deleted outright; once a pass deletes nothing, only
      branching or odd-ended vertices remain, and Right survives iff some
-     odd-ended path of that pass leaves a P3-free blue graph behind.
+     odd-ended path of that pass leaves a P3-free blue graph behind.  Only
+     the vertices on the red matching are walked: a live vertex off it has
+     no red edge to start a path, so its path is that one vertex, odd-ended,
+     and it joins the final odd paths unwalked.
 """
 
 from __future__ import annotations
@@ -175,29 +178,40 @@ def right_to_move_rule(adj: Adj) -> bool:
     A red P3 lets Right win in two moves.  Otherwise even-ended paths are
     deleted repeatedly; Right then survives iff some odd-ended path of the
     final board, removed from the blue graph, leaves it without a P3.
-    Testing only the odd paths of the last pass is exact: that pass deleted
-    nothing, so it classified every live vertex of the final board, and its
-    odd paths are all of that board's.
+    Only the vertices on the red matching are walked.  A live vertex off it
+    has no red edge to follow, so its path is the vertex alone, odd-ended;
+    it is never deleted, and it joins the odd paths of the final board
+    unwalked.  An even-ended path alternates red and blue edges and ends on
+    a red one, so every vertex it deletes is matched.  Testing only the
+    odd paths of the last pass is exact: that pass deleted nothing, so it
+    walked every matched live vertex of the final board, and with the
+    unmatched ones its odd paths are all of that board's.  Once a pass has
+    deleted every red edge, the next one walks nothing.
     """
     if has_p3(adj[1]):
         return False
     adj = (list(adj[0]), list(adj[1]))
     blue, red = adj
     n = len(blue)
+    matched = [u for u in range(n) if red[u]]
     # Each deletion preserves the value, so a pass scans on after one, and
-    # passes repeat until one deletes nothing: its odd paths are tested.
+    # passes repeat until one deletes nothing: its odd paths are tested.  A
+    # deletion takes both ends of each red edge it meets, so a matched
+    # vertex is live exactly while its red mask is set.
     deleted = True
     while deleted:
         deleted = False
         odd = []
-        for u in range(n):
-            if blue[u] or red[u]:
+        for u in matched:
+            if red[u]:
                 kind, path = classify(adj, u)
                 if kind is PathKind.EVEN:
                     reduce_type3(adj, path)
                     deleted = True
                 elif kind is PathKind.ODD:
                     odd.append(path)
+        if deleted:
+            matched = [u for u in matched if red[u]]
     # The centres (blue degree >= 2) are where a blue P3 can survive.  Every
     # branching vertex walks to one, so without any the board is empty or
     # every path is odd and leaves no P3: a draw.
@@ -207,6 +221,8 @@ def right_to_move_rule(adj: Adj) -> bool:
             centres |= 1 << v
     if not centres:
         return False
+    # The live vertices off the matching, each a one-vertex odd path.
+    odd += [(u,) for u in range(n) if blue[u] and not red[u]]
     count = centres.bit_count()
     for path in odd:
         # A P3 survives the path's deletion at a centre off the path that

@@ -82,19 +82,22 @@ gadget by a quarter.
 One rule runs just before a pick is searched, at a node whose subtree has
 grown large: the symmetry rule (``use_symmetry``), orbit pruning by
 individualisation and refinement after McKay and Piperno (J. Symb. Comput.
-60, 2014).  ``kernel.automorphism`` looks for a permutation of the node's
+60, 2014).  A ``kernel.MapFinder`` looks for a permutation of the node's
 vertices that maps the mover's edges onto themselves, the opponent's onto
 themselves and an earlier pick of the node onto this one; when it finds
-one, checked on both edge sets, the pick is skipped (``symmetry_cutoffs``).
-It is exact: every earlier pick failed to decide the node, or the loop
-would have ended, and the two children are isomorphic, so they have the
-same value.  The canonical query reads Right's replies by vertex index,
-not by value, but each of its nodes has the game value "can Left avoid
-losing?", which its shared memo already rests on, so the argument holds
-there too.  A check costs milliseconds, so it runs only once the node's
-subtree holds ``SYMMETRY_MIN_NODES`` nodes, where a skipped child saves
-tens; below that a searched pick pays one integer compare.  The delay
-search leaves the rule out.
+one, checked on both edge sets, the pick is skipped (``symmetry_cutoffs``,
+beside ``symmetry_attempts``, the searches made).  The node makes its
+finder at its first pick past the gate and drops it with the node, so the
+node's colourings are built once for all its picks.  It is exact: every
+earlier pick failed to decide the node, or the loop would have ended, and
+the two children are isomorphic, so they have the same value.  The
+canonical query reads Right's replies by vertex index, not by value, but
+each of its nodes has the game value "can Left avoid losing?", which its
+shared memo already rests on, so the argument holds there too.  A search
+costs up to milliseconds, so it runs only once the node's subtree holds
+``SYMMETRY_MIN_NODES`` nodes, where a skipped child saves tens; below that
+a searched pick pays one integer compare.  The delay search leaves the
+rule out.
 
 Two more rules settle a child at its parent, from masks the parent reads
 in the pass that orders its moves (``kernel.expand``), so the child is
@@ -169,8 +172,8 @@ from .core import (
 )
 from .errors import EdgeTooLargeError, ResourceLimitError
 from .kernel import (
+    MapFinder,
     State,
-    automorphism,
     canonical_reply_after,
     child,
     expand,
@@ -230,6 +233,7 @@ class SolveStats:
     forced_replies: int = 0
     pairing_cutoffs: int = 0
     symmetry_cutoffs: int = 0
+    symmetry_attempts: int = 0
 
     def as_text(self) -> str:
         return "\n".join(f"{f.name}: {getattr(self, f.name)}"
@@ -432,7 +436,8 @@ class Solver:
             moves, reads = expand(state, config.use_domination, block)
             result = False
             reply = -1  # stays so when no reader runs
-            for i in moves:
+            finder = None  # the node's map finder, made at its first gated pick
+            for k, i in enumerate(moves):
                 # No pick fills an edge of the mover's: _settle ends a node
                 # with a one-vertex own edge.
                 if threats or folded:
@@ -440,11 +445,14 @@ class Solver:
                     if threat and threats:
                         stats.threat_cutoffs += 1  # the child is the opponent's win
                         continue
-                if (stats.nodes_expanded >= gate and automorphism(
-                        state, moves[:moves.index(i)], i) is not None):
-                    # An earlier pick, which failed, has an isomorphic child.
-                    stats.symmetry_cutoffs += 1
-                    continue
+                if stats.nodes_expanded >= gate:
+                    if finder is None:
+                        finder = MapFinder(state)
+                    stats.symmetry_attempts += 1
+                    if finder.find(moves[:k], i) is not None:
+                        # An earlier pick, which failed, has an isomorphic child.
+                        stats.symmetry_cutoffs += 1
+                        continue
                 if reply >= 0 and folded:
                     after = grandchild(state, i, reply)
                     if after is None:

@@ -3,6 +3,10 @@
 Deliberately written over raw pick sets with no canonicalization, pruning or
 reductions, so they share no machinery with the solver they check.  Only
 usable on small games.
+
+Beside them, at the end, reference versions of rules that the engine now
+computes a faster way, kept as they were so that a test can require equal
+answers.
 """
 
 from __future__ import annotations
@@ -10,6 +14,8 @@ from __future__ import annotations
 import math
 
 from apg import Game, GameResult, Player
+from apg.kernel import mask_indices
+from apg.poly22 import PathKind, classify, has_p3, reduce_type3
 
 LEFT, RIGHT = Player.LEFT, Player.RIGHT
 
@@ -128,3 +134,46 @@ def brute_delay(game: Game, protagonist: Player) -> float:
         return best
 
     return value(frozenset(), frozenset(), True)
+
+
+def right_to_move_rule_walking_every_vertex(adj) -> bool:
+    """``poly22.right_to_move_rule`` as it was before it walked only the
+    vertices on the red matching: every pass walks every live vertex, and
+    the final test takes the odd paths of the last pass alone."""
+    if has_p3(adj[1]):
+        return False
+    adj = (list(adj[0]), list(adj[1]))
+    blue, red = adj
+    n = len(blue)
+    deleted = True
+    while deleted:
+        deleted = False
+        odd = []
+        for u in range(n):
+            if blue[u] or red[u]:
+                kind, path = classify(adj, u)
+                if kind is PathKind.EVEN:
+                    reduce_type3(adj, path)
+                    deleted = True
+                elif kind is PathKind.ODD:
+                    odd.append(path)
+    centres = 0
+    for v in range(n):
+        if blue[v] & (blue[v] - 1):
+            centres |= 1 << v
+    if not centres:
+        return False
+    count = centres.bit_count()
+    for path in odd:
+        on_path = near = 0
+        for v in path:
+            on_path |= 1 << v
+            near |= blue[v]
+        touched = (on_path | near) & centres
+        if touched.bit_count() < count:
+            continue
+        off = ~on_path
+        if has_p3([blue[c] & off for c in mask_indices(touched & off)]):
+            continue
+        return False
+    return True

@@ -262,8 +262,8 @@ def test_paired_chain_is_decided_at_the_root(tmp_path):
     code, out = invoke(["solve", path, "--first", "left", "--algo", "search"])
     assert code == 0
     assert "result: Draw" in out and "pairing_cutoffs: 2" in out
-    # The stats block ends with the symmetry rule's counter.
-    assert out.splitlines()[-1] == "symmetry_cutoffs: 0"
+    # The stats block ends with the symmetry rule's two counters.
+    assert out.splitlines()[-2:] == ["symmetry_cutoffs: 0", "symmetry_attempts: 0"]
 
 
 def test_roundtrip_through_cli(tmp_path, butterfly_file):

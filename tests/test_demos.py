@@ -1,5 +1,6 @@
 """Every demo runs to the end; the twin demo prints its removed pairs and
-fixpoint, and the hardness-gadget demo (about 2 s) its verdicts."""
+fixpoint, the solving demo its stats block, and the hardness-gadget demo
+(about 2 s) its verdicts."""
 
 import os
 import subprocess
@@ -38,6 +39,9 @@ def test_demo_runs(name):
     if name.startswith("01"):
         for line in TWIN_LINES:
             assert line in done.stdout
+    if name.startswith("02"):
+        # The stats block ends with the symmetry rule's two counters.
+        assert done.stdout.endswith("  symmetry_cutoffs: 0\n  symmetry_attempts: 0\n")
     if name.startswith("03"):
         assert "agreement: 2000/2000" in done.stdout
     if name.startswith("04"):

@@ -9,7 +9,7 @@ import pytest
 from apg import AlreadyWonError, GameResult, Player, Solver, SolverConfig, kernel, update
 from apg.core import game_from_masks
 from apg.kernel import (
-    automorphism,
+    MapFinder,
     bits,
     canonical_reply_after,
     canonical_right_reply,
@@ -403,6 +403,11 @@ def symmetry_states():
     return [(state, automorphisms(state)) for state in states]
 
 
+def find(state, earlier, j):
+    """The map a fresh finder gives for one pick."""
+    return MapFinder(state).find(earlier, j)
+
+
 def test_automorphism_agrees_with_brute_force():
     # Every map returned is an automorphism sending i to j; a pair that no
     # automorphism joins (every pair of a rigid state) gets None, and on
@@ -415,12 +420,33 @@ def test_automorphism_agrees_with_brute_force():
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    got = automorphism(state, [i], j)
+                    got = find(state, [i], j)
                     assert (got is not None) == ((i, j) in joined), (state, i, j)
                     if got is not None:
                         assert got[i] == j and got in autos, (state, i, j)
                         found += 1
     assert rigid > 100 and found > 1000
+
+
+def test_one_finder_answers_every_pick_as_a_fresh_one():
+    # A node asks its one finder pick after pick, in search order, each
+    # pick against the picks before it; the colourings it keeps from
+    # earlier questions must not change a later answer.  Then every pair
+    # again, in a shuffled order, of the same finder.
+    rng = random.Random(43)
+    asked = 0
+    for state, _ in symmetry_states():
+        n = state[0]
+        finder = MapFinder(state)
+        moves = rng.sample(range(n), n)
+        for k, j in enumerate(moves):
+            assert finder.find(moves[:k], j) == find(state, moves[:k], j), (state, moves, k)
+            asked += 1
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        rng.shuffle(pairs)
+        for i, j in pairs:
+            assert finder.find([i], j) == find(state, [i], j), (state, i, j)
+    assert asked > 2000
 
 
 def test_automorphism_tries_the_first_earlier_vertex_of_its_colour():
@@ -437,29 +463,61 @@ def test_automorphism_tries_the_first_earlier_vertex_of_its_colour():
             j = p[i]
             far = [x for x in range(n) if degree[x] != degree[j]]
             if i != j and far:
-                got = automorphism(state, [far[0], i], j)
+                got = find(state, [far[0], i], j)
                 assert got is not None and got[i] == j and is_automorphism(state, got)
                 tried += 1
+
+
+def shortcut(state, i, j):
+    """The shortcut's map for i and j: the two individualised colourings
+    paired class by class in index order, before any check."""
+    finder = MapFinder(state)
+    first = kernel._pair_in_order(finder._individualised(i), finder._individualised(j))
+    return None if first is None else tuple(first)
 
 
 def test_automorphism_is_vouched_for_by_its_final_check(monkeypatch):
     # With a refinement that sees only degrees, the colours pair vertices
     # that no automorphism joins, and only the final edge-set check can
-    # refuse the map.
+    # refuse the map, the shortcut's as well as the chain's.
     monkeypatch.setattr(kernel, "_refine", lambda n, edges, incident, colour: [
         hash((c, len(incident[v]))) for v, c in enumerate(colour)])
-    refused = 0
+    refused = proposed = 0
     for state, autos in symmetry_states():
         n = state[0]
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    got = automorphism(state, [i], j)
+                    got = find(state, [i], j)
                     if got is None:
                         refused += 1
                     else:
                         assert got[i] == j and got in autos, (state, i, j)
-    assert refused > 1000
+                    first = shortcut(state, i, j)
+                    if first is not None and first not in autos:
+                        proposed += 1
+                        assert got != first, (state, i, j)
+    assert refused > 1000 and proposed > 1000
+
+
+def test_the_shortcut_map_passes_the_final_check():
+    # With the real refinement: the final check accepts the shortcut's map
+    # exactly when it is an automorphism sending i onto j, and the finder
+    # then answers with it.  The shortcut answers most pairs that one joins.
+    taken = 0
+    for state, autos in symmetry_states():
+        n = state[0]
+        finder = MapFinder(state)
+        for i in range(n):
+            for j in range(n):
+                first = shortcut(state, i, j) if i != j else None
+                if first is not None:
+                    good = first[i] == j and first in autos
+                    assert finder._keeps(first, i, j) == good, (state, i, j)
+                    if good:
+                        assert find(state, [i], j) == first, (state, i, j)
+                        taken += 1
+    assert taken > 1000
 
 
 def test_automorphism_checks_the_pair_it_was_asked_about(monkeypatch):
@@ -470,7 +528,7 @@ def test_automorphism_checks_the_pair_it_was_asked_about(monkeypatch):
                         colour if len(set(colour)) == 1 else list(range(n)))
     state = (3, (0b011,), (0b110,))
     assert automorphisms(state) == {(0, 1, 2)}
-    assert automorphism(state, [0], 2) is None
+    assert find(state, [0], 2) is None
 
 
 def test_phi3_node_counts_are_pinned():

@@ -23,6 +23,8 @@ from apg.poly22 import (
 from apg.solver import PLAIN, SEARCH_ONLY
 from apg.verification import _exhaustive_22_outcomes, iter_22_states, random_22_state
 
+from oracles import right_to_move_rule_walking_every_vertex
+
 L, R = Player.LEFT, Player.RIGHT
 LW, DR, RW = GameResult.LEFT_WIN, GameResult.DRAW, GameResult.RIGHT_WIN
 # The reference for solve22 is SEARCH_ONLY: the search with its size-2 leaf
@@ -174,6 +176,57 @@ def test_right_rule_single_blue_path():
 def test_right_rule_two_disjoint_blue_paths():
     adj, _ = graph2([("a", "b"), ("b", "c"), ("d", "e"), ("e", "f")], [])
     assert right_to_move_rule(adj)
+
+
+def _leaf_board(rng, kind):
+    # A red matching beside a blue graph of density 0.1-0.5 on 3-14
+    # vertices.  "cleared": the higher end of each red edge has no blue
+    # edge, so the walk from the lower end ends there, even, and the first
+    # pass deletes every red edge; "no red": a blue graph alone.
+    n = rng.randint(3, 14)
+    order = rng.sample(range(n), n)
+    pairs = [] if kind == "no red" else [
+        tuple(sorted(order[2 * k:2 * k + 2])) for k in range(rng.randint(1, n // 2))]
+    bare = {b for _, b in pairs} if kind == "cleared" else set()
+    density = rng.uniform(0.1, 0.5)
+    blue, red = [0] * n, [0] * n
+    for a, b in pairs:
+        red[a] |= 1 << b
+        red[b] |= 1 << a
+    for a, b in itertools.combinations(range(n), 2):
+        if a not in bare and b not in bare and rng.random() < density:
+            blue[a] |= 1 << b
+            blue[b] |= 1 << a
+    return blue, red
+
+
+def _first_pass_clears_red(adj):
+    adj = (list(adj[0]), list(adj[1]))
+    for u in range(len(adj[0])):
+        if adj[0][u] or adj[1][u]:
+            kind, path = classify(adj, u)
+            if kind is PathKind.EVEN:
+                reduce_type3(adj, path)
+    return not any(adj[1])
+
+
+def test_right_rule_equals_the_rule_walking_every_vertex():
+    # The rule walks only the matched vertices and takes each live
+    # unmatched one as a one-vertex odd path; the reference walks every
+    # live vertex in every pass.  Both must answer alike, also where the
+    # first pass leaves no red edge (the second pass walks nothing) and
+    # where there is none to begin with.
+    rng = rng_for(61, "poly22-matched-walk")
+    answers = {True: 0, False: 0}
+    for kind in ("matching", "cleared", "no red"):
+        for _ in range(3000):
+            adj = _leaf_board(rng, kind)
+            if kind == "cleared":
+                assert _first_pass_clears_red(adj), adj
+            want = right_to_move_rule_walking_every_vertex(adj)
+            assert right_to_move_rule(adj) == want, (kind, adj)
+            answers[want] += 1
+    assert min(answers.values()) > 1000
 
 
 # -- full values ----------------------------------------------------------------------------

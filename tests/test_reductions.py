@@ -164,7 +164,9 @@ def test_draw_gadget_unsat_loses():
     assert s.last_stats.nodes_expanded == 13_639
     s = Solver()
     assert not s.survives_canonical_right(g)
-    assert (s.last_stats.nodes_expanded, s.last_stats.symmetry_cutoffs) == (2_490, 13)
+    stats = s.last_stats
+    assert (stats.nodes_expanded, stats.symmetry_cutoffs, stats.symmetry_attempts) == (
+        2_490, 13, 16)
 
 
 def test_symmetry_rule_repeats_under_any_hash_seed():

@@ -473,6 +473,13 @@ def test_potential_cutoffs_fire_at_the_root_with_exact_sums(board):
     assert s.last_stats.max_depth > 0
 
 
+# The all-sign formula, unsatisfiable: its gadget's subtrees reach the
+# symmetry rule's gate.
+ALL_SIGN_DRAW = sat_draw_game(CnfFormula(3, tuple((a, b, c) for a in (1, -1)
+                                                  for b in (2, -2)
+                                                  for c in (3, -3)))).game
+
+
 def test_counters_count_firings_and_stay_zero_when_toggled_off():
     rows = (("potential_cutoffs", "use_potentials", blue_potential_board(False)),
             ("leaf_calls", "use_leaf_oracle", butterfly()),
@@ -482,12 +489,8 @@ def test_counters_count_firings_and_stay_zero_when_toggled_off():
              sat_win_game(CnfFormula(3, ((1, 2, 3),))).game),
             ("pairing_cutoffs", "use_pairing",
              sat_draw_game(CnfFormula(3, ((1, 2, 3),))).game),
-            # The all-sign formula, unsatisfiable: its gadget's subtrees
-            # reach the symmetry rule's gate.
-            ("symmetry_cutoffs", "use_symmetry",
-             sat_draw_game(CnfFormula(3, tuple((a, b, c) for a in (1, -1)
-                                               for b in (2, -2)
-                                               for c in (3, -3)))).game))
+            ("symmetry_cutoffs", "use_symmetry", ALL_SIGN_DRAW),
+            ("symmetry_attempts", "use_symmetry", ALL_SIGN_DRAW))
     # Every rule's counter has a row: the fields past the query's own four.
     query = {"nodes_expanded", "memo_hits", "max_depth", "elapsed"}
     counters = {f.name for f in dataclasses.fields(SolveStats)} - query
@@ -519,10 +522,11 @@ def test_reference_configurations_follow_the_toggles():
 def test_stats_text_prints_every_counter_but_elapsed():
     # The text of apg solve's stats block: one line per field in declaration
     # order, so a new rule's counter is printed after these.
-    lines = SolveStats(*range(1, 11)).as_text().splitlines()
-    assert lines[:9] == ["nodes_expanded: 1", "memo_hits: 2", "max_depth: 3",
-                         "leaf_calls: 5", "potential_cutoffs: 6", "threat_cutoffs: 7",
-                         "forced_replies: 8", "pairing_cutoffs: 9", "symmetry_cutoffs: 10"]
+    lines = SolveStats(*range(1, 12)).as_text().splitlines()
+    assert lines[:10] == ["nodes_expanded: 1", "memo_hits: 2", "max_depth: 3",
+                          "leaf_calls: 5", "potential_cutoffs: 6", "threat_cutoffs: 7",
+                          "forced_replies: 8", "pairing_cutoffs: 9", "symmetry_cutoffs: 10",
+                          "symmetry_attempts: 11"]
     assert len(lines) == len(dataclasses.fields(SolveStats)) - 1
 
 
