@@ -11,21 +11,14 @@ from __future__ import annotations
 
 from typing import Iterable, TextIO
 
-from .core import Game, mask_indices, new_game
+from .core import Game, game_from_masks, mask_indices
 from .errors import ApgParseError
 
 
 def parse_game(text: str, source: str = "<string>") -> Game:
-    vertices: list[str] = []
-    seen: set[str] = set()
-    blue: list[list[str]] = []
-    red: list[list[str]] = []
-
-    def declare(name: str) -> None:
-        if name not in seen:
-            seen.add(name)
-            vertices.append(name)
-
+    index: dict[str, int] = {}  # each name's vertex, in declaration order
+    blue: list[int] = []
+    red: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -34,18 +27,19 @@ def parse_game(text: str, source: str = "<string>") -> Game:
         keyword, names = tokens[0], tokens[1:]
         if keyword == "vertices":
             for name in names:
-                if name in seen:
+                if name in index:
                     raise ApgParseError(source, lineno, f"vertex {name!r} declared twice")
-                declare(name)
+                index[name] = len(index)
         elif keyword in ("blue", "red"):
             if not names:
                 raise ApgParseError(source, lineno, f"empty {keyword} edge")
+            mask = 0
             for name in names:
-                declare(name)
-            (blue if keyword == "blue" else red).append(names)
+                mask |= 1 << index.setdefault(name, len(index))
+            (blue if keyword == "blue" else red).append(mask)
         else:
             raise ApgParseError(source, lineno, f"unknown directive {keyword!r}")
-    return new_game(vertices, blue, red)
+    return game_from_masks(tuple(index), blue, red)
 
 
 def load_game(path: str) -> Game:
@@ -65,9 +59,11 @@ def _edge_lines(game: Game, masks: Iterable[int], color: str) -> list[str]:
 
 
 def serialize_game(game: Game) -> str:
-    for v in game.vertices:
-        _check_name(v)
-    lines = ["vertices " + " ".join(game.vertices) if game.vertices else "vertices"]
+    names = " ".join(game.vertices)
+    if names.split() != list(game.vertices):  # some name is empty or has whitespace
+        for v in game.vertices:
+            _check_name(v)
+    lines = ["vertices " + names if names else "vertices"]
     lines += _edge_lines(game, game.blue, "blue")
     lines += _edge_lines(game, game.red, "red")
     return "\n".join(lines) + "\n"

@@ -24,12 +24,16 @@ Pipeline for "does Left win with a given first player":
      odd-ended path of that pass leaves a P3-free blue graph behind.  Only
      the vertices on the red matching are walked: a live vertex off it has
      no red edge to start a path, so its path is that one vertex, odd-ended,
-     and it joins the final odd paths unwalked.
+     and it joins the final odd paths unwalked.  A red edge uw whose w has
+     no blue edge but to u is the two-vertex even path [u, w], deleted in
+     place without a walk.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from itertools import repeat
+from operator import gt
 from typing import Iterable, Optional, Sequence
 
 from .core import Game, GameResult, Player
@@ -52,9 +56,12 @@ def _delete(adj: Adj, v: int) -> None:
     # The edges through v die with it, at the cost of its degree.
     bit = 1 << v
     for masks in adj:
-        for w in mask_indices(masks[v]):
-            masks[w] ^= bit
+        m = masks[v]
         masks[v] = 0
+        while m:
+            w = m.bit_length() - 1
+            masks[w] ^= bit
+            m ^= 1 << w
 
 
 def resolve_units(n: int, blue: Iterable[int], red: Iterable[int],
@@ -73,15 +80,17 @@ def resolve_units(n: int, blue: Iterable[int], red: Iterable[int],
     for color, edges in ((0, blue), (1, red)):
         masks = adj[color]
         for m in edges:
-            high = m & (m - 1)  # m without its lowest bit
-            if not high:
-                units[color] |= m
-            elif high & (high - 1):
+            size = m.bit_count()
+            if size == 2:
+                hi = m.bit_length() - 1
+                top = 1 << hi
+                low = m ^ top
+                masks[low.bit_length() - 1] |= top
+                masks[hi] |= low
+            elif size > 2:
                 raise EdgeTooLargeError("this procedure needs all edges of size <= 2")
             else:
-                low = m ^ high
-                masks[low.bit_length() - 1] |= high
-                masks[high.bit_length() - 1] |= low
+                units[color] |= m
     return _resolve(adj, units, mover)
 
 
@@ -108,7 +117,7 @@ def _resolve(adj: Adj, units: list[int],
 
 def has_p3(masks: list[int]) -> bool:
     """Whether the graph of one color has two edges sharing a vertex."""
-    return any(m & (m - 1) for m in masks)
+    return any(map(gt, map(int.bit_count, masks), repeat(1)))
 
 
 def classify(adj: Adj, u: int) -> tuple[PathKind, tuple[int, ...]]:
@@ -186,7 +195,12 @@ def right_to_move_rule(adj: Adj) -> bool:
     odd paths of the last pass is exact: that pass deleted nothing, so it
     walked every matched live vertex of the final board, and with the
     unmatched ones its odd paths are all of that board's.  Once a pass has
-    deleted every red edge, the next one walks nothing.
+    deleted every red edge, the next one walks nothing.  The walk from u
+    is [u, w], even, when u's partner w has no blue edge but to u: then
+    ``reduce_type3``'s checks hold (the red test above leaves u one red
+    edge), and both ends are deleted in place, in the order it would
+    delete them.  Longer paths go on to ``classify`` and ``reduce_type3``,
+    and so does a board whose w does not return u's red edge: it raises.
     """
     if has_p3(adj[1]):
         return False
@@ -203,7 +217,15 @@ def right_to_move_rule(adj: Adj) -> bool:
         deleted = False
         odd = []
         for u in matched:
-            if red[u]:
+            r = red[u]
+            if not r:
+                continue
+            w, ub = r.bit_length() - 1, 1 << u
+            if red[w] == ub and blue[w] | ub == ub:
+                _delete(adj, u)
+                _delete(adj, w)
+                deleted = True
+            else:
                 kind, path = classify(adj, u)
                 if kind is PathKind.EVEN:
                     reduce_type3(adj, path)

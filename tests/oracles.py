@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 
 from apg import Game, GameResult, Player
+from apg.errors import InvalidPathError
 from apg.kernel import mask_indices
-from apg.poly22 import PathKind, classify, has_p3, reduce_type3
+from apg.poly22 import PathKind, classify
 
 LEFT, RIGHT = Player.LEFT, Player.RIGHT
 
@@ -136,10 +137,48 @@ def brute_delay(game: Game, protagonist: Player) -> float:
     return value(frozenset(), frozenset(), True)
 
 
+def has_p3(masks) -> bool:
+    """``poly22.has_p3`` as it was: whether some vertex has two neighbours."""
+    return any(m & (m - 1) for m in masks)
+
+
+def _delete22(adj, v: int) -> None:
+    # ``poly22._delete`` as it was: v's edges die with it.
+    bit = 1 << v
+    for masks in adj:
+        for w in mask_indices(masks[v]):
+            masks[w] ^= bit
+        masks[v] = 0
+
+
+def reduce_type3(adj, path) -> None:
+    """``poly22.reduce_type3`` as it was, deleting through ``_delete22``."""
+    if len(path) % 2 != 0:
+        raise InvalidPathError("an even-ended path must have an even vertex count")
+    blue, red = adj
+    odd_positions = 0   # 1st, 3rd, ... vertices of the walk
+    for v in path[0::2]:
+        odd_positions |= 1 << v
+    for v in path[1::2]:
+        stray = blue[v] & ~odd_positions
+        if stray:
+            w = (stray & -stray).bit_length() - 1
+            raise InvalidPathError(
+                f"blue edge ({v},{w}) would survive the path deletion")
+    for k, v in enumerate(path):
+        partner = path[k + 1] if k % 2 == 0 else path[k - 1]
+        if red[v] != 1 << partner:
+            raise InvalidPathError(f"red edge at {v} is not the path's matching edge")
+    for v in path:
+        _delete22(adj, v)
+
+
 def right_to_move_rule_walking_every_vertex(adj) -> bool:
     """``poly22.right_to_move_rule`` as it was before it walked only the
-    vertices on the red matching: every pass walks every live vertex, and
-    the final test takes the odd paths of the last pass alone."""
+    vertices on the red matching: every pass walks every live vertex, each
+    even path goes through ``reduce_type3`` (two-vertex ones too), and the
+    final test takes the odd paths of the last pass alone.  It shares only
+    ``classify`` with the rule it checks."""
     if has_p3(adj[1]):
         return False
     adj = (list(adj[0]), list(adj[1]))

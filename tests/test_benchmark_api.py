@@ -13,7 +13,16 @@ from pathlib import Path
 
 import pytest
 
-from apg import SolverConfig, SolveStats, solve_against_canonical_right
+from apg import (
+    SolverConfig,
+    SolveStats,
+    disjoint_union,
+    new_game,
+    parse_game,
+    serialize_game,
+    solve22,
+    solve_against_canonical_right,
+)
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
 
@@ -37,6 +46,12 @@ def test_benchmark_imports_resolve(name):
 
 def test_benchmark_calls_keep_their_signatures():
     assert SolverConfig(node_limit=1).node_limit == 1
-    assert list(inspect.signature(solve_against_canonical_right).parameters) == ["game"]
+    for fn, params in ((solve_against_canonical_right, ["game"]),
+                       (solve22, ["game", "first_player"]),
+                       (parse_game, ["text", "source"]),
+                       (serialize_game, ["game"]),
+                       (new_game, ["vertices", "blue_edges", "red_edges"]),
+                       (disjoint_union, ["g", "g2"])):
+        assert list(inspect.signature(fn).parameters) == params, fn.__name__
     counters = {f.name for f in dataclasses.fields(SolveStats)}
     assert {"nodes_expanded", "memo_hits", "max_depth"} <= counters

@@ -23,7 +23,7 @@ from apg.poly22 import (
 from apg.solver import PLAIN, SEARCH_ONLY
 from apg.verification import _exhaustive_22_outcomes, iter_22_states, random_22_state
 
-from oracles import right_to_move_rule_walking_every_vertex
+import oracles
 
 L, R = Player.LEFT, Player.RIGHT
 LW, DR, RW = GameResult.LEFT_WIN, GameResult.DRAW, GameResult.RIGHT_WIN
@@ -182,13 +182,20 @@ def _leaf_board(rng, kind):
     # A red matching beside a blue graph of density 0.1-0.5 on 3-14
     # vertices.  "cleared": the higher end of each red edge has no blue
     # edge, so the walk from the lower end ends there, even, and the first
-    # pass deletes every red edge; "no red": a blue graph alone.
+    # pass deletes every red edge; "mixed": one end, either one, of about
+    # half the red edges has none, under a sparser blue graph, so two-vertex
+    # even paths meet longer ones; "no red": a blue graph alone.
     n = rng.randint(3, 14)
     order = rng.sample(range(n), n)
     pairs = [] if kind == "no red" else [
         tuple(sorted(order[2 * k:2 * k + 2])) for k in range(rng.randint(1, n // 2))]
-    bare = {b for _, b in pairs} if kind == "cleared" else set()
-    density = rng.uniform(0.1, 0.5)
+    if kind == "cleared":
+        bare = {b for _, b in pairs}
+    elif kind == "mixed":
+        bare = {rng.choice(p) for p in pairs if rng.random() < 0.5}
+    else:
+        bare = set()
+    density = rng.uniform(0.05, 0.3) if kind == "mixed" else rng.uniform(0.1, 0.5)
     blue, red = [0] * n, [0] * n
     for a, b in pairs:
         red[a] |= 1 << b
@@ -200,33 +207,46 @@ def _leaf_board(rng, kind):
     return blue, red
 
 
-def _first_pass_clears_red(adj):
+def _first_pass(adj):
+    """The lengths of the even paths that one pass walking every live
+    vertex deletes, and whether it leaves a red edge."""
     adj = (list(adj[0]), list(adj[1]))
+    lengths = []
     for u in range(len(adj[0])):
         if adj[0][u] or adj[1][u]:
             kind, path = classify(adj, u)
             if kind is PathKind.EVEN:
                 reduce_type3(adj, path)
-    return not any(adj[1])
+                lengths.append(len(path))
+    return lengths, any(adj[1])
 
 
 def test_right_rule_equals_the_rule_walking_every_vertex():
-    # The rule walks only the matched vertices and takes each live
-    # unmatched one as a one-vertex odd path; the reference walks every
-    # live vertex in every pass.  Both must answer alike, also where the
-    # first pass leaves no red edge (the second pass walks nothing) and
-    # where there is none to begin with.
+    # The rule walks only the matched vertices, deletes a two-vertex even
+    # path in place and takes each live unmatched vertex as a one-vertex
+    # odd path; the reference walks every live vertex in every pass and
+    # deletes every even path through its own reduce_type3.  Both must
+    # answer alike, also where the first pass leaves no red edge (the
+    # second pass walks nothing), where two-vertex and longer even paths
+    # meet in one pass, and where there is no red edge to begin with.
     rng = rng_for(61, "poly22-matched-walk")
     answers = {True: 0, False: 0}
-    for kind in ("matching", "cleared", "no red"):
+    both_lengths = 0
+    for kind in ("matching", "cleared", "mixed", "no red"):
         for _ in range(3000):
             adj = _leaf_board(rng, kind)
+            lengths, red_left = _first_pass(adj)
             if kind == "cleared":
-                assert _first_pass_clears_red(adj), adj
-            want = right_to_move_rule_walking_every_vertex(adj)
+                assert not red_left, adj
+            if kind == "mixed" and 2 in lengths and max(lengths) > 2:
+                both_lengths += 1
+            for masks in adj:
+                assert has_p3(masks) == oracles.has_p3(masks), masks
+            want = oracles.right_to_move_rule_walking_every_vertex(adj)
             assert right_to_move_rule(adj) == want, (kind, adj)
             answers[want] += 1
     assert min(answers.values()) > 1000
+    assert both_lengths > 300
 
 
 # -- full values ----------------------------------------------------------------------------
@@ -252,6 +272,9 @@ def test_solve22_rejects_big_edges():
     g = new_game(["a", "b", "c"], [["a", "b", "c"]], [])
     with pytest.raises(EdgeTooLargeError):
         solve22(g, L)
+    # Left, to move, holds a blue unit, but the red triple is refused first.
+    with pytest.raises(EdgeTooLargeError):
+        resolve_units(3, [0b001], [0b111], 0)
 
 
 # -- oracle agreement ------------------------------------------------------------------------
