@@ -9,8 +9,10 @@ to move is ``(n, red, blue)``.  The game is colour-symmetric, so one rule
 serves both players and a position and its colour-swapped mirror share a
 memo entry.  The twin and domination functions treat both sides alike;
 the others read the view.  The functions here are pure; the solver's
-search, ``reductions.canonical_right_move`` and the domination and pairing
-queries of ``ops`` all call them, so each rule is written once.
+search, ``reductions.canonical_right_move`` (through
+:func:`canonical_right_reply`, the canonical Right strategy's pick) and
+the domination and pairing queries of ``ops`` all call them, so each rule
+is written once.
 
 Per-node costs are kept low by reading each edge's bit positions from a
 bounded cache (:func:`bits`) and by working on whole masks where a vertex
@@ -20,19 +22,15 @@ Some children are decided by what the parent already knows.
 :func:`expand` reads, in the pass that orders the moves, the pairs of each
 side through every vertex and the vertices on two and on three of the
 opponent's pairs; a forced block is read by the same scan, over the
-mover's edges through the block only.  From these, two reply readers
-answer, for a pick and without the child being built, ``(threat,
-reply)``: whether the pick loses to a double threat, and the opponent's
-reply when it is fixed.
-:func:`opponent_reply` tells whether the opponent then holds a double
-threat the mover cannot meet (the child is the opponent's win) and
-whether the opponent must block the mover's one unit (the child is worth
-its one child); :func:`canonical_reply_after` gives the canonical Right
-reply.  Both rest on one fact: the mover holds no unit
-where a pick is searched, so a pick gives it units only at the other ends
-of its pairs through the pick, and leaves the opponent's edges that miss
-the pick as they were.  :func:`grandchild` then applies a pick and its
-reply in one pass.
+mover's edges through the block only.  From these, :func:`opponent_reply`
+answers, for a pick and without the child being built, whether the
+opponent then holds a double threat the mover cannot meet (the child is
+the opponent's win) and whether the opponent must block the mover's one
+unit (the child is worth its one child).  It rests on one fact: the mover
+holds no unit where a pick is searched, so a pick gives it units only at
+the other ends of its pairs through the pick, and leaves the opponent's
+edges that miss the pick as they were.  :func:`grandchild` then applies a
+pick and its forced reply in one pass.
 
 :class:`MapFinder` looks for permutations of one state's vertices that
 keep each side's edge set and join two given picks, for the search's
@@ -476,8 +474,7 @@ def expand(state: State, prune: bool,
     vertices they are ordered by descending score (3 per two-vertex edge,
     1 per other edge through the vertex), ties by index.  The pair reads
     come from the pass that builds the covers and scores.
-    :func:`opponent_reply` and :func:`canonical_reply_after` read a pick's
-    child from them.
+    :func:`opponent_reply` reads a pick's child from them.
     """
     n, own, other = state
     if block is not None:
@@ -498,20 +495,6 @@ def expand(state: State, prune: bool,
     return cand, reads
 
 
-def _after_pick(reads: Reads, i: int) -> tuple[int, int, int]:
-    # What the mover's pick i leaves, numbered as in the parent: the
-    # mover's units, the opponent's units and the opponent's P3 centres
-    # (vertices on two of its pairs).  The mover holds no unit where a pick
-    # is searched, so its units are the other ends of its pairs through i.
-    # The opponent's edges through i die and the rest stay, so a vertex
-    # stays on two opponent pairs when it was on three, or on two of which
-    # none went through i.
-    own_pairs, other_pairs, other_units, d2, d3 = reads
-    bit = 1 << i
-    return (own_pairs[i] & ~bit, other_units & ~bit,
-            (d3 | d2 & ~other_pairs[i]) & ~bit)
-
-
 def opponent_reply(reads: Reads, i: int) -> tuple[bool, int]:
     """How the opponent meets the mover's pick ``i``, read from the
     parent's pair reads (:func:`expand`) without building the child:
@@ -524,9 +507,16 @@ def opponent_reply(reads: Reads, i: int) -> tuple[bool, int]:
     parent, when the opponent holds no unit (else -1): every other reply
     lets the mover fill it, so the opponent's node is worth its one child.
     """
-    units, other_units, centres = _after_pick(reads, i)
-    if other_units or units & (units - 1):
+    # The mover holds no unit where a pick is searched, so its units are
+    # the other ends of its pairs through i.  The opponent's edges through
+    # i die and the rest stay, so a vertex stays on two opponent pairs when
+    # it was on three, or on two of which none went through i.
+    own_pairs, other_pairs, other_units, d2, d3 = reads
+    bit = 1 << i
+    units = own_pairs[i] & ~bit
+    if other_units & ~bit or units & (units - 1):
         return False, -1
+    centres = (d3 | d2 & ~other_pairs[i]) & ~bit
     return (centres != 0 and not units & ~centres), units.bit_length() - 1
 
 
@@ -570,19 +560,6 @@ def grandchild(state: State, i: int, j: int) -> Optional[State]:
     return (n - 2, own_t, other_t)
 
 
-def _right_priority(red_units: int, blue_units: int, centres: int,
-                    fallback: int) -> tuple[bool, int]:
-    # The canonical Right strategy's one priority rule, on masks:
-    # ``(threat, pick)``, as canonical_right_reply describes them.
-    if red_units:
-        return False, (red_units & -red_units).bit_length() - 1
-    if blue_units and blue_units & (blue_units - 1) == 0:
-        return False, blue_units.bit_length() - 1
-    if centres:
-        return not blue_units, (centres & -centres).bit_length() - 1
-    return False, fallback
-
-
 def canonical_right_reply(state: State) -> tuple[int, bool]:
     """Right's priority pick in a blue<=3 / red<=2 game, and whether it
     makes a double threat Left cannot meet.  ``state`` is Right's view,
@@ -596,16 +573,12 @@ def canonical_right_reply(state: State) -> tuple[int, bool]:
     Right fills one of them next.
     """
     n, red, blue = state
-    red_units, shared, _ = _scan_side(red, [0] * n, [0] * n, [0] * n)
-    threat, pick = _right_priority(red_units, unit_mask(blue), shared, 0)
-    return pick, threat
-
-
-def canonical_reply_after(reads: Reads, i: int) -> tuple[bool, int]:
-    """:func:`canonical_right_reply` after Left's pick ``i``, read from the
-    pair reads of Left's view (:func:`expand`) without building the child,
-    in :func:`opponent_reply`'s shape: ``(threat, reply)``, with the reply
-    numbered as in the parent.  The fallback, the child's vertex 0, is the
-    lowest vertex other than ``i``; the parent has two or more."""
-    blue_units, red_units, centres = _after_pick(reads, i)
-    return _right_priority(red_units, blue_units, centres, 0 if i else 1)
+    red_units, centres, _ = _scan_side(red, [0] * n, [0] * n, [0] * n)
+    if red_units:
+        return (red_units & -red_units).bit_length() - 1, False
+    blue_units = unit_mask(blue)
+    if blue_units and blue_units & (blue_units - 1) == 0:
+        return blue_units.bit_length() - 1, False
+    if centres:
+        return (centres & -centres).bit_length() - 1, not blue_units
+    return 0, False

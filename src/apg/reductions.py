@@ -1,9 +1,12 @@
 """Compilers from CNF/QBF formulas to achievement games, plus the brute-force
 logic oracles and the fixed Right strategy they are checked against.
 
-The strategy's rule is ``kernel.canonical_right_reply`` and the search
-against it is ``Solver.survives_canonical_right``; this module names the
-strategy's moves and maps the search's answer to ``CanonicalRightResult``.
+The strategy's rule is ``kernel.canonical_right_reply``; this module names
+its moves.  On blue<=3 / red<=2 boards the strategy wins whenever Right
+can (the paper's lemma, checked against a brute-force play of the
+strategy in the tests), so surviving it is the game value "can Left avoid
+losing moving first?".  ``Solver.survives_canonical_right`` searches that
+value, and this module maps its answer to ``CanonicalRightResult``.
 
 Each builder returns the game together with a provenance map from formula
 symbols to vertex names, covering every vertex exactly once.
@@ -100,14 +103,18 @@ def _finish(verts: list[str], blue, red, provenance: dict[str, str]) -> Reductio
 def parse_dimacs(text: str, source: str = "<string>") -> CnfFormula:
     """Parse DIMACS CNF: a ``p cnf`` header, then 0-terminated clause lines.
 
-    Clauses must have exactly three literal slots (repeats permitted).
+    Clauses must have exactly three literal slots (repeats permitted).  A
+    line starting with ``%`` ends the formula: SATLIB's files close with
+    one, followed by a stray ``0`` line.
     """
     num_vars: Optional[int] = None
     clauses: list[Clause] = []
     pending: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             parts = line.split()
@@ -503,15 +510,19 @@ class CanonicalRightResult(Enum):
 
 
 def solve_against_canonical_right(game: Game) -> CanonicalRightResult:
-    """Explore Left's options with Right fixed to the canonical strategy.
+    """Whether Left, moving first, survives Right fixed to the canonical
+    strategy: LeftNonLosing when some Left line ends in a draw or a Left
+    win, else RightWins.
 
-    Left moves first.  If some Left line ends in a draw or a Left win the
-    answer is LeftNonLosing; since the canonical strategy is a winning one
-    whenever Right has any, exhausting every line proves RightWins.  The
-    search is :meth:`Solver.survives_canonical_right` under a fresh default
-    solver; it raises EdgeTooLargeError unless blue edges have size <= 3 and
-    red edges size <= 2, and ResourceLimitError past the default node budget
-    (another budget: that method on a solver with its ``node_limit``).
+    The answer is the game value: the strategy wins whenever Right has a
+    winning strategy (the paper's lemma, checked against a brute-force play
+    of the strategy in the tests), so Left survives it exactly when Left
+    avoids losing, and RightWins is a proof that Right wins with no appeal
+    to the lemma.  The search is :meth:`Solver.survives_canonical_right`
+    under a fresh default solver; it raises EdgeTooLargeError unless blue
+    edges have size <= 3 and red edges size <= 2, and ResourceLimitError
+    past the default node budget (another budget: that method on a solver
+    with its ``node_limit``).
     """
     survived = Solver().survives_canonical_right(game)
     return (CanonicalRightResult.LEFT_NON_LOSING if survived

@@ -11,25 +11,20 @@ transposed move orders collapse in the memo.  Each query's root is
 twin-reduced once (``use_twin_reduction``), never a node below it: the
 threat, leaf-oracle and potential cutoffs end most nodes, and a pass at
 every node cost more than it saved.  The mask-level state operations
-(child states, twin reduction, domination, move order, the canonical
-Right strategy) live in ``kernel.py``; this module holds the memo, the
-node budget and the queries.  Each public query runs in one bracket,
-``_Query``: it installs fresh counters (``last_stats``), and with them the
-node budget, and sets the query's elapsed time on the way out, also when a
-limit is reached.  A query runs out one way, by ``ResourceLimitError``: for
-the node budget, for a search deeper than the recursion limit, or for a
-search that runs out of memory, which also clears the memo tables.
+(child states, twin reduction, domination, move order) live in
+``kernel.py``; this module holds the memo, the node budget and the
+queries.  Each public query runs in one bracket, ``_Query``: it installs
+fresh counters (``last_stats``), and with them the node budget, and sets
+the query's elapsed time on the way out, also when a limit is reached.  A
+query runs out one way, by ``ResourceLimitError``: for the node budget,
+for a search deeper than the recursion limit, or for a search that runs
+out of memory, which also clears the memo tables.
 
-One search (``Solver._eval``) answers every question but the delay.  Besides
-the game values it answers one question with Right's moves fixed: whether
-Left survives the canonical Right strategy
-(:meth:`Solver.survives_canonical_right`), which the SAT reductions use to
-prove unsatisfiable gadgets Right wins.  That strategy wins whenever Right
-can, so each node of that query has the game value "can Left avoid losing
-moving first?", and the query is an "avoid losing" search with Left to
-move whose Right replies are read, not searched.  The two kinds of query
-differ only in their reply rule, chosen once per query and described last
-below; they share the node entry, the memo and every cutoff.
+One search (``Solver._eval``) answers every question but the delay.  The
+SAT reductions' question, whether Left survives the canonical Right
+strategy (:meth:`Solver.survives_canonical_right`), is one of them: that
+strategy wins whenever Right can, so Left survives it exactly when Left
+avoids losing moving first, and the query asks that game value.
 
 Each rule is declared once: a ``use_*`` toggle of ``SolverConfig`` (frozen,
 every toggle on by default) and, when it counts its firings, a counter of
@@ -72,12 +67,11 @@ partner and so keeps every such edge from being filled, moving first or
 second.  So "can the mover win?" is False when ``kernel.pairing`` finds
 the opponent a pairing of the mover's edges, and "can the mover avoid
 losing?" is True when it finds the mover one of the opponent's.  Depth 0
-is every query root: the value questions, the canonical query (whose root
-has a game value), the delay's finiteness check and each child question
-of ``_pick``.  A root decided this way saves a whole search, while below
-the roots the matching cost more than it saved: asked at every node it
-was no faster on the benchmark's gadgets and slowed a 65-vertex draw
-gadget by a quarter.
+is every query root: the value questions, the delay's finiteness check
+and each child question of ``_pick``.  A root decided this way saves a
+whole search, while below the roots the matching cost more than it saved:
+asked at every node it was no faster on the benchmark's gadgets and
+slowed a 65-vertex draw gadget by a quarter.
 
 One rule runs just before a pick is searched, at a node whose subtree has
 grown large: the symmetry rule (``use_symmetry``), orbit pruning by
@@ -90,39 +84,29 @@ beside ``symmetry_attempts``, the searches made).  The node makes its
 finder at its first pick past the gate and drops it with the node, so the
 node's colourings are built once for all its picks.  It is exact: every
 earlier pick failed to decide the node, or the loop would have ended, and
-the two children are isomorphic, so they have the same value.  The
-canonical query reads Right's replies by vertex index, not by value, but
-each of its nodes has the game value "can Left avoid losing?", which its
-shared memo already rests on, so the argument holds there too.  A search
+the two children are isomorphic, so they have the same value.  A search
 costs up to milliseconds, so it runs only once the node's subtree holds
 ``SYMMETRY_MIN_NODES`` nodes, where a skipped child saves tens; below that
 a searched pick pays one integer compare.  The delay search leaves the
 rule out.
 
 Two more rules settle a child at its parent, from masks the parent reads
-in the pass that orders its moves (``kernel.expand``), so the child is
-never built, ticked or looked up:
+in the pass that orders its moves (``kernel.expand``, read per pick by
+``kernel.opponent_reply``), so the child is never built, ticked or looked
+up:
   * the opponent's double threat (rides on ``use_double_threats``): a pick
     after which the opponent, holding no one-vertex edge, has a centre of
     two of its pairs, while the mover holds no one-vertex edge or one at
     such a centre, is skipped.  It is the test ``_settle`` makes on the
     child, which is then the opponent's win, so the pick is bad for both
-    questions.  In the canonical query the test is made on Right's fixed
-    reply: the pick loses when that reply is such a centre and neither
-    colour holds a one-vertex edge.  Each skip counts in ``threat_cutoffs``;
-  * the reply rule.  Its reader gives, for a pick, the verdict above and
-    the opponent's reply when that reply is fixed; the two picks
-    are then applied in one pass (``kernel.grandchild``) and the
-    grandchild is asked the parent's question, two plies deeper.
-    A game-value query reads ``kernel.opponent_reply``: when a pick leaves
-    the opponent no one-vertex edge and the mover exactly one, every other
-    reply lets the mover fill it, so the opponent's node is worth its one
-    child, and the forced block is taken one ply early (rides on
-    ``use_forced_moves``, each counts in ``forced_replies``).  A forced
-    line thus takes one frame per two moves.  The canonical query reads
-    ``kernel.canonical_reply_after`` and folds in every reply: a reply
-    that fills a red edge loses the line, and a pick that ends the board
-    draws it.
+    questions.  Each skip counts in ``threat_cutoffs``;
+  * the forced reply (rides on ``use_forced_moves``, each counts in
+    ``forced_replies``): when a pick leaves the opponent no one-vertex
+    edge and the mover exactly one, every other reply lets the mover fill
+    it, so the opponent's node is worth its one child.  The pick and the
+    block are applied in one pass (``kernel.grandchild``) and the
+    grandchild is asked the parent's question, two plies deeper, so a
+    forced line takes one frame per two moves.
 
 Best moves and self-play share one pick rule (``Solver._pick``): the
 mover's lowest one-vertex edge, else the first pick whose child (no query
@@ -174,7 +158,6 @@ from .errors import EdgeTooLargeError, ResourceLimitError
 from .kernel import (
     MapFinder,
     State,
-    canonical_reply_after,
     child,
     expand,
     grandchild,
@@ -401,11 +384,7 @@ class Solver:
             return not left_wins(adj[::-1], 1 - mover), None
         return None, block
 
-    def _eval(self, state: State, want_win: bool, depth: int,
-              canonical: bool = False) -> bool:
-        # ``canonical`` asks whether Left, to move, survives the canonical
-        # Right strategy: Right's replies are read by
-        # ``canonical_reply_after``, not searched.
+    def _eval(self, state: State, want_win: bool, depth: int) -> bool:
         self._tick(depth)
         memo = self._memo_win if want_win else self._memo_avoid
         cached = memo.get(state)
@@ -420,28 +399,23 @@ class Solver:
             if pairing(state[1] if want_win else state[2]) is not None:
                 self.last_stats.pairing_cutoffs += 1
                 result = not want_win
-        if result is None and canonical and state[0] == 1:
-            result = True  # the board runs out before Right's reply
         if result is None:
             config = self.config
             stats = self.last_stats
             threats = config.use_double_threats
-            # The reply rule: Right's canonical reply, always folded in, or
-            # the opponent's forced block, folded in under use_forced_moves.
-            reader = canonical_reply_after if canonical else opponent_reply
-            folded = canonical or config.use_forced_moves
+            forced = config.use_forced_moves
             # The symmetry rule's gate: the node count at which this node's
             # subtree holds SYMMETRY_MIN_NODES nodes.
             gate = stats.nodes_expanded + self._gate
             moves, reads = expand(state, config.use_domination, block)
             result = False
-            reply = -1  # stays so when no reader runs
             finder = None  # the node's map finder, made at its first gated pick
             for k, i in enumerate(moves):
-                # No pick fills an edge of the mover's: _settle ends a node
-                # with a one-vertex own edge.
-                if threats or folded:
-                    threat, reply = reader(reads, i)
+                # No pick fills an edge: _settle ends a node where the mover
+                # holds a unit, and a forced block is folded in only when
+                # the opponent holds none after the pick.
+                if threats or forced:
+                    threat, reply = opponent_reply(reads, i)
                     if threat and threats:
                         stats.threat_cutoffs += 1  # the child is the opponent's win
                         continue
@@ -453,13 +427,9 @@ class Solver:
                         # An earlier pick, which failed, has an isomorphic child.
                         stats.symmetry_cutoffs += 1
                         continue
-                if reply >= 0 and folded:
-                    after = grandchild(state, i, reply)
-                    if after is None:
-                        continue  # Right's reply fills a red edge
-                    if not canonical:
-                        stats.forced_replies += 1
-                    if self._eval(after, want_win, depth + 2, canonical):
+                if forced and reply >= 0:
+                    stats.forced_replies += 1
+                    if self._eval(grandchild(state, i, reply), want_win, depth + 2):
                         result = True
                         break
                     continue
@@ -515,12 +485,15 @@ class Solver:
 
         Needs blue edges of size <= 3 and red edges of size <= 2.  There the
         canonical strategy wins whenever Right has a winning strategy, so
-        False proves that Right wins with Left moving first.
+        the answer is the game value's "can Left avoid losing moving
+        first?", which is the one question searched.  False thus proves
+        that Right wins with Left moving first, with no appeal to the
+        strategy.
         """
         if any(m.bit_count() > 3 for m in game.blue) or any(m.bit_count() > 2 for m in game.red):
             raise EdgeTooLargeError("needs blue edges of size <= 3 and red of size <= 2")
         with _Query(self):
-            return self._eval(self._root(state_of_game(game)), False, 0, True)
+            return self._eval(self._root(state_of_game(game)), False, 0)
 
     def outcome(self, game: Game) -> Outcome:
         """The pair of values (Left starts, Right starts), checked for legality."""

@@ -555,9 +555,13 @@ def sat_draw_battery(full_two_clause: bool = True) -> BatteryReport:
     """Satisfiability must match Left's survival of the draw gadget.
 
     Every 1- and 2-clause 3-CNF over three variables is checked against the
-    canonical-Right exploration and the full solver (these small formulas are
-    all satisfiable, so the solver value is exactly a draw); the all-sign
-    unsatisfiable formula is checked by exploration.
+    canonical-Right refutation and the full solver (these small formulas
+    are all satisfiable, so the solver value is exactly a draw); the
+    all-sign unsatisfiable formula is checked by the refutation.  The
+    refutation answers the game value "can Left avoid losing moving
+    first?", which equals surviving the canonical strategy because that
+    strategy wins whenever Right can; the tests check that lemma against
+    a brute-force play of the strategy.
     """
     report = BatteryReport("sat-draw-gadget")
     s = Solver()

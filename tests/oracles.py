@@ -98,6 +98,58 @@ def brute_result(game: Game, first_player: Player) -> GameResult:
     return {1: GameResult.LEFT_WIN, 0: GameResult.DRAW, -1: GameResult.RIGHT_WIN}[v]
 
 
+def canonical_right_pick(vertices, blue, red, picked_l: frozenset,
+                         picked_r: frozenset) -> str:
+    """The canonical Right strategy's pick on a game's ``vertices`` and its
+    ``blue`` and ``red`` edges (sets of names), from the paper's statement
+    of the strategy: fill a red edge that lacks one vertex; else block Left's only
+    vertex that fills a blue edge, when there is exactly one; else take a
+    vertex on two distinct red edges that each lack two vertices (the
+    centre of an intact red path of two edges); else the first free
+    vertex.  Each rule takes the first such vertex in the game's order.
+    Only edges the other side has not entered count."""
+    free = [v for v in vertices if v not in picked_l and v not in picked_r]
+    red = {e - picked_r for e in red if not e & picked_l}
+    blue = {e - picked_l for e in blue if not e & picked_r}
+    red_units = {v for e in red if len(e) == 1 for v in e}
+    blue_units = {v for e in blue if len(e) == 1 for v in e}
+    pairs = [e for e in red if len(e) == 2]
+    centres = {v for a in pairs for b in pairs if a != b for v in a & b}
+    for chosen in (red_units, blue_units if len(blue_units) == 1 else (), centres):
+        for v in free:
+            if v in chosen:
+                return v
+    return free[0]
+
+
+def survives_canonical_right_brute(game: Game, right_turns=None) -> bool:
+    """Whether Left, moving first, avoids losing against the canonical Right
+    strategy (:func:`canonical_right_pick`), by trying every Left pick.
+    When ``right_turns`` is a list, each Right turn met is appended to it
+    as ``(Left's picks, Right's picks, Right's pick)``."""
+    blue, red = game.blue_edges, game.red_edges
+    memo: dict = {}
+
+    def survives(picked_l: frozenset, picked_r: frozenset) -> bool:
+        # Left to move.
+        free = [v for v in game.vertices if v not in picked_l and v not in picked_r]
+        return not free or any(right_turn(picked_l | {v}, picked_r) for v in free)
+
+    def right_turn(picked_l: frozenset, picked_r: frozenset) -> bool:
+        if any(e <= picked_l for e in blue) or len(picked_l) + len(picked_r) == game.n:
+            return True
+        key = (picked_l, picked_r)
+        if key not in memo:
+            v = canonical_right_pick(game.vertices, blue, red, picked_l, picked_r)
+            if right_turns is not None:
+                right_turns.append((picked_l, picked_r, v))
+            after = picked_r | {v}
+            memo[key] = not any(e <= after for e in red) and survives(picked_l, after)
+        return memo[key]
+
+    return survives(frozenset(), frozenset())
+
+
 def brute_delay(game: Game, protagonist: Player) -> float:
     """Score of the pass-move scoring game, by direct minimax."""
     own_edges = [frozenset(e) for e in

@@ -11,7 +11,6 @@ from apg.core import game_from_masks
 from apg.kernel import (
     MapFinder,
     bits,
-    canonical_reply_after,
     canonical_right_reply,
     child,
     compress,
@@ -249,8 +248,9 @@ def in_child(j, i):
 def test_parent_side_reads_match_the_built_child():
     # The reads the searches take from the parent, checked on the child they
     # stand for: the double-threat verdict and the forced block equal what
-    # Solver._settle finds on the child, the fused two-pick step equals two
-    # child steps, and the canonical reply equals canonical_right_reply.
+    # Solver._settle finds on the child, and the fused two-pick step equals
+    # two child steps.  On the same children, read as Right's view,
+    # canonical_right_reply picks by each priority of its definition.
     settler = Solver(SolverConfig(use_leaf_oracle=False, use_potentials=False))
     seen = {"threat": 0, "reply": 0, "red unit": 0, "blue block": 0,
             "centre": 0, "double": 0, "fallback": 0}
@@ -270,26 +270,30 @@ def test_parent_side_reads_match_the_built_child():
             assert grandchild(state, i, reply) == child(after, in_child(reply, i))
         seen["threat"] += threat
         seen["reply"] += reply >= 0 and not threat
-        if state[0] >= 2:
-            doubled, got = canonical_reply_after(reads, i)
-            assert got != i and (in_child(got, i), doubled) == canonical_right_reply(after), (state, i)
-            seen[reply_kind(after)] += 1
+        if after[0]:
+            kind, pick, doubled = reply_kind(after)
+            assert canonical_right_reply(after) == (pick, doubled), (state, i)
+            seen[kind] += 1
             seen["double"] += doubled
     assert all(seen.values()), seen
 
 
 def reply_kind(after):
     """Which priority of the canonical Right strategy picks in Right's
-    view ``after``, by its definition."""
+    view ``after``, its pick, and whether that pick is a centre with no
+    unit of either colour left, by the strategy's definition."""
     _, red, blue = after
-    if unit_mask(red):
-        return "red unit"
-    if unit_mask(blue).bit_count() == 1:
-        return "blue block"
+    red_units = [m for m in red if m.bit_count() == 1]
+    if red_units:
+        return "red unit", min(red_units).bit_length() - 1, False
+    blue_units = {m for m in blue if m.bit_count() == 1}
+    if len(blue_units) == 1:
+        return "blue block", blue_units.pop().bit_length() - 1, False
     pairs = [m for m in red if m.bit_count() == 2]
-    if any(a & b for a, b in itertools.combinations(pairs, 2)):
-        return "centre"
-    return "fallback"
+    centres = [a & b for a, b in itertools.combinations(pairs, 2) if a & b]
+    if centres:
+        return "centre", min(centres).bit_length() - 1, not blue_units
+    return "fallback", 0, False
 
 
 def test_grandchild_matches_two_child_steps():

@@ -167,8 +167,8 @@ def test_symmetry_rule_on_boards_closed_under_a_permutation(monkeypatch):
     # With the gate at 0 every searched pick but a node's first is checked
     # against the picks before it, by the rule alone and with every rule.
     # Both first players against the plain search and brute force, then
-    # blue<=3 / red<=2 boards through the canonical-Right query, whose every
-    # node has the game value "can Left avoid losing?".  Fresh solvers per
+    # blue<=3 / red<=2 boards through the canonical-Right query, which asks
+    # the game value "can Left avoid losing?".  Fresh solvers per
     # board, so no firing is answered from an earlier board's memo.
     monkeypatch.setattr(solver, "SYMMETRY_MIN_NODES", 0)
     rng = rng_for(94, "pruning-symmetry")

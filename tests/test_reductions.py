@@ -47,7 +47,7 @@ from apg.kernel import canonical_right_reply, twin_reduce
 from apg.solver import PLAIN, SEARCH_ONLY, TOGGLES
 from apg.verification import _formulas
 
-from oracles import antichains, brute_result
+from oracles import antichains, brute_result, survives_canonical_right_brute
 
 L, R = Player.LEFT, Player.RIGHT
 LW, DR, RW = GameResult.LEFT_WIN, GameResult.DRAW, GameResult.RIGHT_WIN
@@ -85,6 +85,12 @@ def test_parse_dimacs():
 def test_parse_dimacs_multiline_clause():
     phi = parse_dimacs("p cnf 2 1\n1 2\n-1 0\n")
     assert phi.clauses == ((1, 2, -1),)
+
+
+def test_parse_dimacs_stops_at_the_satlib_end_marker():
+    # SATLIB's uniform random 3-SAT files end with "%" and then "0".
+    phi = parse_dimacs("p cnf 3 2\n1 -2 3 0\n-1 2 3 0\n%\n0\n\n")
+    assert phi.clauses == ((1, -2, 3), (-1, 2, 3))
 
 
 def test_parse_dimacs_rejects_wrong_size():
@@ -153,20 +159,21 @@ def test_draw_gadget_never_left_win():
 
 def test_draw_gadget_unsat_loses():
     # Pinned so that a change to the search's pruning or order shows: the
-    # search alone, with the cutoffs that end nodes early, and with those
-    # but the symmetry rule, which the gadget's sign flips set off.
+    # search alone with the double-threat cutoffs, with every cutoff that
+    # ends nodes early, and with those but the symmetry rule, which the
+    # gadget's sign flips set off.
     g = sat_draw_game(CnfFormula(3, all_sign_clauses())).game
-    s = Solver(SEARCH_ONLY)
+    s = Solver(dataclasses.replace(SEARCH_ONLY, use_double_threats=True))
     assert not s.survives_canonical_right(g)
-    assert s.last_stats.nodes_expanded == 189_120
+    assert s.last_stats.nodes_expanded == 68_935
     s = Solver(SolverConfig(use_symmetry=False))
     assert not s.survives_canonical_right(g)
     assert s.last_stats.nodes_expanded == 13_639
     s = Solver()
     assert not s.survives_canonical_right(g)
     stats = s.last_stats
-    assert (stats.nodes_expanded, stats.symmetry_cutoffs, stats.symmetry_attempts) == (
-        2_490, 13, 16)
+    assert (stats.nodes_expanded, stats.symmetry_cutoffs, stats.symmetry_attempts,
+            stats.forced_replies) == (2_490, 13, 16, 2_489)
 
 
 def test_symmetry_rule_repeats_under_any_hash_seed():
@@ -254,15 +261,38 @@ def test_canonical_right_agrees_with_full_search(use_domination):
     assert right_wins > 200  # both answers are exercised
 
 
+# The unsatisfiable formulas of the benchmark's refutations but the all-sign
+# one, with the nodes of each gadget's refutation under the default rules:
+# (draw, win), or the draw alone.
+UNSAT_NODES = [
+    (CnfFormula(1, ((1, 1, 1), (-1, -1, -1))), (3, 15)),
+    (CnfFormula(2, ((1, 2, 2), (-1, -1, -1), (1, -2, -2))), (49, 141)),
+    (CnfFormula(2, ((1, 2, 2), (1, -2, -2), (-1, 2, 2), (-1, -2, -2))), (101, 389)),
+    (CnfFormula(2, ((1, 1, 2), (1, 1, -2), (-1, -1, 2), (-1, -1, -2))), (101, 389)),
+    (U3A, (561, 1_101)),
+    (CnfFormula(2, ((-1, -2, -1), (-1, -2, -2), (-1, -1, 2), (1, 1, 1), (2, 2, -1))), (301,)),
+    (CnfFormula(3, ((1, 1, 1), (-1, 2, 2), (-1, -2, 3), (-1, -2, -3))), (679,)),
+    (CnfFormula(3, ((1, 2, 3), (-1, -1, -1), (-2, -2, -2), (-3, -3, -3))), (534,)),
+    (CnfFormula(3, ((1, 2, 2), (-1, 3, 3), (-2, -2, -2), (-3, -3, -3))), (509,)),
+    (CnfFormula(3, ((1, 2, 3), (1, 2, -3), (-1, -1, -1), (-2, -2, -2))), (581,)),
+]
+
+
 def test_canonical_right_pinned_nodes():
-    s = Solver(SEARCH_ONLY)
-    assert not s.survives_canonical_right(sat_draw_game(U3A).game)
-    assert s.last_stats.nodes_expanded == 3_248
+    g = sat_draw_game(U3A).game
+    s = Solver(dataclasses.replace(SEARCH_ONLY, use_double_threats=True))
+    assert not s.survives_canonical_right(g)
+    assert s.last_stats.nodes_expanded == 1_101
     s = Solver()
-    assert not s.survives_canonical_right(sat_draw_game(U3A).game)
-    assert s.last_stats.nodes_expanded == 561
-    assert s.last_stats.leaf_calls == 136
-    assert s.last_stats.threat_cutoffs == 1167
+    assert not s.survives_canonical_right(g)
+    stats = s.last_stats
+    assert (stats.nodes_expanded, stats.leaf_calls, stats.threat_cutoffs,
+            stats.forced_replies) == (561, 136, 1_167, 560)
+    for phi, nodes in UNSAT_NODES:
+        for build, want in zip((sat_draw_game, sat_win_game), nodes):
+            s = Solver()
+            assert not s.survives_canonical_right(build(phi).game)
+            assert s.last_stats.nodes_expanded == want, (phi, build)
 
 
 def test_canonical_right_shares_the_avoid_memo():
@@ -284,11 +314,25 @@ def test_canonical_right_shares_the_avoid_memo():
     assert s.last_stats.memo_hits > 0
 
 
+def oracle_survives(g):
+    """:func:`survives_canonical_right_brute` on ``g``, with
+    ``canonical_right_move`` required to pick as the oracle does at every
+    Right turn the oracle meets."""
+    turns = []
+    survived = survives_canonical_right_brute(g, turns)
+    for left, right, pick in turns:
+        assert canonical_right_move(Position.from_picks(g, left, right, R)) == pick, (
+            g, left, right)
+    return survived
+
+
 def test_canonical_right_exhaustive_four_vertex_boards():
     # Every blue<=3 / red<=2 board of at most 4 vertices whose edges hold no
     # other edge of their colour, against brute force, with every rule on
     # and with twin reduction the only rule.  Each board gets fresh
-    # solvers, so no node is answered by an earlier board's memo.
+    # solvers, so no node is answered by an earlier board's memo.  The
+    # brute-force play against the canonical strategy checks the lemma
+    # that the strategy wins whenever Right can.
     twins_only = dataclasses.replace(PLAIN, use_twin_reduction=True)
     checked = reduced = 0
     for n in range(5):
@@ -300,12 +344,27 @@ def test_canonical_right_exhaustive_four_vertex_boards():
             for red in reds:
                 g = new_game(verts, blue, red)
                 want = brute_result(g, L) is not RW
+                assert oracle_survives(g) == want, g
                 for config in (SolverConfig(), twins_only):
                     assert Solver(config).survives_canonical_right(g) == want, g
                 checked += 1
                 reduced += twin_reduce((g.n, g.blue, g.red))[0][0] < g.n
     assert checked == 1 * 1 + 2 * 2 + 5 * 5 + 19 * 18 + 166 * 113
     assert reduced > 1000  # twin pairs are removed on many of these boards
+
+
+def test_canonical_right_strategy_wins_whenever_right_can():
+    # The lemma behind RIGHT_WINS, by brute force on random boards of up to
+    # 9 vertices: Left survives the canonical strategy exactly when Left
+    # avoids losing moving first.
+    rng = rng_for(45, "canonical-right-lemma")
+    right_wins = 0
+    for _ in range(400):
+        g = random_blue3_red2_game(rng, max_vertices=9)
+        want = brute_result(g, L) is not RW
+        assert oracle_survives(g) == want, g
+        right_wins += not want
+    assert right_wins > 80
 
 
 def test_canonical_right_leaf_oracle_agrees():
