@@ -560,25 +560,22 @@ def grandchild(state: State, i: int, j: int) -> Optional[State]:
     return (n - 2, own_t, other_t)
 
 
-def canonical_right_reply(state: State) -> tuple[int, bool]:
-    """Right's priority pick in a blue<=3 / red<=2 game, and whether it
-    makes a double threat Left cannot meet.  ``state`` is Right's view,
-    ``(n, red, blue)``.
+def canonical_right_reply(state: State) -> int:
+    """Right's priority pick in a blue<=3 / red<=2 game.  ``state`` is
+    Right's view, ``(n, red, blue)``.
 
     Fill a red unit if there is one; otherwise block Left's only blue unit
     if there is exactly one; otherwise take the lowest vertex shared by two
     red pairs (the centre of an intact red path of two edges); otherwise
-    vertex 0.  The flag is set when the pick is such a centre and neither
-    colour holds a unit: Right then holds two red units and Left none, so
-    Right fills one of them next.
+    vertex 0.
     """
     n, red, blue = state
     red_units, centres, _ = _scan_side(red, [0] * n, [0] * n, [0] * n)
     if red_units:
-        return (red_units & -red_units).bit_length() - 1, False
+        return (red_units & -red_units).bit_length() - 1
     blue_units = unit_mask(blue)
     if blue_units and blue_units & (blue_units - 1) == 0:
-        return blue_units.bit_length() - 1, False
+        return blue_units.bit_length() - 1
     if centres:
-        return (centres & -centres).bit_length() - 1, not blue_units
-    return 0, False
+        return (centres & -centres).bit_length() - 1
+    return 0

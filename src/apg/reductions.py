@@ -500,7 +500,7 @@ def canonical_right_move(position: Position) -> str:
     updated = position.updated_game()
     if updated.n == 0:
         raise ValueError("no vertices left to pick")
-    i = canonical_right_reply((updated.n, updated.red, updated.blue))[0]
+    i = canonical_right_reply((updated.n, updated.red, updated.blue))
     return updated.vertices[i]
 
 

@@ -90,10 +90,18 @@ costs up to milliseconds, so it runs only once the node's subtree holds
 a searched pick pays one integer compare.  The delay search leaves the
 rule out.
 
-Two more rules settle a child at its parent, from masks the parent reads
-in the pass that orders its moves (``kernel.expand``, read per pick by
-``kernel.opponent_reply``), so the child is never built, ticked or looked
-up:
+Three more rules settle a child at its parent, so the child is never
+built, ticked or looked up.  The first reads the sum the potential
+cutoff takes, the other two masks the parent reads in the pass that
+orders its moves (``kernel.expand``, read per pick by
+``kernel.opponent_reply``):
+  * the potential read (rides on ``use_potentials``, each skip counts in
+    ``potential_cutoffs``): at a "can the mover win?" node that its own
+    cutoff leaves open, a pick is skipped when the mover's edges, with
+    those through the pick one vertex shorter, sum below 1, the child's
+    cutoff for "can the opponent avoid losing?" (``_unsettled_picks``).
+    It is read before the other rules and the symmetry rule: a skipped
+    pick fails, as every earlier pick must for the symmetry rule;
   * the opponent's double threat (rides on ``use_double_threats``): a pick
     after which the opponent, holding no one-vertex edge, has a centre of
     two of its pairs, while the mover holds no one-vertex edge or one at
@@ -158,6 +166,7 @@ from .errors import EdgeTooLargeError, ResourceLimitError
 from .kernel import (
     MapFinder,
     State,
+    bits,
     child,
     expand,
     grandchild,
@@ -191,15 +200,36 @@ def _facing(state: State, player: Player) -> State:
     return (n, red, blue)
 
 
-def _potential_below(n: int, masks: Iterable[int], bound: int) -> bool:
-    """Whether the sum of 2^(n - |e|) over the edges ``masks`` is below
-    ``bound``; it stops as soon as the running sum reaches it."""
-    total = 0
+def _room(n: int, masks: Iterable[int]) -> int:
+    """2^n less the sum of 2^(n - |e|) over the edges ``masks``, or 0 when
+    the sum reaches 2^n; it stops as soon as the running sum does."""
+    room = 1 << n
     for m in masks:
-        total += 1 << (n - m.bit_count())
-        if total >= bound:
-            return False
-    return True
+        room -= 1 << (n - m.bit_count())
+        if room <= 0:
+            return 0
+    return room
+
+
+def _unsettled_picks(state: State, room: int, moves: Iterable[int]) -> list[int]:
+    """The picks of ``moves`` whose child the potential cutoff does not end,
+    at a "can the mover win?" node with ``room`` (see ``Solver._settle``).
+
+    Scaled by 2^n, the mover's edges weigh W and those through a pick
+    ``i`` weigh T[i].  In the child, scaled by 2^(n-1), the edges through
+    ``i`` lose it and weigh as much as before, and the others half as
+    much, so the mover's edges there weigh (W + T[i]) / 2.  That is below
+    the child's bound 2^(n-1), where the opponent, moving first, keeps
+    them all unfilled, exactly when T[i] < room = 2^n - W.  The child's
+    dedup can only merge edges, so a pick skipped here is one whose child
+    the cutoff would end."""
+    n, own, _ = state
+    through = [0] * n  # T: the weight of the mover's edges through each vertex
+    for m in own:
+        w = 1 << (n - m.bit_count())
+        for v in bits(m):
+            through[v] += w
+    return [i for i in moves if through[i] >= room]
 
 
 @dataclass
@@ -327,22 +357,29 @@ class Solver:
         if depth > stats.max_depth:
             stats.max_depth = depth
 
-    def _settle(self, state: State, want_win: bool) -> tuple[Optional[bool], Optional[int]]:
-        """The node-entry rule of both searches: ``(value, None)`` when a rule
-        settles the node before any move is tried, else ``(None, block)``,
-        where ``block`` is the forced blocking pick, or None when every
-        candidate is searched.  ``want_win`` asks "can the mover win?", else
-        "can the mover avoid losing?"."""
+    def _settle(self, state: State,
+                want_win: bool) -> tuple[Optional[bool], Optional[int], int]:
+        """The node-entry rule of both searches: ``(value, None, 0)`` when a
+        rule settles the node before any move is tried, else
+        ``(None, block, room)``, where ``block`` is the forced blocking pick,
+        or None when every candidate is searched.  ``want_win`` asks "can
+        the mover win?", else "can the mover avoid losing?".
+
+        ``room`` is what the potential cutoff leaves for the children: on a
+        "win?" node with ``use_potentials``, 2^n less the sum of
+        2^(n - |e|) over the mover's edges when that is positive, else 0.
+        The sum is taken once, for the node's own cutoff (room above
+        2^(n-1)) and for ``_unsettled_picks``, which reads each child's."""
         n, own, other = state
         if n == 0:
-            return not want_win, None  # draw by exhaustion
+            return not want_win, None, 0  # draw by exhaustion
         config = self.config
         small = True  # every edge of the mover has size <= 2
         double = seen = 0  # vertices shared by two of the mover's pairs
         for m in own:
             high = m & (m - 1)  # m without its lowest bit
             if not high:
-                return True, None  # fill a one-vertex edge now
+                return True, None, 0  # fill a one-vertex edge now
             if high & (high - 1):
                 small = False
             else:
@@ -356,33 +393,35 @@ class Solver:
                 # A centre, the blocking one if the opponent has a unit,
                 # leaves two own units against none of the opponent's.
                 self.last_stats.threat_cutoffs += 1
-                return True, None
+                return True, None, 0
             if units and config.use_forced_moves:
                 if units & (units - 1):
-                    return False, None  # cannot block two distinct unit threats
+                    return False, None, 0  # cannot block two distinct unit threats
                 block = units.bit_length() - 1
+        room = 0
         if config.use_potentials:
             # Erdős–Selfridge, scaled by 2^n: the opponent blocking second
             # keeps a total below 1/2 unfilled, the mover blocking first
             # one below 1.
             if want_win:
-                if _potential_below(n, own, 1 << (n - 1)):
+                room = _room(n, own)
+                if room > 1 << (n - 1):
                     self.last_stats.potential_cutoffs += 1
-                    return False, None
-            elif _potential_below(n, other, 1 << n):
+                    return False, None, 0
+            elif _room(n, other):
                 self.last_stats.potential_cutoffs += 1
-                return True, None
+                return True, None, 0
         if small and config.use_leaf_oracle and all(m.bit_count() <= 2 for m in other):
             # The mover is poly22's Left.  The two sides' rules never both
             # hold, and a board decided by forced picks has one winner.
             self.last_stats.leaf_calls += 1
             decided, adj, mover = resolve_units(n, own, other, 0)
             if decided is not None:
-                return decided is GameResult.LEFT_WIN, None
+                return decided is GameResult.LEFT_WIN, None, 0
             if want_win:
-                return left_wins(adj, mover), None
-            return not left_wins(adj[::-1], 1 - mover), None
-        return None, block
+                return left_wins(adj, mover), None, 0
+            return not left_wins(adj[::-1], 1 - mover), None, 0
+        return None, block, room
 
     def _eval(self, state: State, want_win: bool, depth: int) -> bool:
         self._tick(depth)
@@ -391,7 +430,7 @@ class Solver:
         if cached is not None:
             self.last_stats.memo_hits += 1
             return cached
-        result, block = self._settle(state, want_win)
+        result, block, room = self._settle(state, want_win)
         if result is None and depth == 0 and self.config.use_pairing:
             # The query roots' pairing rule: the opponent pairing the
             # mover's edges stops a win, the mover pairing the opponent's
@@ -408,6 +447,11 @@ class Solver:
             # subtree holds SYMMETRY_MIN_NODES nodes.
             gate = stats.nodes_expanded + self._gate
             moves, reads = expand(state, config.use_domination, block)
+            if room:
+                # A pick whose child the potential cutoff would end fails.
+                kept = _unsettled_picks(state, room, moves)
+                stats.potential_cutoffs += len(moves) - len(kept)
+                moves = kept
             result = False
             finder = None  # the node's map finder, made at its first gated pick
             for k, i in enumerate(moves):

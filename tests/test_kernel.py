@@ -24,7 +24,7 @@ from apg.kernel import (
     unit_mask,
 )
 from apg.reductions import CnfFormula, sat_draw_game, sat_win_game
-from apg.solver import SEARCH_ONLY
+from apg.solver import PLAIN, SEARCH_ONLY, _unsettled_picks
 
 from oracles import antichains, closed_state
 
@@ -253,14 +253,14 @@ def test_parent_side_reads_match_the_built_child():
     # canonical_right_reply picks by each priority of its definition.
     settler = Solver(SolverConfig(use_leaf_oracle=False, use_potentials=False))
     seen = {"threat": 0, "reply": 0, "red unit": 0, "blue block": 0,
-            "centre": 0, "double": 0, "fallback": 0}
+            "centre": 0, "fallback": 0}
     states = itertools.chain(antichain_states(), random_states(47, 4000))
     for state, i, reads in branching_picks(states):
         after = child(state, i)
         threat, reply = opponent_reply(reads, i)
         for want_win in (True, False):
             settler.last_stats.threat_cutoffs = 0
-            value, block = settler._settle(after, want_win)
+            value, block, _ = settler._settle(after, want_win)
             assert settler.last_stats.threat_cutoffs == threat, (state, i)
             if threat:
                 assert value is True
@@ -271,29 +271,48 @@ def test_parent_side_reads_match_the_built_child():
         seen["threat"] += threat
         seen["reply"] += reply >= 0 and not threat
         if after[0]:
-            kind, pick, doubled = reply_kind(after)
-            assert canonical_right_reply(after) == (pick, doubled), (state, i)
+            kind, pick = reply_kind(after)
+            assert canonical_right_reply(after) == pick, (state, i)
             seen[kind] += 1
-            seen["double"] += doubled
     assert all(seen.values()), seen
 
 
 def reply_kind(after):
     """Which priority of the canonical Right strategy picks in Right's
-    view ``after``, its pick, and whether that pick is a centre with no
-    unit of either colour left, by the strategy's definition."""
+    view ``after``, and its pick, by the strategy's definition."""
     _, red, blue = after
     red_units = [m for m in red if m.bit_count() == 1]
     if red_units:
-        return "red unit", min(red_units).bit_length() - 1, False
+        return "red unit", min(red_units).bit_length() - 1
     blue_units = {m for m in blue if m.bit_count() == 1}
     if len(blue_units) == 1:
-        return "blue block", blue_units.pop().bit_length() - 1, False
+        return "blue block", blue_units.pop().bit_length() - 1
     pairs = [m for m in red if m.bit_count() == 2]
     centres = [a & b for a, b in itertools.combinations(pairs, 2) if a & b]
     if centres:
-        return "centre", min(centres).bit_length() - 1, not blue_units
-    return "fallback", 0, False
+        return "centre", min(centres).bit_length() - 1
+    return "fallback", 0
+
+
+def test_potential_read_skips_only_picks_the_opponent_survives():
+    # The potential cutoff read at the parent: at a "can the mover win?"
+    # node, each pick it skips must leave a child in which the opponent,
+    # moving first, avoids losing, by the search with every rule off.
+    settler, plain = Solver(), Solver(PLAIN)
+    nodes = skipped = 0
+    states = itertools.chain(antichain_states(), random_states(61, 1500, 9))
+    for n, blue, red in states:
+        for view in ((n, blue, red), (n, red, blue)):
+            room = settler._settle(view, True)[2]
+            if not room:
+                continue
+            nodes += 1
+            kept = _unsettled_picks(view, room, range(n))
+            for i in sorted(set(range(n)) - set(kept)):
+                after = plain.solve_state(child(view, i), Player.LEFT)
+                assert after is not GameResult.RIGHT_WIN, (view, i)
+                skipped += 1
+    assert nodes > 3000 and skipped > 10000, (nodes, skipped)
 
 
 def test_grandchild_matches_two_child_steps():
@@ -541,7 +560,7 @@ def test_phi3_node_counts_are_pinned():
     # to the candidate set, their order or the canonical states moves these
     # counts.  The default configuration's counts are pinned beside them.
     for config, draw_nodes, win_nodes in ((SEARCH_ONLY, 9545, 9690),
-                                          (SolverConfig(), 13, 76)):
+                                          (SolverConfig(), 9, 76)):
         s = Solver(config)
         assert s.solve(sat_draw_game(PHI3).game, Player.LEFT) is GameResult.DRAW
         assert s.last_stats.nodes_expanded == draw_nodes

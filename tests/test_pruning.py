@@ -15,6 +15,9 @@ from oracles import antichains, brute_result, closed_state
 L, R = Player.LEFT, Player.RIGHT
 
 NO_THREATS = SolverConfig(use_double_threats=False)
+# The potential read at the parent skips many picks that would fold a forced
+# reply, so the forced replies are counted with the potentials off.
+NO_POTENTIALS = SolverConfig(use_potentials=False)
 
 # The pairing rule alone, on the plain search.
 PAIRING = dataclasses.replace(PLAIN, use_pairing=True)
@@ -53,7 +56,7 @@ def test_exhaustive_four_vertex_games_rank3():
         pool = [c for r in (1, 2, 3) for c in itertools.combinations(verts, r)]
         families = list(antichains(pool))
         plain, tuned, no_threats = Solver(PLAIN), Solver(), Solver(NO_THREATS)
-        pairs_only = Solver(PAIRING)
+        pairs_only, no_potentials = Solver(PAIRING), Solver(NO_POTENTIALS)
         for blue in families:
             for red in families:
                 g = new_game(verts, blue, red)
@@ -64,8 +67,9 @@ def test_exhaustive_four_vertex_games_rank3():
                     assert no_threats.solve(g, first) == want, g
                     assert tuned.solve(g, first) == want, g
                     assert pairs_only.solve(g, first) == want, g
+                    assert no_potentials.solve(g, first) == want, g
                     threats += tuned.last_stats.threat_cutoffs
-                    replies += tuned.last_stats.forced_replies
+                    replies += no_potentials.last_stats.forced_replies
                     paired += pairs_only.last_stats.pairing_cutoffs
                     assert no_threats.last_stats.threat_cutoffs == 0
     assert checked == 2 * sum(k * k for k in (1, 2, 5, 19, 166))

@@ -208,16 +208,15 @@ def test_canonical_right_priorities():
     assert canonical_right_move(pos) == "a"  # arbitrary: lowest index
 
 
-def test_canonical_right_reply_flags_only_an_unanswerable_double_threat():
-    # Red pairs ab and bc meet at b.  The reply b wins outright only when
-    # neither colour holds a unit: a red unit is filled first, a single blue
-    # unit is blocked first, and two blue units let Left fill one next.
-    # The state is Right's view, red edges first.
+def test_canonical_right_reply_takes_the_centre_after_units():
+    # Red pairs ab and bc meet at b.  Right takes the centre b unless a
+    # colour's units come first: a red unit is filled first and a single
+    # blue unit is blocked first, while two blue units cannot both be
+    # blocked.  The state is Right's view, red edges first.
     red = ((1 << 0) | (1 << 1), (1 << 1) | (1 << 2))
-    for blue, want in (((), (1, True)), ((0b11000,), (1, True)),
-                       ((0b1000,), (3, False)), ((0b1000, 0b10000), (1, False))):
+    for blue, want in (((), 1), ((0b11000,), 1), ((0b1000,), 3), ((0b1000, 0b10000), 1)):
         assert canonical_right_reply((5, red, blue)) == want, blue
-    assert canonical_right_reply((5, red + (1 << 4,), ())) == (4, False)
+    assert canonical_right_reply((5, red + (1 << 4,), ())) == 4
 
 
 def test_canonical_right_answers_literal_pick():

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -471,6 +472,32 @@ def test_potential_cutoffs_fire_at_the_root_with_exact_sums(board):
     s = Solver()
     assert s.solve(board(True), L) is want
     assert s.last_stats.max_depth > 0
+
+
+def read_board(at_bound):
+    # Left's nested edges through v0 weigh 1/2 - 2^-61 and one edge off v0
+    # brings the sum to 1/2, or 1/2 + 2^-61 with an edge one vertex shorter.
+    verts = [f"v{i}" for i in range(61)] + ["x", "y"]
+    off = verts[1:59 if at_bound else 60] + ["x", "y"]
+    return new_game(verts, nested("v", range(2, 62)) + [off], [])
+
+
+@pytest.mark.parametrize("at_bound", [False, True])
+def test_potential_read_skips_a_pick_just_below_the_bound(at_bound):
+    # The root's own cutoff does not fire.  The pick v0 shortens every edge
+    # but one, so in the child Left's edges sum to W + T, W their sum at
+    # the root and T that of those through v0: 1 - 2^-61 on the first
+    # board, on 63 vertices, so the child is skipped, and exactly 1 on the
+    # second, where it is not.
+    g = read_board(at_bound)
+    v0 = g.index_of("v0")
+    weight = {e: Fraction(1, 1 << e.bit_count()) for e in g.blue}
+    through = sum(w for e, w in weight.items() if e >> v0 & 1)
+    assert sum(weight.values()) + through == 1 - (0 if at_bound else Fraction(1, 1 << 61))
+    state = state_of_game(g)
+    value, block, room = Solver()._settle(state, True)
+    assert (value, block) == (None, None) and room > 0
+    assert solver._unsettled_picks(state, room, [v0]) == ([v0] if at_bound else [])
 
 
 # The all-sign formula, unsatisfiable: its gadget's subtrees reach the
