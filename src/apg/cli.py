@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from typing import Optional
 
 from . import verification
@@ -199,13 +200,24 @@ def _cmd_reduce(args) -> int:
         out = sat_draw_game(parse_dimacs(text, source=args.cnf_file))
     else:
         out = sat_win_game(parse_dimacs(text, source=args.cnf_file))
-    save_game(out.game, args.output)
-    _emit([("written", args.output), ("vertices", out.game.n),
-           ("blue_edges", len(out.game.blue)), ("red_edges", len(out.game.red))])
-    if args.provenance:
-        with open(args.provenance, "w", encoding="utf-8") as fh:
-            json.dump(out.provenance, fh, indent=2, sort_keys=True)
-        _emit([("provenance", args.provenance)])
+    # Both outputs are opened before anything is written or printed: the
+    # provenance first, so a path that cannot be opened leaves no game file,
+    # and it is removed again when the game's path cannot be opened.
+    prov = open(args.provenance, "w", encoding="utf-8") if args.provenance else None
+    try:
+        fh = open(args.output, "w", encoding="utf-8")
+    except OSError:
+        if prov is not None:
+            prov.close()
+            os.remove(args.provenance)
+        raise
+    with fh, prov or nullcontext():
+        save_game(out.game, fh)
+        _emit([("written", args.output), ("vertices", out.game.n),
+               ("blue_edges", len(out.game.blue)), ("red_edges", len(out.game.red))])
+        if prov is not None:
+            json.dump(out.provenance, prov, indent=2, sort_keys=True)
+            _emit([("provenance", args.provenance)])
     return 0
 
 

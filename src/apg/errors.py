@@ -58,7 +58,10 @@ class IllegalOutcomeError(ApgError):
 
 class InvalidPathError(ApgError):
     """An alternating-path reduction would delete vertices still carried by a
-    surviving partial edge; signals a classification bug."""
+    surviving partial edge.  Raised by the reference ``reduce_type3`` in the
+    test oracles, which checks each path it is given;
+    ``poly22.right_to_move_rule`` deletes only paths that pass those checks
+    by construction."""
 
 
 class BadClauseSizeError(ApgError):

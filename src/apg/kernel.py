@@ -294,17 +294,16 @@ class MapFinder:
 
     :meth:`find` makes one attempt, with no backtracking.  The vertex
     tried is the first earlier pick whose base colour is the pick's (no
-    automorphism joins two colours).  First the shortcut: the two
-    vertices' individualised colourings are paired class by class in
-    index order.  A state's symmetric parts are usually numbered in the
-    same relative order, so that pairing is usually the map.  When it
-    fails, the chain goes on from the same two colourings: while a colour
-    holds two vertices, the lowest vertex of that colour is individualised
-    in each copy and each is refined in turn, until every vertex has its
-    own colour and the map matches the colours.  Refinement stops as soon
-    as the colours are distinct and hashed colours may collide, so neither
-    step vouches for a map: only the final check does, that it maps each
-    edge set onto itself and the earlier pick onto the pick.
+    automorphism joins two colours).  It starts from the two vertices'
+    individualised colourings and, at each step, pairs them class by class
+    in index order.  A state's symmetric parts are usually numbered in the
+    same relative order, so the first pairing is usually the map.  When it
+    fails, the lowest vertex of the first repeated colour is individualised
+    in each copy and each is refined in turn, and the next step pairs them
+    again, until every vertex has its own colour.  Refinement stops as soon
+    as the colours are distinct and hashed colours may collide, so no
+    pairing vouches for a map: only the check does, that it maps each edge
+    set onto itself and the earlier pick onto the pick.
     """
 
     __slots__ = ("n", "edges", "incident", "sides", "base", "_single")
@@ -353,30 +352,22 @@ class MapFinder:
         if i is None:
             return None
         a, b = self._individualised(i), self._individualised(j)
-        p = _pair_in_order(a, b)
-        if p is not None and self._keeps(p, i, j):
-            return tuple(p)
-        c = _first_repeat(a)
-        if c is None:
-            return None  # the chain would end with the map just refused
-        a, b = a[:], b[:]
         n, edges, incident = self.n, self.edges, self.incident
-        for _ in range(n - 1):
-            if c not in b:
-                return None
+        for _ in range(n):
+            p = _pair_in_order(a, b)
+            if p is None:
+                return None  # the colour classes differ: no map matches them
+            if self._keeps(p, i, j):
+                return tuple(p)
+            c = _first_repeat(a)
+            if c is None:
+                return None  # every vertex has its own colour: p was the one map
+            a, b = a[:], b[:]
             u, v = a.index(c), b.index(c)
             a[u] = b[v] = hash((a[u], -1))
             a = _refine(n, edges, incident, a)
             b = _refine(n, edges, incident, b)
-            c = _first_repeat(a)
-            if c is None:
-                break
-        else:
-            return None
-        p = _pair_in_order(a, b)
-        if p is None or not self._keeps(p, i, j):
-            return None
-        return tuple(p)
+        return None
 
 
 def _domination(n: int, cover: list[int], units: int) -> tuple[int, int]:

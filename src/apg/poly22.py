@@ -16,40 +16,30 @@ Pipeline for "does Left win with a given first player":
      vertex (a P3): the shared vertex creates an unstoppable double threat,
      and without one the blue edges form a matching that Right can pair off;
   3. if Right is to move and the red graph has a P3, Right wins, so Left does
-     not; otherwise the red edges form a matching and every candidate move is
-     classified by its maximal alternating path (red edges at odd steps, blue
-     at even steps).  Even-ended paths are optimal for Right and their
-     vertices can be deleted outright; once a pass deletes nothing, only
-     branching or odd-ended vertices remain, and Right survives iff some
-     odd-ended path of that pass leaves a P3-free blue graph behind.  Only
-     the vertices on the red matching are walked: a live vertex off it has
-     no red edge to start a path, so its path is that one vertex, odd-ended,
-     and it joins the final odd paths unwalked.  A red edge uw whose w has
-     no blue edge but to u is the two-vertex even path [u, w], deleted in
-     place without a walk.
+     not; otherwise the red edges form a matching, and each pass walks once
+     the maximal alternating path (red edges at odd steps, blue at even
+     steps) from each live vertex on it.  An even-ended path is optimal for
+     Right, and its vertices are deleted outright; a branching one is left
+     alone; an odd-ended one is kept.  Once a pass deletes nothing, Right
+     survives iff some odd-ended path of that pass, or some live vertex off
+     the matching (a one-vertex odd path, never walked), leaves a P3-free
+     blue graph behind.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from itertools import repeat
 from operator import gt
 from typing import Iterable, Optional, Sequence
 
 from .core import Game, GameResult, Player
-from .errors import EdgeTooLargeError, InvalidPathError
+from .errors import EdgeTooLargeError
 from .kernel import mask_indices, unit_mask
 
 _MOVER = {Player.LEFT: 0, Player.RIGHT: 1}
 _WINS = (GameResult.LEFT_WIN, GameResult.RIGHT_WIN)
 
 Adj = tuple[list[int], list[int]]  # blue and red neighbour masks per vertex
-
-
-class PathKind(Enum):
-    BRANCHING = "branching"   # some alternating path forks at an even step
-    ODD = "odd"               # unique maximal path, odd number of vertices
-    EVEN = "even"             # unique maximal path, even number of vertices
 
 
 def _delete(adj: Adj, v: int) -> None:
@@ -120,87 +110,27 @@ def has_p3(masks: list[int]) -> bool:
     return any(map(gt, map(int.bit_count, masks), repeat(1)))
 
 
-def classify(adj: Adj, u: int) -> tuple[PathKind, tuple[int, ...]]:
-    """Walk the alternating path from ``u``: red edges at odd steps (the red
-    edges form a matching, so each is unique), blue edges at even steps.
-
-    At an even step, two or more off-path blue neighbours mean the path
-    branches; exactly one extends the walk; none ends it.  A path ending at
-    an odd step classifies as ODD, at an even step as EVEN.  Returns the
-    kind and the path; for BRANCHING, the prefix walked before the fork.
-    """
-    blue, red = adj
-    path = [u]
-    on_path = 1 << u
-    cur = u
-    while True:
-        # odd position: follow the red matching edge, if any
-        nxt = red[cur]
-        if not nxt:
-            return PathKind.ODD, tuple(path)
-        assert not nxt & on_path, "a matching partner cannot revisit the path"
-        cur = nxt.bit_length() - 1
-        path.append(cur)
-        on_path |= nxt
-        # even position: count blue continuations off the path
-        offs = blue[cur] & ~on_path
-        if offs & (offs - 1):
-            return PathKind.BRANCHING, tuple(path)
-        if not offs:
-            return PathKind.EVEN, tuple(path)
-        cur = offs.bit_length() - 1
-        path.append(cur)
-        on_path |= offs
-
-
-def reduce_type3(adj: Adj, path: tuple[int, ...]) -> None:
-    """Delete an even-ended alternating path in place.
-
-    Playing along the path is optimal for Right and the forced exchanges
-    leave no partial edges behind: every blue edge touching an even-position
-    vertex also touches an odd-position one, and every red edge incident to
-    the path lies on it.  Violations raise InvalidPathError.
-    """
-    if len(path) % 2 != 0:
-        raise InvalidPathError("an even-ended path must have an even vertex count")
-    blue, red = adj
-    odd_positions = 0   # 1st, 3rd, ... vertices of the walk
-    for v in path[0::2]:
-        odd_positions |= 1 << v
-    for v in path[1::2]:
-        stray = blue[v] & ~odd_positions
-        if stray:
-            w = (stray & -stray).bit_length() - 1
-            raise InvalidPathError(
-                f"blue edge ({v},{w}) would survive the path deletion")
-    for k, v in enumerate(path):
-        partner = path[k + 1] if k % 2 == 0 else path[k - 1]
-        if red[v] != 1 << partner:
-            raise InvalidPathError(f"red edge at {v} is not the path's matching edge")
-    for v in path:
-        _delete(adj, v)
-
-
 def right_to_move_rule(adj: Adj) -> bool:
     """With Right to move and no unit edges: does Left win?
 
-    A red P3 lets Right win in two moves.  Otherwise even-ended paths are
-    deleted repeatedly; Right then survives iff some odd-ended path of the
-    final board, removed from the blue graph, leaves it without a P3.
-    Only the vertices on the red matching are walked.  A live vertex off it
-    has no red edge to follow, so its path is the vertex alone, odd-ended;
-    it is never deleted, and it joins the odd paths of the final board
-    unwalked.  An even-ended path alternates red and blue edges and ends on
-    a red one, so every vertex it deletes is matched.  Testing only the
-    odd paths of the last pass is exact: that pass deleted nothing, so it
-    walked every matched live vertex of the final board, and with the
-    unmatched ones its odd paths are all of that board's.  Once a pass has
-    deleted every red edge, the next one walks nothing.  The walk from u
-    is [u, w], even, when u's partner w has no blue edge but to u: then
-    ``reduce_type3``'s checks hold (the red test above leaves u one red
-    edge), and both ends are deleted in place, in the order it would
-    delete them.  Longer paths go on to ``classify`` and ``reduce_type3``,
-    and so does a board whose w does not return u's red edge: it raises.
+    A red P3 lets Right win in two moves.  Otherwise the red edges form a
+    matching, and passes walk the alternating path from each live matched
+    vertex: its red edge, then the only blue edge off the path, and so on.
+    A path that branches (two blue edges off it) is left alone; one that
+    ends at an odd step is kept for the final test; one that ends at an
+    even step is deleted, since playing along it is optimal for Right.
+    Such a path ends on a red edge, so every vertex it deletes is matched,
+    and it leaves no partial edge behind: the red edges of its vertices are
+    its own, and each blue edge at an even position goes to an odd one, or
+    the walk would have gone on or branched there.  Passes repeat until one
+    deletes nothing; Right then survives iff some odd-ended path of the
+    final board, removed from the blue graph, leaves it without a P3.  A
+    live vertex off the matching has no red edge to follow, so its path is
+    the vertex alone, odd-ended; it is never deleted, and it joins the odd
+    paths of the final board unwalked.  Testing only the odd paths of the
+    last pass is exact: that pass deleted nothing, so it walked every
+    matched live vertex of the final board, and with the unmatched ones its
+    odd paths are all of that board's.
     """
     if has_p3(adj[1]):
         return False
@@ -217,21 +147,30 @@ def right_to_move_rule(adj: Adj) -> bool:
         deleted = False
         odd = []
         for u in matched:
-            r = red[u]
-            if not r:
+            if not red[u]:
                 continue
-            w, ub = r.bit_length() - 1, 1 << u
-            if red[w] == ub and blue[w] | ub == ub:
-                _delete(adj, u)
-                _delete(adj, w)
-                deleted = True
-            else:
-                kind, path = classify(adj, u)
-                if kind is PathKind.EVEN:
-                    reduce_type3(adj, path)
-                    deleted = True
-                elif kind is PathKind.ODD:
+            cur = u
+            path = [u]
+            on_path = 1 << u
+            while True:
+                nxt = red[cur]  # odd step: the red matching edge
+                if not nxt:
                     odd.append(path)
+                    break
+                cur = nxt.bit_length() - 1
+                path.append(cur)
+                on_path |= nxt
+                offs = blue[cur] & ~on_path  # even step: blue edges off the path
+                if not offs:
+                    for v in path:
+                        _delete(adj, v)
+                    deleted = True
+                    break
+                if offs & (offs - 1):
+                    break  # the path branches
+                cur = offs.bit_length() - 1
+                path.append(cur)
+                on_path |= offs
         if deleted:
             matched = [u for u in matched if red[u]]
     # The centres (blue degree >= 2) are where a blue P3 can survive.  Every

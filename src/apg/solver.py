@@ -359,7 +359,7 @@ class Solver:
 
     def _settle(self, state: State,
                 want_win: bool) -> tuple[Optional[bool], Optional[int], int]:
-        """The node-entry rule of both searches: ``(value, None, 0)`` when a
+        """The node-entry rule of ``_eval``: ``(value, None, 0)`` when a
         rule settles the node before any move is tried, else
         ``(None, block, room)``, where ``block`` is the forced blocking pick,
         or None when every candidate is searched.  ``want_win`` asks "can

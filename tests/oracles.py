@@ -12,11 +12,11 @@ answers.
 from __future__ import annotations
 
 import math
+from enum import Enum
 
 from apg import Game, GameResult, Player
 from apg.errors import InvalidPathError
 from apg.kernel import mask_indices
-from apg.poly22 import PathKind, classify
 
 LEFT, RIGHT = Player.LEFT, Player.RIGHT
 
@@ -203,6 +203,46 @@ def _delete22(adj, v: int) -> None:
         masks[v] = 0
 
 
+class PathKind(Enum):
+    BRANCHING = "branching"   # some alternating path forks at an even step
+    ODD = "odd"               # unique maximal path, odd number of vertices
+    EVEN = "even"             # unique maximal path, even number of vertices
+
+
+def classify(adj, u: int):
+    """Walk the alternating path from ``u``, as ``poly22.classify`` did:
+    red edges at odd steps (the red edges form a matching, so each is
+    unique), blue edges at even steps.
+
+    At an even step, two or more off-path blue neighbours mean the path
+    branches; exactly one extends the walk; none ends it.  A path ending at
+    an odd step classifies as ODD, at an even step as EVEN.  Returns the
+    kind and the path; for BRANCHING, the prefix walked before the fork.
+    """
+    blue, red = adj
+    path = [u]
+    on_path = 1 << u
+    cur = u
+    while True:
+        # odd position: follow the red matching edge, if any
+        nxt = red[cur]
+        if not nxt:
+            return PathKind.ODD, tuple(path)
+        assert not nxt & on_path, "a matching partner cannot revisit the path"
+        cur = nxt.bit_length() - 1
+        path.append(cur)
+        on_path |= nxt
+        # even position: count blue continuations off the path
+        offs = blue[cur] & ~on_path
+        if offs & (offs - 1):
+            return PathKind.BRANCHING, tuple(path)
+        if not offs:
+            return PathKind.EVEN, tuple(path)
+        cur = offs.bit_length() - 1
+        path.append(cur)
+        on_path |= offs
+
+
 def reduce_type3(adj, path) -> None:
     """``poly22.reduce_type3`` as it was, deleting through ``_delete22``."""
     if len(path) % 2 != 0:
@@ -229,8 +269,8 @@ def right_to_move_rule_walking_every_vertex(adj) -> bool:
     """``poly22.right_to_move_rule`` as it was before it walked only the
     vertices on the red matching: every pass walks every live vertex, each
     even path goes through ``reduce_type3`` (two-vertex ones too), and the
-    final test takes the odd paths of the last pass alone.  It shares only
-    ``classify`` with the rule it checks."""
+    final test takes the odd paths of the last pass alone.  It walks with
+    ``classify`` above and shares no code with the rule it checks."""
     if has_p3(adj[1]):
         return False
     adj = (list(adj[0]), list(adj[1]))

@@ -97,6 +97,21 @@ def test_reduce_and_provenance(tmp_path):
     assert len(set(mapping.values())) == 15
 
 
+def test_reduce_with_an_unopenable_output_writes_nothing(tmp_path, capsys):
+    # One of the two output paths is a directory or lies in a missing one:
+    # the command fails before it writes either file or prints a line.
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+    game, prov = tmp_path / "g.apg", tmp_path / "prov.json"
+    for game_path, prov_path in ((game, tmp_path), (tmp_path / "no" / "g.apg", prov)):
+        code, out = invoke(["reduce", "sat23", str(cnf), "-o", str(game_path),
+                            "--provenance", str(prov_path)])
+        err = capsys.readouterr().err
+        assert code == 64 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert not game.exists() and not prov.exists()
+
+
 def test_delay_of_the_sat32_win_gadget(tmp_path):
     # The 35-vertex win gadget of (1 2 3)(-1 -2 -3): Left wins moving first,
     # and the pass game's bounded questions settle its delay.

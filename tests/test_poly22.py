@@ -11,10 +11,7 @@ from apg.errors import InvalidPathError
 from apg.gadgets import random_game, rng_for
 from apg.kernel import mask_indices
 from apg.poly22 import (
-    PathKind,
-    classify,
     has_p3,
-    reduce_type3,
     resolve_units,
     right_to_move_rule,
     solve22_masks,
@@ -24,6 +21,7 @@ from apg.solver import PLAIN, SEARCH_ONLY
 from apg.verification import _exhaustive_22_outcomes, iter_22_states, random_22_state
 
 import oracles
+from oracles import PathKind, classify, reduce_type3
 
 L, R = Player.LEFT, Player.RIGHT
 LW, DR, RW = GameResult.LEFT_WIN, GameResult.DRAW, GameResult.RIGHT_WIN
@@ -97,7 +95,7 @@ def test_left_rule_no_edges():
     assert not has_p3(graph2([], [("a", "b")])[0][0])
 
 
-# -- classification -----------------------------------------------------------------
+# -- classification, by the reference walk that the rule inlines ------------------------
 
 def test_classify_isolated_is_odd():
     adj, ix = graph2([("a", "b")], [])
@@ -207,10 +205,9 @@ def _leaf_board(rng, kind):
     return blue, red
 
 
-def _first_pass(adj):
-    """The lengths of the even paths that one pass walking every live
-    vertex deletes, and whether it leaves a red edge."""
-    adj = (list(adj[0]), list(adj[1]))
+def _pass(adj):
+    """One pass walking every live vertex of ``adj``, in place: the lengths
+    of the even paths it deletes."""
     lengths = []
     for u in range(len(adj[0])):
         if adj[0][u] or adj[1][u]:
@@ -218,26 +215,27 @@ def _first_pass(adj):
             if kind is PathKind.EVEN:
                 reduce_type3(adj, path)
                 lengths.append(len(path))
-    return lengths, any(adj[1])
+    return lengths
 
 
 def test_right_rule_equals_the_rule_walking_every_vertex():
-    # The rule walks only the matched vertices, deletes a two-vertex even
-    # path in place and takes each live unmatched vertex as a one-vertex
-    # odd path; the reference walks every live vertex in every pass and
-    # deletes every even path through its own reduce_type3.  Both must
-    # answer alike, also where the first pass leaves no red edge (the
-    # second pass walks nothing), where two-vertex and longer even paths
-    # meet in one pass, and where there is no red edge to begin with.
+    # The rule walks only the matched vertices, each path once, and takes
+    # each live unmatched vertex as a one-vertex odd path; the reference
+    # walks every live vertex in every pass with classify and deletes every
+    # even path through its own reduce_type3.  Both must answer alike, also
+    # where the first pass leaves no red edge (the second pass walks
+    # nothing), where two-vertex and longer even paths meet in one pass,
+    # and where there is no red edge to begin with.
     rng = rng_for(61, "poly22-matched-walk")
     answers = {True: 0, False: 0}
     both_lengths = 0
     for kind in ("matching", "cleared", "mixed", "no red"):
         for _ in range(3000):
             adj = _leaf_board(rng, kind)
-            lengths, red_left = _first_pass(adj)
+            after = (list(adj[0]), list(adj[1]))
+            lengths = _pass(after)
             if kind == "cleared":
-                assert not red_left, adj
+                assert not any(after[1]), adj
             if kind == "mixed" and 2 in lengths and max(lengths) > 2:
                 both_lengths += 1
             for masks in adj:
@@ -247,6 +245,37 @@ def test_right_rule_equals_the_rule_walking_every_vertex():
             answers[want] += 1
     assert min(answers.values()) > 1000
     assert both_lengths > 300
+
+
+def test_right_rule_on_large_sparse_boards():
+    # Boards drawn as the size2 benchmark draws its Right-first ones: a red
+    # matching on about 4/5 of 50-200 vertices and n/3 random blue pairs.
+    # There a deletion often turns a path that branched earlier in the pass
+    # into an even one, so a later pass deletes it.
+    rng = rng_for(62, "poly22-large-paths")
+    answers = {True: 0, False: 0}
+    later = 0
+    for _ in range(300):
+        n = rng.randint(50, 200)
+        order = rng.sample(range(n), n)
+        blue, red = [0] * n, [0] * n
+        for k in range(4 * n // 5 // 2):
+            a, b = order[2 * k], order[2 * k + 1]
+            red[a] |= 1 << b
+            red[b] |= 1 << a
+        for _ in range(n // 3):
+            a, b = rng.sample(range(n), 2)
+            blue[a] |= 1 << b
+            blue[b] |= 1 << a
+        adj = (blue, red)
+        want = oracles.right_to_move_rule_walking_every_vertex(adj)
+        assert right_to_move_rule(adj) == want, adj
+        answers[want] += 1
+        after = (blue[:], red[:])
+        _pass(after)
+        later += bool(_pass(after))
+    assert min(answers.values()) >= 40  # 56 wins for Left, 244 not
+    assert later >= 60  # 68 of 300
 
 
 # -- full values ----------------------------------------------------------------------------
