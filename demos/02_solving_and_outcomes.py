@@ -8,9 +8,7 @@ from apg import (
     Player,
     Solver,
     butterfly,
-    delay,
     outcome_exemplar,
-    self_play,
     win_in_k,
 )
 
@@ -23,17 +21,19 @@ for target in Outcome:
     print(f"  {str(target):2s} <- {game}")
 
 print("\nbutterfly, Left moving first (wins in three moves):")
-for step in self_play(butterfly(), L).steps:
+for step in solver.self_play(butterfly(), L).steps:
     print(f"  {step.player} picks {step.vertex:7s} [{step.justification}]")
 
 print("\nbutterfly, Right moving first (the hub pick defuses everything):")
-trace = self_play(butterfly(), R)
+trace = solver.self_play(butterfly(), R)
 print("  " + " ".join(s.vertex for s in trace.steps) + f" -> {trace.final}")
 
 print("\nthe hub family: its owner needs k moves, the opponent may pass k-1 times")
 for k in range(1, 6):
-    print(f"  k={k}: delay {delay(win_in_k(k), L)}")
+    print(f"  k={k}: delay {solver.delay(win_in_k(k), L)}")
 
 print("\nsearch statistics for the butterfly outcome:")
-solver.outcome(butterfly())
-print("  " + solver.last_stats.as_text().replace("\n", "\n  "))
+# A fresh solver, so no memo entry of the queries above shows in its counters.
+fresh = Solver()
+fresh.outcome(butterfly())
+print("  " + fresh.last_stats.as_text().replace("\n", "\n  "))

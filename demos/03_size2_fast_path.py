@@ -19,7 +19,7 @@ t0 = time.perf_counter()
 fast = [solve22(g, L) for g in games]
 t_fast = time.perf_counter() - t0
 
-# Search alone: the default solver would hand these games to solve22 itself,
+# Search alone: the default configuration would hand these games to solve22 itself,
 # and its double-threat rule is solve22's own P3 step.
 solver = Solver(SEARCH_ONLY)
 t0 = time.perf_counter()

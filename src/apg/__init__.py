@@ -80,11 +80,6 @@ from .solver import (
     SolveStats,
     Trace,
     TraceStep,
-    best_move,
-    delay,
-    outcome,
-    self_play,
-    solve,
     union_outcome_allowed,
 )
 

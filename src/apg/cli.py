@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import verification
 from .core import Game, Player, disjoint_union, parse_outcome
-from .errors import ApgError, ApgParseError, ResourceLimitError
+from .errors import ApgError, ResourceLimitError
 from .formats import load_game, save_game
 from .gadgets import butterfly, outcome_exemplar, win_in_k
 from .poly22 import solve22
@@ -279,9 +279,6 @@ def run(argv: Optional[list[str]] = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ApgParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 64
     except (ApgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64

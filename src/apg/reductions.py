@@ -103,7 +103,8 @@ def _finish(verts: list[str], blue, red, provenance: dict[str, str]) -> Reductio
 def parse_dimacs(text: str, source: str = "<string>") -> CnfFormula:
     """Parse DIMACS CNF: a ``p cnf`` header, then 0-terminated clause lines.
 
-    Clauses must have exactly three literal slots (repeats permitted).  A
+    Clauses must have exactly three literal slots (repeats permitted), each
+    within the header's variable count; an error names its line.  A
     line starting with ``%`` ends the formula: SATLIB's files close with
     one, followed by a stray ``0`` line.
     """
@@ -139,6 +140,9 @@ def parse_dimacs(text: str, source: str = "<string>") -> CnfFormula:
                                         f"clause has {len(pending)} literals; need exactly 3")
                 clauses.append((pending[0], pending[1], pending[2]))
                 pending = []
+            elif abs(v) > num_vars:
+                raise ApgParseError(source, lineno,
+                                    f"literal {v} out of range for {num_vars} variables")
             else:
                 pending.append(v)
     if pending:
@@ -519,7 +523,7 @@ def solve_against_canonical_right(game: Game) -> CanonicalRightResult:
     of the strategy in the tests), so Left survives it exactly when Left
     avoids losing, and RightWins is a proof that Right wins with no appeal
     to the lemma.  The search is :meth:`Solver.survives_canonical_right`
-    under a fresh default solver; it raises EdgeTooLargeError unless blue
+    on a fresh ``Solver()``; it raises EdgeTooLargeError unless blue
     edges have size <= 3 and red edges size <= 2, and ResourceLimitError
     past the default node budget (another budget: that method on a solver
     with its ``node_limit``).

@@ -824,28 +824,3 @@ def union_outcome_allowed(o: Outcome, o_prime: Outcome, observed: Outcome) -> bo
     components have outcomes ``o`` and ``o_prime``."""
     return observed in UNION_OUTCOMES[(o, o_prime)]
 
-
-# ---------------------------------------------------------------------------
-# Module-level convenience API sharing one default solver
-
-_default_solver = Solver()
-
-
-def solve(game: Game, first_player: Player) -> GameResult:
-    return _default_solver.solve(game, first_player)
-
-
-def outcome(game: Game) -> Outcome:
-    return _default_solver.outcome(game)
-
-
-def best_move(position: Position) -> tuple[str, GameResult]:
-    return _default_solver.best_move(position)
-
-
-def self_play(game: Game, first_player: Player) -> Trace:
-    return _default_solver.self_play(game, first_player)
-
-
-def delay(game: Game, protagonist: Player) -> Delay:
-    return _default_solver.delay(game, protagonist)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import (
     Game,
@@ -112,26 +112,19 @@ def _edge_sets_22(n: int) -> list[tuple[int, ...]]:
             for bits in range(1 << len(masks))]
 
 
-def iter_22_states(n: int) -> Iterable[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """Every game on exactly ``n`` vertices whose edges all have size <= 2."""
-    sets = _edge_sets_22(n)
-    for blue in sets:
-        for red in sets:
-            yield (n, blue, red)
-
-
 # The exhaustive size-<=2 pass covers every board on at most this many
 # vertices: about a million of them.
 EXHAUSTIVE_22_MAX_VERTICES = 4
 
 
 def _exhaustive_22_outcomes(max_vertices: int):
-    """Every state of ``iter_22_states`` up to ``max_vertices`` vertices, in
-    another order, with its values (Left first, Right first) from the search
-    alone.  A fresh solver for each blue edge set bounds the memo (one solver
-    for the whole 4-vertex pass holds over a million entries); it also takes
-    each board's colour-swapped mirror, whose Left-first root is the board's
-    Right-first root, so the two share their memo entries."""
+    """Every state ``(n, blue, red)`` on at most ``max_vertices`` vertices
+    whose edges all have size <= 2, with its values (Left first, Right
+    first) from the search alone.  A fresh solver for each blue edge set
+    bounds the memo (one solver for the whole 4-vertex pass holds over a
+    million entries); it also takes each board's colour-swapped mirror,
+    whose Left-first root is the board's Right-first root, so the two share
+    their memo entries."""
     for n in range(max_vertices + 1):
         sets = _edge_sets_22(n)
         for i, blue in enumerate(sets):

@@ -11,6 +11,7 @@ answers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from enum import Enum
 
@@ -40,6 +41,19 @@ def antichains(pool):
             yield from extend(k - 1, chosen + [s])
 
     yield from extend(len(sets), [])
+
+
+def iter_22_states(n):
+    """Every state ``(n, blue, red)`` on exactly ``n`` vertices whose edges
+    all have size <= 2, each side's edge masks sorted: the units, then the
+    pairs in index order, each side chosen by a bitmask over that list."""
+    masks = [1 << i for i in range(n)]
+    masks += [(1 << i) | (1 << j) for i, j in itertools.combinations(range(n), 2)]
+    sets = [tuple(sorted(m for k, m in enumerate(masks) if bits >> k & 1))
+            for bits in range(1 << len(masks))]
+    for blue in sets:
+        for red in sets:
+            yield (n, blue, red)
 
 
 def closed_state(rng, n, blue_sizes, red_sizes):

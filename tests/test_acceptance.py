@@ -19,7 +19,7 @@ Criteria and budgets:
 
 import time
 
-from apg import Outcome, Player, Solver, butterfly, self_play
+from apg import Outcome, Player, Solver, butterfly
 from apg import verification as V
 
 SEED = 2024
@@ -48,7 +48,7 @@ def test_criterion_1_butterfly_fixed_point():
     solver = Solver()
     if solver.outcome(game) is not Outcome.L_MINUS:
         failures.append("butterfly outcome is not L-")
-    trace = self_play(game, Player.LEFT)
+    trace = solver.self_play(game, Player.LEFT)
     left_moves = trace.moves_by(Player.LEFT)
     if len(left_moves) != 3:
         failures.append(f"Left used {len(left_moves)} moves, not 3")

@@ -317,6 +317,32 @@ def test_reduce_bad_dimacs_exit_code(tmp_path):
     assert code == 64
 
 
+def test_out_of_range_literal_names_its_line(tmp_path, capsys):
+    cnf = tmp_path / "oor.cnf"
+    cnf.write_text("c a comment\np cnf 2 2\n1 2 -1 0\n1 -2 5 0\n")
+    code, out = invoke(["reduce", "sat23", str(cnf), "-o", str(tmp_path / "x.apg")])
+    assert code == 64 and out == ""
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {cnf}:4: literal 5 out of range for 2 variables"]
+
+
+@pytest.mark.parametrize("name, data, command", [
+    ("in.apg", b"blue caf\xe9 b\n", ["solve", "--first", "left"]),
+    ("in.cnf", b"c caf\xe9\np cnf 3 1\n1 2 3 0\n", ["reduce", "sat23"]),
+], ids=["solve", "reduce"])
+def test_non_utf8_input_is_an_input_error(tmp_path, capsys, name, data, command):
+    # Latin-1 "é" (0xE9) starts no UTF-8 sequence here.
+    path, game = tmp_path / name, tmp_path / "out.apg"
+    path.write_bytes(data)
+    argv = command + [str(path)]
+    if command[0] == "reduce":
+        argv += ["-o", str(game)]
+    code, out = invoke(argv)
+    assert code == 64 and out == "" and not game.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_gadget_size_guard_exit_code(tmp_path):
     code, _ = invoke(["gadget", "wk", "--k", "9", "-o", str(tmp_path / "w.apg")])
     assert code == 64

@@ -8,11 +8,8 @@ from apg import (
     Player,
     Solver,
     butterfly,
-    delay,
     find_union_witness,
-    outcome,
     outcome_exemplar,
-    self_play,
     union_outcome_allowed,
     win_in_k,
 )
@@ -23,12 +20,13 @@ L, R = Player.LEFT, Player.RIGHT
 
 
 def test_butterfly_outcomes():
-    assert outcome(butterfly(L)) is Outcome.L_MINUS
-    assert outcome(butterfly(R)) is Outcome.R_MINUS
+    s = Solver()
+    assert s.outcome(butterfly(L)) is Outcome.L_MINUS
+    assert s.outcome(butterfly(R)) is Outcome.R_MINUS
 
 
 def test_butterfly_three_move_win():
-    trace = self_play(butterfly(L), L)
+    trace = Solver().self_play(butterfly(L), L)
     assert len(trace.moves_by(L)) == 3
 
 
@@ -44,26 +42,30 @@ def test_win_in_k_shapes():
 
 
 def test_win_in_k_outcomes():
+    s = Solver()
     for k in (1, 2, 3, 4):
-        assert outcome(win_in_k(k, L)) is Outcome.L_MINUS
-        assert outcome(win_in_k(k, R)) is Outcome.R_MINUS
+        assert s.outcome(win_in_k(k, L)) is Outcome.L_MINUS
+        assert s.outcome(win_in_k(k, R)) is Outcome.R_MINUS
 
 
 def test_win_in_k_move_counts():
+    s = Solver()
     for k in (1, 2, 3, 4):
-        trace = self_play(win_in_k(k), L)
+        trace = s.self_play(win_in_k(k), L)
         assert len(trace.moves_by(L)) == k
 
 
 def test_win_in_k_delay_is_k_minus_one():
+    s = Solver()
     for k in (1, 2, 3, 4, 5):
-        assert delay(win_in_k(k), L) == k - 1
+        assert s.delay(win_in_k(k), L) == k - 1
 
 
 def test_exemplars():
+    s = Solver()
     for target in Outcome:
         g = outcome_exemplar(target)
-        assert outcome(g) is target
+        assert s.outcome(g) is target
 
 
 def test_union_witness_trivial_cell():
@@ -112,14 +114,14 @@ def test_isomorphic_game_can_still_lose():
     assert sorted(sigma) == sorted(sigma.values()) == sorted(game.vertices)
     mapped = frozenset(frozenset(sigma[v] for v in e) for e in game.blue_edges)
     assert mapped == game.red_edges
-    assert outcome(game) is Outcome.R
+    assert Solver().outcome(game) is Outcome.R
 
 
 def test_forced_destruction_order_in_union():
     # One quick threat per side: Right must defuse Left's two-move weapon
     # before anything else, then Left must defuse Right's three-move one.
     union, _ = disjoint_union(win_in_k(2, L), win_in_k(3, R))
-    trace = self_play(union, R)
+    trace = Solver().self_play(union, R)
     assert trace.result.value == "Draw"
     assert trace.steps[0].player is R and trace.steps[0].vertex == "u"
     assert trace.steps[1].player is L and trace.steps[1].vertex == "u#2"

@@ -18,10 +18,10 @@ from apg.poly22 import (
     solve22_outcome_masks,
 )
 from apg.solver import PLAIN, SEARCH_ONLY
-from apg.verification import _exhaustive_22_outcomes, iter_22_states, random_22_state
+from apg.verification import _exhaustive_22_outcomes, random_22_state
 
 import oracles
-from oracles import PathKind, classify, reduce_type3
+from oracles import PathKind, classify, iter_22_states, reduce_type3
 
 L, R = Player.LEFT, Player.RIGHT
 LW, DR, RW = GameResult.LEFT_WIN, GameResult.DRAW, GameResult.RIGHT_WIN

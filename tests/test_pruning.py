@@ -207,5 +207,5 @@ def test_each_toggle_individually():
         g = random_game(rng, max_vertices=7, max_edge_size=3)
         for first in (L, R):
             want = reference.solve(g, first)
-            for solver in variants:
-                assert solver.solve(g, first) == want, g
+            for variant in variants:
+                assert variant.solve(g, first) == want, g

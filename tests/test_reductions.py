@@ -98,6 +98,16 @@ def test_parse_dimacs_rejects_wrong_size():
         parse_dimacs("p cnf 2 1\n1 2 0\n")
 
 
+def test_parse_dimacs_names_the_line_of_an_out_of_range_literal():
+    with pytest.raises(ApgParseError) as exc:
+        parse_dimacs("p cnf 2 1\n1 2\n-3 0\n")
+    assert (exc.value.line, str(exc.value)) == (
+        3, "<string>:3: literal -3 out of range for 2 variables")
+    # Only the whole file shows that no clause came.
+    with pytest.raises(ApgParseError, match="needs at least one clause"):
+        parse_dimacs("p cnf 2 0\nc nothing\n")
+
+
 def test_parse_dimacs_requires_header():
     with pytest.raises(ApgParseError):
         parse_dimacs("1 2 3 0\n")

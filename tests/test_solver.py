@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import apg
 from apg import (
     GameResult,
     Outcome,
@@ -18,11 +19,7 @@ from apg import (
     SolverConfig,
     StatusKind,
     butterfly,
-    delay,
     new_game,
-    outcome,
-    self_play,
-    solve,
     solve22,
     status,
     twin_reduce,
@@ -45,30 +42,31 @@ LW, DR, RW = GameResult.LEFT_WIN, GameResult.DRAW, GameResult.RIGHT_WIN
 # -- fixed points -------------------------------------------------------------
 
 def test_butterfly_values():
-    g = butterfly()
-    assert solve(g, L) is LW
-    assert solve(g, R) is DR
-    assert outcome(g) is Outcome.L_MINUS
+    g, s = butterfly(), Solver()
+    assert s.solve(g, L) is LW
+    assert s.solve(g, R) is DR
+    assert s.outcome(g) is Outcome.L_MINUS
 
 
 def test_shared_unit_vertex():
-    g = new_game(["a"], [["a"]], [["a"]])
-    assert solve(g, L) is LW
-    assert solve(g, R) is RW
+    g, s = new_game(["a"], [["a"]], [["a"]]), Solver()
+    assert s.solve(g, L) is LW
+    assert s.solve(g, R) is RW
 
 
 def test_two_blue_units_beat_right():
     g = new_game(["a", "b"], [["a"], ["b"]], [])
-    assert outcome(g) is Outcome.L
+    assert Solver().outcome(g) is Outcome.L
 
 
 def test_empty_game_draws():
-    assert outcome(new_game([], [], [])) is Outcome.D
+    assert Solver().outcome(new_game([], [], [])) is Outcome.D
 
 
 def test_exemplars_cover_all_outcomes():
+    s = Solver()
     for target in Outcome:
-        assert outcome(outcome_exemplar(target, verify=False)) is target
+        assert s.outcome(outcome_exemplar(target, verify=False)) is target
 
 
 # -- best_move / self_play ------------------------------------------------------
@@ -125,25 +123,25 @@ def test_best_move_matches_a_two_question_reference():
 
 
 def test_self_play_butterfly():
-    trace = self_play(butterfly(), L)
+    trace = Solver().self_play(butterfly(), L)
     assert trace.result is LW
     assert trace.moves_by(L)[0] == "alpha"
     assert len(trace.moves_by(L)) == 3
 
 
 def test_self_play_empty():
-    trace = self_play(new_game([], [], []), L)
+    trace = Solver().self_play(new_game([], [], []), L)
     assert trace.steps == () and trace.result is DR
 
 
 def test_self_play_win_in_three():
-    trace = self_play(win_in_k(3), L)
+    trace = Solver().self_play(win_in_k(3), L)
     assert trace.result is LW
     assert len(trace.moves_by(L)) == 3
 
 
 def test_self_play_alternates_legally():
-    trace = self_play(butterfly(), R)
+    trace = Solver().self_play(butterfly(), R)
     players = [s.player for s in trace.steps]
     assert players == [R, L, R, L, R, L, R]
     assert len({s.vertex for s in trace.steps}) == len(trace.steps)
@@ -191,7 +189,7 @@ def test_self_play_matches_a_best_move_walk():
             steps, final, result = best_move_walk(g, first)
             assert trace.steps == steps, (g, first)
             assert (trace.final, trace.result) == (final, result), (g, first)
-            assert result is solve(g, first)
+            assert result is Solver().solve(g, first)
             tags.update(step.justification for step in steps)
     assert tags == {"winning", "forced", "arbitrary"}
 
@@ -244,6 +242,14 @@ def test_determinism_across_solver_instances():
     t1 = a.self_play(butterfly(), L)
     t2 = b.self_play(butterfly(), L)
     assert t1 == t2
+
+
+def test_every_query_is_asked_of_a_solver_the_caller_holds():
+    # No process-wide solver: its memo would keep every state any caller
+    # asked about, and no caller could read its last_stats.
+    for name in ("solve", "outcome", "best_move", "self_play", "delay"):
+        assert not hasattr(apg, name) and not hasattr(solver, name), name
+    assert not [v for v in vars(solver).values() if isinstance(v, Solver)]
 
 
 def test_second_player_reduction():
@@ -402,7 +408,7 @@ def test_node_budget_covers_the_whole_trace():
     fresh.self_play(g, L)
     assert fresh.last_stats.nodes_expanded > solve_nodes
     s = Solver(SolverConfig(node_limit=solve_nodes))
-    assert s.solve(g, L) is solve(g, L)
+    assert s.solve(g, L) is Solver().solve(g, L)
     with pytest.raises(ResourceLimitError):
         Solver(SolverConfig(node_limit=solve_nodes)).self_play(g, L)
 
@@ -588,31 +594,32 @@ def test_long_alternating_chain_is_answered_by_the_leaf_oracle():
 # -- delay --------------------------------------------------------------------------
 
 def test_delay_unit():
-    assert delay(new_game(["a"], [["a"]], []), L) == 0
+    assert Solver().delay(new_game(["a"], [["a"]], []), L) == 0
 
 
 def test_delay_butterfly():
     g = butterfly()
     assert brute_delay(g, L) == 2
-    assert delay(g, L) == 2
+    assert Solver().delay(g, L) == 2
 
 
 def test_delay_win_in_k_family():
+    s = Solver()
     for k in range(1, 5):
         g = win_in_k(k)
         expected = brute_delay(g, L)
         assert expected == k - 1
-        assert delay(g, L) == k - 1
+        assert s.delay(g, L) == k - 1
 
 
 def test_delay_infinite_without_win():
     g = new_game(["a", "b"], [["a", "b"]], [])
-    assert delay(g, L) == math.inf
+    assert Solver().delay(g, L) == math.inf
 
 
 def test_delay_right_protagonist():
     g = win_in_k(2, R)
-    assert delay(g, R) == 1
+    assert Solver().delay(g, R) == 1
     assert brute_delay(g, R) == 1
 
 
